@@ -23,7 +23,7 @@ from . import denoise, linops, tasks
 from .hir import HirConfig, hir_restore
 from .imagecore import Image, load_image, save_image
 from .msr import TilePlan, msr_restore, plan_tiles
-from .sampler import SamplerConfig
+from .sampler import SamplerConfig, SamplerError
 from .schedule import TravelPlan, build_schedule
 
 TASK_NAMES = ("sr", "inpaint", "colorize", "denoise", "generate")
@@ -33,6 +33,9 @@ _DEFAULTS = dict(
     patch=64, overlap=32, steps=100, eta=0.85, travel_l=10, travel_r=3,
     hir_factor=0, seed=0, prior=None, input=None, output=None, naive=False,
 )
+
+_TRUE = ("1", "true", "yes", "on")
+_FALSE = ("0", "false", "no", "off")
 
 _TYPES = dict(
     task=str, scale=int, mask=str, sigma_y=float, width=int, height=int,
@@ -84,7 +87,9 @@ def _read_config(path: str) -> dict:
             typ = _TYPES[key]
             try:
                 if typ is bool:
-                    values[key] = val.lower() in ("1", "true", "yes", "on")
+                    if val.lower() not in _TRUE + _FALSE:
+                        raise ValueError(val)
+                    values[key] = val.lower() in _TRUE
                 else:
                     values[key] = typ(val)
             except ValueError:
@@ -190,6 +195,19 @@ def validate_job(job: JobSpec):
         raise JobError("hir-factor must be 0 (off) or >= 2")
     if job.steps < 1:
         raise JobError("steps must be >= 1")
+    if job.task == "generate":
+        _check_hir_canvas(job, job.height, job.width)
+
+
+def _check_hir_canvas(job: JobSpec, height: int, width: int):
+    """The coarse phase tiles a (height/f) x (width/f) canvas with the
+    full patch, so each side must still hold one patch."""
+    f = job.hir_factor
+    if f >= 2 and min(height // f, width // f) < job.patch:
+        raise JobError(
+            f"hir-factor {f} gives a {height // f}x{width // f} coarse "
+            f"canvas, smaller than patch {job.patch}; use a smaller factor "
+            f"or a canvas of at least {f * job.patch} pixels per side")
 
 
 def _job_block(job: JobSpec) -> int:
@@ -258,12 +276,18 @@ def seam_metric(img: np.ndarray, plan: TilePlan):
 
 
 def run_job(job: JobSpec) -> int:
-    """Execute a validated job; write the output image and metrics.txt."""
+    """Execute a validated job; write the output image and metrics.txt.
+
+    A bad job or file gives status 1. A diverged sampler (SamplerError) is
+    recorded in metrics.txt too, then re-raised so that library callers can
+    tell it from a rejected job; `main` reports it as status 1.
+    """
     start = time.monotonic()
     metrics: dict[str, object] = {}
     out_dir = os.path.dirname(os.path.abspath(job.output))
     os.makedirs(out_dir, exist_ok=True)
     status = 0
+    diverged = None
     try:
         denoiser = denoise.load_gmm_prior(job.prior)
         ph, pw = denoiser.input_shape[:2]
@@ -271,6 +295,7 @@ def run_job(job: JobSpec) -> int:
             raise JobError(
                 f"prior images are {ph}x{pw} but patch is {job.patch}")
         task = _build_task(job)
+        _check_hir_canvas(job, task.shape[0], task.shape[1])
         block = _job_block(job)
         plan = plan_tiles(task.shape[0], task.shape[1], job.patch,
                           job.overlap, block=block)
@@ -309,11 +334,16 @@ def run_job(job: JobSpec) -> int:
         metrics["error"] = str(e)
         print(f"error: {e}", file=sys.stderr)
         status = 1
+    except SamplerError as e:
+        metrics["error"] = str(e)
+        diverged = e
     metrics["wall_clock_sec"] = time.monotonic() - start
     metrics_path = os.path.join(out_dir, "metrics.txt")
     with open(metrics_path, "w", encoding="utf-8") as f:
         for key, val in metrics.items():
             f.write(f"{key}: {val}\n")
+    if diverged is not None:
+        raise diverged
     return status
 
 
@@ -388,7 +418,11 @@ def main(argv=None) -> int:
         return run_plan(job)
     if command == "selftest":
         return run_selftest()
-    return run_job(job)
+    try:
+        return run_job(job)
+    except SamplerError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -116,14 +116,45 @@ class GmmDenoiser(Denoiser):
         self.weights = weights
         self.tau = float(tau)
         self.input_shape = shape
+        # step-independent parts of the GEMM-form posterior
+        self._flat = self.means.reshape(len(weights), -1)
+        self._sq_norms = np.einsum("kd,kd->k", self._flat, self._flat)
+        self._log_w = np.log(weights)
 
     def posterior_x0(self, x_t, t, sched):
         return gmm_posterior_x0(x_t, self.means, self.weights, self.tau,
                                 sched.a[t], sched.sigma[t])
 
     def predict_eps(self, x_t, t, sched):
-        x0 = self.posterior_x0(x_t, t, sched)
-        return eps_from_x0(x_t, x0, sched.a[t], sched.sigma[t])
+        """eps_from_x0(x_t, posterior_x0(...)) without the K x D distances.
+
+        ||x - a m_k||^2 = ||x||^2 - 2a <m_k, x> + a^2 ||m_k||^2, and
+        ||x||^2 is shared by every component, so it cancels in the
+        softmax. With x0hat = mbar + shrink (x - a mbar) the noise
+        prediction is (1 - a shrink) / sigma (x - a mbar) = sigma / c
+        (x - a mbar).
+        """
+        a, sigma = sched.a[t], sched.sigma[t]
+        if sigma <= 0:
+            raise ValueError(
+                "denoiser requires sigma_t > 0 (never called at t=0)")
+        c = a**2 * self.tau**2 + sigma**2
+        x = x_t.reshape(-1)
+        logp = self._flat @ x
+        logp *= 2.0 * a
+        logp -= a**2 * self._sq_norms
+        logp /= 2.0 * c
+        logp += self._log_w
+        logp -= logp.max()
+        rho = np.exp(logp)
+        rho /= rho.sum()
+        if not np.isfinite(rho).all():
+            raise ValueError("non-finite mixture responsibilities")
+        eps = (rho @ self._flat).reshape(x_t.shape)
+        eps *= -a
+        eps += x_t
+        eps *= sigma / c
+        return eps
 
 
 class ZeroDenoiser(Denoiser):

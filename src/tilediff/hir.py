@@ -77,9 +77,10 @@ def hir_restore(task: Task, hir: HirConfig, plan2: TilePlan, denoiser,
     def hook_factory(win: Window):
         ref = coarse[win.top // f:(win.top + win.height) // f,
                      win.left // f:(win.left + win.width) // f, :]
+        base = sr.pinv(ref)
 
         def hook(x0t, t):
-            out = sr.pinv(ref) + x0t - sr.range_project(x0t)
+            out = base + x0t - sr.range_project(x0t)
             if hook_trace is not None:
                 hook_trace.append(float(np.abs(sr.forward(out) - ref).max()))
             return out

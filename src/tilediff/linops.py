@@ -95,9 +95,20 @@ class AvgPool(LinearOperator):
         self.sing_value = 1.0 / p
 
     def forward(self, x):
+        # Sum the p rows of each block, then add the p column offsets one
+        # slice at a time: several times faster than mean(axis=(1, 3)) on
+        # the 5-D view, and within an ulp of it. A .sum(axis=2) for the
+        # second step would add the same terms in the same order, but its
+        # inner loop runs over only c elements.
         h, w, c = self.input_shape
         p = self.p
-        return x.reshape(h // p, p, w // p, p, c).mean(axis=(1, 3))
+        rows = x.reshape(h // p, p, w * c).sum(axis=1)
+        rows = rows.reshape(h // p, w // p, p, c)
+        out = rows[:, :, 0].copy()
+        for j in range(1, p):
+            out += rows[:, :, j]
+        out *= 1.0 / (p * p)
+        return out
 
     def pinv(self, y):
         return np.repeat(np.repeat(y, self.p, axis=0), self.p, axis=1)

@@ -97,6 +97,24 @@ def tile_seed(global_seed: int, row: int, col: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def _freeze_hook(fixed: np.ndarray, known: np.ndarray):
+    """x0 -> x0 with the known (H, W) pixels of `fixed` written over it.
+
+    Bitwise equal to np.where(known[..., None], fixed, x0); the flat indices
+    and frozen values are gathered once per tile, and the copy keeps x0,
+    which the projection may hand back unchanged, intact.
+    """
+    idx = np.flatnonzero(np.broadcast_to(known[:, :, None], fixed.shape))
+    vals = fixed.reshape(-1)[idx]
+
+    def hook(x0, t):
+        out = x0.copy()
+        out.reshape(-1)[idx] = vals
+        return out
+
+    return hook
+
+
 def msr_restore(task: Task, plan: TilePlan, denoiser, cfg: SamplerConfig,
                 use_mask_hook: bool = True,
                 pre_hook_factory=None,
@@ -127,10 +145,7 @@ def msr_restore(task: Task, plan: TilePlan, denoiser, cfg: SamplerConfig,
         if use_mask_hook:
             known = canvas.known[ys, xs]
             if known.any():
-                fixed = canvas.image[ys, xs, :].copy()
-                known3 = known[:, :, None]
-                post.append(lambda x0, t, known3=known3, fixed=fixed:
-                            np.where(known3, fixed, x0))
+                post.append(_freeze_hook(canvas.image[ys, xs, :], known))
         pre = []
         if pre_hook_factory is not None:
             pre.append(pre_hook_factory(win))

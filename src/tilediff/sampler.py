@@ -57,7 +57,11 @@ def estimate_x0(x_t: np.ndarray, eps_t: np.ndarray, t: int,
     """Invert the forward process: x0|t = (x_t - sigma_t eps_t) / a_t."""
     if t < 1:
         raise ValueError("x0 estimation requires t >= 1")
-    return (x_t - sched.sigma[t] * eps_t) / sched.a[t]
+    # x_t + (-sigma eps_t) rounds exactly like x_t - sigma eps_t
+    out = eps_t * -sched.sigma[t]
+    out += x_t
+    out /= sched.a[t]
+    return out
 
 
 def ddnm_project(op: LinearOperator, y: np.ndarray,
@@ -65,6 +69,9 @@ def ddnm_project(op: LinearOperator, y: np.ndarray,
     """pinv(A) y + (I - pinv(A) A) x0t; output is measurement-consistent."""
     if y.shape != tuple(op.output_shape):
         raise ValueError(f"measurement shape {y.shape} != {op.output_shape}")
+    if y.size == 0:
+        # nothing is measured (generation): the projection is the identity
+        return x0t
     # grouping keeps mask-style projectors bitwise exact on known pixels
     return op.pinv(y) + (x0t - op.range_project(x0t))
 
@@ -103,24 +110,25 @@ def compute_lambda_gamma(s: float, t: int, sched: Schedule, eta: float,
 def ddnm_plus_project(op: LinearOperator, y: np.ndarray, x0t: np.ndarray,
                       t: int, sched: Schedule,
                       cfg: SamplerConfig) -> tuple[np.ndarray, dict]:
-    """Noisy-path projection x0t + pinv_scaled(A, y - A x0t, lambda).
+    """Noisy-path projection x0t + lambda pinv(y - A x0t).
 
-    Also returns the per-mode gamma map {s: gamma} for noise injection.
-    With sigma_y = 0 this reduces exactly to ddnm_project and gamma = eta.
+    Also returns the per-mode gamma map {s: gamma} for noise injection:
+    gamma on the measured modes (singular value op.sing_value) and eta on
+    the null modes (s = 0). With sigma_y = 0 this reduces exactly to
+    ddnm_project and gamma = eta.
     """
     if y.shape != tuple(op.output_shape):
         raise ValueError(f"measurement shape {y.shape} != {op.output_shape}")
     if cfg.sigma_y == 0.0:
         # lambda = 1 on every mode; reduce bit-exactly to the clean path
-        return ddnm_project(op, y, x0t), {s: cfg.eta
-                                          for s, _ in op.mode_classes}
+        return ddnm_project(op, y, x0t), {op.sing_value: cfg.eta,
+                                          0.0: cfg.eta}
+    # every measured mode shares one singular value, so one (lambda, gamma)
+    lam, gam = compute_lambda_gamma(op.sing_value, t, sched, cfg.eta,
+                                    cfg.sigma_y)
     residual = y - op.forward(x0t)
-    lam_of = lambda s: compute_lambda_gamma(s, t, sched, cfg.eta,
-                                            cfg.sigma_y)[0]
-    xhat = x0t + op.pinv_scaled(residual, lam_of)
-    gammas = {s: compute_lambda_gamma(s, t, sched, cfg.eta, cfg.sigma_y)[1]
-              for s, _ in op.mode_classes}
-    return xhat, gammas
+    residual *= lam
+    return x0t + op.pinv(residual), {op.sing_value: gam, 0.0: cfg.eta}
 
 
 def sample_prev(x0hat: np.ndarray, eps_t: np.ndarray, t: int,
@@ -132,20 +140,25 @@ def sample_prev(x0hat: np.ndarray, eps_t: np.ndarray, t: int,
 
     The noise mix is eta * eps + sqrt(1 - eta^2) * eps_t; on the noisy path
     the fresh eps is rescaled per mode (gamma on range modes, eta on null
-    modes) via the range projector.
+    modes) via the range projector. The result is built in the buffer of
+    the fresh draw.
     """
     if t < 1:
         raise ValueError("sampling requires t >= 1")
-    eps = rng.standard_normal(x0hat.shape)
+    sig = sched.sigma[t - 1]
+    out = rng.standard_normal(x0hat.shape)
     if gammas is None:
-        mix = cfg.eta * eps
+        out *= sig * cfg.eta
     else:
         gamma_range = gammas[op.sing_value]
         gamma_null = gammas.get(0.0, cfg.eta)
-        pr = op.range_project(eps)
-        mix = gamma_range * pr + gamma_null * (eps - pr)
-    mix = mix + math.sqrt(1.0 - cfg.eta**2) * eps_t
-    return sched.a[t - 1] * x0hat + sched.sigma[t - 1] * mix
+        # not in place: Identity's range projector returns its input
+        pr = op.range_project(out) * (sig * (gamma_range - gamma_null))
+        out *= sig * gamma_null
+        out += pr
+    out += (sig * math.sqrt(1.0 - cfg.eta**2)) * eps_t
+    out += sched.a[t - 1] * x0hat
+    return out
 
 
 def run_sampler(op: LinearOperator, y: np.ndarray, denoiser,

@@ -5,7 +5,9 @@ import pytest
 
 from tilediff import cli, imagecore
 from tilediff.cli import JobError, parse_job, run_job, seam_metric
+from tilediff.denoise import Denoiser
 from tilediff.msr import plan_tiles
+from tilediff.sampler import SamplerError
 
 from conftest import smooth_means
 from test_denoise import write_prior
@@ -77,6 +79,23 @@ def test_config_file_type_error(tmp_path):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text("steps = many\n")
     with pytest.raises(JobError, match="steps"):
+        cli._read_config(str(cfgfile))
+
+
+@pytest.mark.parametrize("text,value", [
+    ("1", True), ("true", True), ("Yes", True), ("ON", True),
+    ("0", False), ("false", False), ("No", False), ("off", False)])
+def test_config_file_boolean_spellings(tmp_path, text, value):
+    cfgfile = tmp_path / "job.cfg"
+    cfgfile.write_text(f"naive = {text}\n")
+    assert cli._read_config(str(cfgfile)) == {"naive": value}
+
+
+@pytest.mark.parametrize("text", ["ture", "2", "", "y"])
+def test_config_file_rejects_bad_boolean(tmp_path, text):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(f"naive = {text}\n")
+    with pytest.raises(JobError, match="bad bool value .* for naive"):
         cli._read_config(str(cfgfile))
 
 
@@ -192,3 +211,50 @@ def test_main_reports_job_errors(capsys):
     assert cli.main(["restore", "--task", "sr", "--in", "x.ppm",
                      "--out", "y.ppm", "--prior", "p/"]) == 2
     assert "scale" in capsys.readouterr().err
+
+
+class NanDenoiser(Denoiser):
+    input_shape = (PATCH, PATCH, 3)
+
+    def predict_eps(self, x_t, t, sched):
+        return np.full_like(x_t, np.nan)
+
+
+def test_main_reports_sampler_error(tmp_path, prior_dir, monkeypatch,
+                                    capsys):
+    monkeypatch.setattr(cli.denoise, "load_gmm_prior",
+                        lambda path: NanDenoiser())
+    argv = ["generate", "--width", "64", "--height", "64",
+            "--prior", str(prior_dir), "--out", str(tmp_path / "g.ppm"),
+            "--steps", "5", "--travel-r", "1"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: non-finite state at step t=5\n"
+    metrics = read_metrics(tmp_path / "metrics.txt")
+    assert metrics["error"] == "non-finite state at step t=5"
+    assert "wall_clock_sec" in metrics
+    assert not (tmp_path / "g.ppm").exists()
+    # library callers still see the divergence as an exception
+    _, job = parse_job(argv)
+    with pytest.raises(SamplerError):
+        run_job(job)
+
+
+def test_hir_coarse_canvas_below_patch_is_a_job_error(tmp_path, prior_dir,
+                                                     rng, capsys):
+    with pytest.raises(JobError, match="hir-factor 2 gives a 32x48 coarse"):
+        parse_job(["generate", "--width", "96", "--height", "64",
+                   "--hir-factor", "2", "--prior", str(prior_dir),
+                   "--out", str(tmp_path / "g.ppm")])
+    # a restore task's size is known once its input is read
+    imagecore.save_image(tmp_path / "lr.ppm", imagecore.Image(
+        rng.uniform(-1, 1, size=(24, 48, 3))))
+    _, job = parse_job([
+        "restore", "--task", "sr", "--scale", "4", "--hir-factor", "2",
+        "--in", str(tmp_path / "lr.ppm"), "--out", str(tmp_path / "sr.ppm"),
+        "--prior", str(prior_dir)])
+    assert run_job(job) == 1
+    assert "hir-factor 2 gives a 48x96 coarse canvas, smaller than patch 64" \
+        in capsys.readouterr().err
+    metrics = read_metrics(tmp_path / "metrics.txt")
+    assert "hir-factor" in metrics["error"]
