@@ -16,11 +16,12 @@ import math
 import os
 import sys
 import time
+import typing
 
 import numpy as np
 
 from . import denoise, linops, tasks
-from .hir import HirConfig, hir_restore
+from .hir import hir_restore
 from .imagecore import Image, load_image, save_image
 from .msr import TilePlan, msr_restore, plan_tiles
 from .sampler import SamplerConfig, SamplerError
@@ -28,20 +29,8 @@ from .schedule import TravelPlan, build_schedule
 
 TASK_NAMES = ("sr", "inpaint", "colorize", "denoise", "generate")
 
-_DEFAULTS = dict(
-    task=None, scale=None, mask=None, sigma_y=0.0, width=None, height=None,
-    patch=64, overlap=32, steps=100, eta=0.85, travel_l=10, travel_r=3,
-    hir_factor=0, seed=0, prior=None, input=None, output=None, naive=False,
-)
-
 _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("0", "false", "no", "off")
-
-_TYPES = dict(
-    task=str, scale=int, mask=str, sigma_y=float, width=int, height=int,
-    patch=int, overlap=int, steps=int, eta=float, travel_l=int, travel_r=int,
-    hir_factor=int, seed=int, prior=str, input=str, output=str, naive=bool,
-)
 
 
 class JobError(ValueError):
@@ -70,6 +59,16 @@ class JobSpec:
     naive: bool = False
 
 
+def _option_type(hint):
+    """The value type of a JobSpec annotation, without its `| None`."""
+    args = [a for a in typing.get_args(hint) if a is not type(None)]
+    return args[0] if args else hint
+
+
+_TYPES = {name: _option_type(hint)
+          for name, hint in typing.get_type_hints(JobSpec).items()}
+
+
 def _read_config(path: str) -> dict:
     values = {}
     with open(path, "r", encoding="utf-8") as f:
@@ -82,7 +81,7 @@ def _read_config(path: str) -> dict:
             key, _, val = line.partition("=")
             key = key.strip().replace("-", "_")
             val = val.strip()
-            if key not in _DEFAULTS:
+            if key not in _TYPES:
                 raise JobError(f"{path}:{lineno}: unknown key {key!r}")
             typ = _TYPES[key]
             try:
@@ -152,10 +151,8 @@ def parse_job(argv) -> tuple[str, JobSpec | argparse.Namespace]:
     args = _build_parser().parse_args(argv)
     if args.command in ("plan", "selftest"):
         return args.command, args
-    values = dict(_DEFAULTS)
-    if args.config:
-        values.update(_read_config(args.config))
-    for key in _DEFAULTS:
+    values = _read_config(args.config) if args.config else {}
+    for key in _TYPES:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
@@ -303,10 +300,8 @@ def run_job(job: JobSpec) -> int:
                             travel=TravelPlan(job.travel_l, job.travel_r),
                             seed=job.seed, sigma_y=job.sigma_y)
         steps = [0]
-        dump_dir = os.environ.get("TILEDIFF_DEBUG_DIR") or None
         if job.hir_factor >= 2:
-            hir = HirConfig(factor=job.hir_factor, phase1=cfg, phase2=cfg)
-            result = hir_restore(task, hir, plan, denoiser,
+            result = hir_restore(task, job.hir_factor, plan, denoiser, cfg,
                                  on_step=lambda t: steps.__setitem__(
                                      0, steps[0] + 1))
             img = result.image
@@ -315,8 +310,7 @@ def run_job(job: JobSpec) -> int:
             img = msr_restore(task, plan, denoiser, cfg,
                               use_mask_hook=not job.naive,
                               on_step=lambda t: steps.__setitem__(
-                                  0, steps[0] + 1),
-                              dump_dir=dump_dir)
+                                  0, steps[0] + 1))
         full = task.full_problem()
         if full is not None:
             op, y = full
@@ -371,10 +365,10 @@ def run_selftest() -> int:
             failures += 1
 
     rng = np.random.default_rng(1234)
-    ops = [linops.op_avgpool((8, 8, 3), 2),
-           linops.op_mask(rng.random((8, 8, 3)) < 0.5),
-           linops.op_gray((8, 8, 3)),
-           linops.op_identity((8, 8, 3))]
+    ops = [linops.AvgPool((8, 8, 3), 2),
+           linops.Mask(rng.random((8, 8, 3)) < 0.5),
+           linops.Gray((8, 8, 3)),
+           linops.Identity((8, 8, 3))]
     worst = 0.0
     for op in ops:
         for _ in range(20):
@@ -392,7 +386,7 @@ def run_selftest() -> int:
     check(f"variance-preserving schedule (max err {vp:.2e})", vp <= 1e-12)
 
     mu = np.zeros((16, 16, 3))
-    den = denoise.GaussianDenoiser(mu, 0.25)
+    den = denoise.GmmDenoiser([mu], [1.0], 0.5)
     gen = tasks.GenerateTask(16, 24, 3)
     plan = plan_tiles(16, 24, 16, 8)
     cfg = SamplerConfig(T=20, seed=99)
@@ -411,11 +405,11 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         command, job = parse_job(argv)
-    except JobError as e:
+        if command == "plan":
+            return run_plan(job)
+    except ValueError as e:  # a JobError, or a tile geometry plan_tiles rejects
         print(f"error: {e}", file=sys.stderr)
         return 2
-    if command == "plan":
-        return run_plan(job)
     if command == "selftest":
         return run_selftest()
     try:

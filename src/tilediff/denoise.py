@@ -67,36 +67,15 @@ class Denoiser:
 
     input_shape: tuple | None = None
 
-    @property
-    def patch_size(self) -> int | None:
-        if self.input_shape is None:
-            return None
-        h, w = self.input_shape[:2]
-        return h if h == w else None
-
     def predict_eps(self, x_t: np.ndarray, t: int,
                     sched: Schedule) -> np.ndarray:
         raise NotImplementedError
 
 
-class GaussianDenoiser(Denoiser):
-    def __init__(self, mu, var):
-        self.mu = np.asarray(mu, dtype=np.float64)
-        if np.any(np.asarray(var) <= 0):
-            raise ValueError("prior variance must be positive")
-        self.var = var
-        self.input_shape = self.mu.shape
-
-    def posterior_x0(self, x_t, t, sched):
-        return gaussian_posterior_x0(x_t, self.mu, self.var,
-                                     sched.a[t], sched.sigma[t])
-
-    def predict_eps(self, x_t, t, sched):
-        x0 = self.posterior_x0(x_t, t, sched)
-        return eps_from_x0(x_t, x0, sched.a[t], sched.sigma[t])
-
-
 class GmmDenoiser(Denoiser):
+    """Mixture of isotropic Gaussians N(m_k, tau^2 I); one component is the
+    plain Gaussian prior N(mu, tau^2 I)."""
+
     def __init__(self, means, weights, tau: float):
         means = [np.asarray(m, dtype=np.float64) for m in means]
         if not means:

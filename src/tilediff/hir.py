@@ -18,17 +18,6 @@ from .tasks import Task
 
 
 @dataclasses.dataclass(frozen=True)
-class HirConfig:
-    factor: int
-    phase1: SamplerConfig
-    phase2: SamplerConfig
-
-    def __post_init__(self):
-        if self.factor < 2:
-            raise ValueError(f"hierarchy factor must be >= 2, got {self.factor}")
-
-
-@dataclasses.dataclass(frozen=True)
 class HirResult:
     image: np.ndarray
     coarse: np.ndarray
@@ -45,18 +34,21 @@ def derive_phase1_task(task: Task, f: int) -> Task:
     return task.reduce(f)
 
 
-def hir_restore(task: Task, hir: HirConfig, plan2: TilePlan, denoiser,
-                plan1: TilePlan | None = None,
+def hir_restore(task: Task, factor: int, plan2: TilePlan, denoiser,
+                cfg: SamplerConfig,
                 hook_trace: list | None = None,
                 on_step=None) -> HirResult:
-    """Two-phase restoration; returns the full-size image, the coarse
-    result, and the final low-frequency residual.
+    """Two-phase restoration with one sampler config for both phases;
+    returns the full-size image, the coarse result, and the final
+    low-frequency residual.
 
-    hook_trace, when given, collects max |A_sr x0tilde - coarse_tile| right
-    after the low-frequency hook at every step (should be ~0 by
-    construction).
+    The coarse phase tiles the 1/factor canvas with plan2's patch and
+    overlap. hook_trace, when given, collects max |A_sr x0tilde -
+    coarse_tile| right after the low-frequency hook at every step (should
+    be ~0 by construction).
     """
-    f = hir.factor
+    f = factor
+    reduced = derive_phase1_task(task, f)  # rejects f < 2 first
     patch = plan2.patch
     if patch % f:
         raise ValueError(f"patch {patch} must be divisible by factor {f}")
@@ -64,12 +56,9 @@ def hir_restore(task: Task, hir: HirConfig, plan2: TilePlan, denoiser,
         if win.top % f or win.left % f:
             raise ValueError(f"tile window {win} not aligned to factor {f}")
 
-    reduced = derive_phase1_task(task, f)
-    if plan1 is None:
-        plan1 = plan_tiles(reduced.shape[0], reduced.shape[1],
-                           patch, plan2.overlap, block=reduced.block)
-    coarse = msr_restore(reduced, plan1, denoiser, hir.phase1,
-                         on_step=on_step)
+    coarse_plan = plan_tiles(reduced.shape[0], reduced.shape[1],
+                             patch, plan2.overlap, block=reduced.block)
+    coarse = msr_restore(reduced, coarse_plan, denoiser, cfg, on_step=on_step)
 
     c = task.shape[2]
     sr = AvgPool((patch, patch, c), f)
@@ -87,7 +76,7 @@ def hir_restore(task: Task, hir: HirConfig, plan2: TilePlan, denoiser,
 
         return hook
 
-    image = msr_restore(task, plan2, denoiser, hir.phase2,
+    image = msr_restore(task, plan2, denoiser, cfg,
                         pre_hook_factory=hook_factory, on_step=on_step)
     full_sr = AvgPool(task.shape, f)
     residual = float(np.abs(full_sr.forward(image) - coarse).max())

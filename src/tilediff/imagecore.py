@@ -1,4 +1,4 @@
-"""Images in model range [-1, 1], windowed crop/blit, and PPM/PGM file I/O.
+"""Images in model range [-1, 1], tile windows, and PPM/PGM file I/O.
 
 Pixel data is float64 of shape (height, width, channels) with channels 1 or 3.
 Files are binary PGM (P5) for single-channel and PPM (P6) for 3-channel
@@ -71,33 +71,6 @@ class Image:
         return self.data.shape[2]
 
 
-def _check_window(img: Image, w: Window):
-    if w.top + w.height > img.height or w.left + w.width > img.width:
-        raise ValueError(
-            f"window {w} out of bounds for {img.height}x{img.width} image")
-
-
-def crop(img: Image, w: Window) -> Image:
-    """Extract the sub-image under w."""
-    _check_window(img, w)
-    ys, xs = w.slices()
-    return Image(img.data[ys, xs, :])
-
-
-def blit(dst: Image, src: Image, w: Window) -> Image:
-    """Return dst with the pixels under w replaced by src."""
-    _check_window(dst, w)
-    if (src.height, src.width) != (w.height, w.width):
-        raise ValueError(
-            f"source dims {src.height}x{src.width} do not match window {w}")
-    if src.channels != dst.channels:
-        raise ValueError("channel count mismatch in blit")
-    out = dst.data.copy()
-    ys, xs = w.slices()
-    out[ys, xs, :] = src.data
-    return Image(out)
-
-
 def quantize(img: Image) -> np.ndarray:
     """Clamp to [-1, 1] and map to 8-bit codes; only the codec clamps."""
     v = np.clip(img.data, -1.0, 1.0)
@@ -118,9 +91,14 @@ def save_image(path: str | os.PathLike, img: Image) -> None:
 
 
 def _read_token(f) -> bytes:
+    """The next header token; a `#` comment runs to the end of its line
+    and separates tokens like whitespace does."""
     tok = b""
     while True:
         c = f.read(1)
+        if c == b"#":
+            f.readline()
+            c = b"\n"
         if c == b"":
             raise CodecError("unexpected end of header")
         if c.isspace():

@@ -3,7 +3,8 @@
 Every operator here is surjective with a single singular value s shared by
 all measurement modes (null-space modes have s = 0). That makes the
 SVD-based rescaling V diag(f(s_i)) pinv(S) U^T reduce to f(s) * pinv(r),
-so the noisy-path coefficients can be applied without materializing an SVD.
+so the noisy-path coefficients are one scalar per step and no SVD is ever
+materialized.
 All apply methods are pure and the operators are immutable.
 """
 
@@ -45,26 +46,6 @@ class LinearOperator:
     @property
     def output_dim(self) -> int:
         return int(np.prod(self.output_shape))
-
-    @property
-    def mode_classes(self):
-        """(singular value, mode count) pairs; counts sum to input_dim."""
-        classes = [(self.sing_value, self.output_dim)]
-        null = self.input_dim - self.output_dim
-        if null > 0:
-            classes.append((0.0, null))
-        return classes
-
-    def pinv_scaled(self, residual: np.ndarray, f) -> np.ndarray:
-        """Apply V diag(f(s_i)) pinv(S) U^T to a measurement-space residual.
-
-        With f identically 1 this is exactly pinv; null-space modes never
-        contribute.
-        """
-        if residual.shape != tuple(self.output_shape):
-            raise ValueError(
-                f"residual shape {residual.shape} != {self.output_shape}")
-        return float(f(self.sing_value)) * self.pinv(residual)
 
     def dense_matrix(self) -> np.ndarray:
         """Explicit (output_dim x input_dim) matrix; test oracles only."""
@@ -179,26 +160,6 @@ class Identity(LinearOperator):
 
     def pinv(self, y):
         return y
-
-
-def op_avgpool(input_shape, p: int) -> AvgPool:
-    return AvgPool(input_shape, p)
-
-
-def op_mask(known: np.ndarray, channels: int | None = None) -> Mask:
-    return Mask(known, channels)
-
-
-def op_gray(input_shape) -> Gray:
-    return Gray(input_shape)
-
-
-def op_identity(input_shape) -> Identity:
-    return Identity(input_shape)
-
-
-def pinv_scaled(op: LinearOperator, residual: np.ndarray, f) -> np.ndarray:
-    return op.pinv_scaled(residual, f)
 
 
 def load_mask(path) -> np.ndarray:

@@ -119,8 +119,7 @@ def msr_restore(task: Task, plan: TilePlan, denoiser, cfg: SamplerConfig,
                 use_mask_hook: bool = True,
                 pre_hook_factory=None,
                 on_step=None,
-                canvas: Canvas | None = None,
-                dump_dir: str | None = None) -> np.ndarray:
+                canvas: Canvas | None = None) -> np.ndarray:
     """Solve each tile in raster order, freezing overlap with the canvas.
 
     use_mask_hook=False gives the naive independent-patch baseline (tiles
@@ -153,7 +152,7 @@ def msr_restore(task: Task, plan: TilePlan, denoiser, cfg: SamplerConfig,
             cfg, seed=tile_seed(cfg.seed, row, col))
         result = run_sampler(op, y, denoiser, tile_cfg,
                              hooks=ConstraintHooks(pre=pre, post=post),
-                             on_step=on_step, dump_dir=dump_dir)
+                             on_step=on_step)
         canvas.image[ys, xs, :] = result
         canvas.known[ys, xs] = True
     return canvas.image

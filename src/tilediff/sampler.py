@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import imagecore
 from .linops import LinearOperator
 from .schedule import Schedule, TravelPlan, build_schedule, renoise_jump, travel_blocks
 
@@ -78,7 +76,7 @@ def ddnm_project(op: LinearOperator, y: np.ndarray,
 
 def compute_lambda_gamma(s: float, t: int, sched: Schedule, eta: float,
                          sigma_y: float) -> tuple[float, float]:
-    """Per-mode coefficients for the noisy measurement path.
+    """Coefficients of the modes with singular value s on the noisy path.
 
     lambda keeps the range-space update as close to full strength as the
     noise budget allows (clamped so the injected measurement noise never
@@ -109,53 +107,49 @@ def compute_lambda_gamma(s: float, t: int, sched: Schedule, eta: float,
 
 def ddnm_plus_project(op: LinearOperator, y: np.ndarray, x0t: np.ndarray,
                       t: int, sched: Schedule,
-                      cfg: SamplerConfig) -> tuple[np.ndarray, dict]:
+                      cfg: SamplerConfig) -> tuple[np.ndarray, float]:
     """Noisy-path projection x0t + lambda pinv(y - A x0t).
 
-    Also returns the per-mode gamma map {s: gamma} for noise injection:
-    gamma on the measured modes (singular value op.sing_value) and eta on
-    the null modes (s = 0). With sigma_y = 0 this reduces exactly to
-    ddnm_project and gamma = eta.
+    Every measured mode shares the singular value op.sing_value, so one
+    (lambda, gamma) pair is exact. Also returns gamma, the fresh-noise
+    scale of the measured modes for sample_prev (null modes take eta).
+    With sigma_y = 0 this is exactly ddnm_project and gamma = eta.
     """
     if y.shape != tuple(op.output_shape):
         raise ValueError(f"measurement shape {y.shape} != {op.output_shape}")
     if cfg.sigma_y == 0.0:
         # lambda = 1 on every mode; reduce bit-exactly to the clean path
-        return ddnm_project(op, y, x0t), {op.sing_value: cfg.eta,
-                                          0.0: cfg.eta}
-    # every measured mode shares one singular value, so one (lambda, gamma)
+        return ddnm_project(op, y, x0t), cfg.eta
     lam, gam = compute_lambda_gamma(op.sing_value, t, sched, cfg.eta,
                                     cfg.sigma_y)
     residual = y - op.forward(x0t)
     residual *= lam
-    return x0t + op.pinv(residual), {op.sing_value: gam, 0.0: cfg.eta}
+    return x0t + op.pinv(residual), gam
 
 
 def sample_prev(x0hat: np.ndarray, eps_t: np.ndarray, t: int,
                 sched: Schedule, cfg: SamplerConfig,
                 rng: np.random.Generator,
                 op: LinearOperator | None = None,
-                gammas: dict | None = None) -> np.ndarray:
+                gamma: float | None = None) -> np.ndarray:
     """Sample x_{t-1} = a_{t-1} x0hat + sigma_{t-1} (noise mix).
 
-    The noise mix is eta * eps + sqrt(1 - eta^2) * eps_t; on the noisy path
-    the fresh eps is rescaled per mode (gamma on range modes, eta on null
-    modes) via the range projector. The result is built in the buffer of
-    the fresh draw.
+    The noise mix is eta * eps + sqrt(1 - eta^2) * eps_t. A gamma other
+    than eta rescales the fresh eps on the measured modes (those of op's
+    range projector) to gamma; null modes always keep eta. The result is
+    built in the buffer of the fresh draw.
     """
     if t < 1:
         raise ValueError("sampling requires t >= 1")
     sig = sched.sigma[t - 1]
     out = rng.standard_normal(x0hat.shape)
-    if gammas is None:
-        out *= sig * cfg.eta
-    else:
-        gamma_range = gammas[op.sing_value]
-        gamma_null = gammas.get(0.0, cfg.eta)
+    if gamma is not None and gamma != cfg.eta:
         # not in place: Identity's range projector returns its input
-        pr = op.range_project(out) * (sig * (gamma_range - gamma_null))
-        out *= sig * gamma_null
+        pr = op.range_project(out) * (sig * (gamma - cfg.eta))
+        out *= sig * cfg.eta
         out += pr
+    else:
+        out *= sig * cfg.eta
     out += (sig * math.sqrt(1.0 - cfg.eta**2)) * eps_t
     out += sched.a[t - 1] * x0hat
     return out
@@ -165,15 +159,13 @@ def run_sampler(op: LinearOperator, y: np.ndarray, denoiser,
                 cfg: SamplerConfig,
                 hooks: ConstraintHooks | None = None,
                 sched: Schedule | None = None,
-                on_step: Callable[[int], None] | None = None,
-                dump_dir: str | None = None,
-                dump_every: int = 10) -> np.ndarray:
+                on_step: Callable[[int], None] | None = None) -> np.ndarray:
     """Run the full reverse process and return x_0.
 
     Per step: predict eps, estimate x0|t, apply pre hooks, project onto
-    the measurement subspace (noisy variant when cfg.sigma_y > 0), apply
-    post hooks, sample x_{t-1}. Time-travel blocks re-noise the block start
-    and re-traverse it cfg.travel.r times.
+    the measurement subspace (relaxed by lambda when cfg.sigma_y > 0),
+    apply post hooks, sample x_{t-1}. Time-travel blocks re-noise the
+    block start and re-traverse it cfg.travel.r times.
     """
     hooks = hooks or ConstraintHooks()
     if sched is None:
@@ -185,7 +177,6 @@ def run_sampler(op: LinearOperator, y: np.ndarray, denoiser,
             f"{op.input_shape}")
     rng = np.random.default_rng(cfg.seed)
     x = rng.standard_normal(op.input_shape)
-    noisy = cfg.sigma_y > 0.0
     for t_hi, t_lo in travel_blocks(cfg.T, cfg.travel.l):
         for rep in range(cfg.travel.r):
             for t in range(t_hi, t_lo - 1, -1):
@@ -193,31 +184,17 @@ def run_sampler(op: LinearOperator, y: np.ndarray, denoiser,
                 x0t = estimate_x0(x, eps_t, t, sched)
                 for h in hooks.pre:
                     x0t = h(x0t, t)
-                if noisy:
-                    x0hat, gammas = ddnm_plus_project(op, y, x0t, t, sched,
-                                                      cfg)
-                else:
-                    x0hat, gammas = ddnm_project(op, y, x0t), None
+                x0hat, gamma = ddnm_plus_project(op, y, x0t, t, sched, cfg)
                 for h in hooks.post:
                     x0hat = h(x0hat, t)
                 x = sample_prev(x0hat, eps_t, t, sched, cfg, rng,
-                                op=op, gammas=gammas)
+                                op=op, gamma=gamma)
                 if not np.all(np.isfinite(x)):
                     raise SamplerError(f"non-finite state at step t={t}")
                 if on_step is not None:
                     on_step(t)
-                if dump_dir is not None and t % dump_every == 0:
-                    _dump_snapshot(dump_dir, t, rep, x0hat)
             if rep < cfg.travel.r - 1:
                 jump = t_hi - (t_lo - 1)
                 noise = rng.standard_normal(x.shape)
                 x = renoise_jump(x, t_lo - 1, jump, noise, sched)
     return x
-
-
-def _dump_snapshot(dump_dir: str, t: int, rep: int, x0hat: np.ndarray):
-    os.makedirs(dump_dir, exist_ok=True)
-    if x0hat.ndim == 3 and x0hat.shape[2] in (1, 3):
-        ext = "pgm" if x0hat.shape[2] == 1 else "ppm"
-        path = os.path.join(dump_dir, f"x0_t{t:04d}_r{rep}.{ext}")
-        imagecore.save_image(path, imagecore.Image(x0hat))

@@ -56,13 +56,13 @@ class SuperResolutionTask(Task):
         p = self.scale
         if win.top % p or win.left % p or win.height % p or win.width % p:
             raise ValueError(f"window {win} not aligned to scale {p}")
-        op = linops.op_avgpool((win.height, win.width, self.shape[2]), p)
+        op = linops.AvgPool((win.height, win.width, self.shape[2]), p)
         y = self.y[win.top // p:(win.top + win.height) // p,
                    win.left // p:(win.left + win.width) // p, :]
         return op, y
 
     def full_problem(self):
-        return linops.op_avgpool(self.shape, self.scale), self.y
+        return linops.AvgPool(self.shape, self.scale), self.y
 
     def reduce(self, f: int) -> Task:
         self._check_divisible(f)
@@ -85,12 +85,12 @@ class InpaintTask(Task):
 
     def tile_problem(self, win: Window):
         ys, xs = win.slices()
-        op = linops.op_mask(self.known[ys, xs], channels=self.shape[2])
+        op = linops.Mask(self.known[ys, xs], channels=self.shape[2])
         y = op.forward(self.observed[ys, xs, :])
         return op, y
 
     def full_problem(self):
-        op = linops.op_mask(self.known, channels=self.shape[2])
+        op = linops.Mask(self.known, channels=self.shape[2])
         return op, op.forward(self.observed)
 
     def reduce(self, f: int) -> Task:
@@ -120,11 +120,11 @@ class ColorizeTask(Task):
 
     def tile_problem(self, win: Window):
         ys, xs = win.slices()
-        op = linops.op_gray((win.height, win.width, 3))
+        op = linops.Gray((win.height, win.width, 3))
         return op, self.gray[ys, xs, :]
 
     def full_problem(self):
-        return linops.op_gray(self.shape), self.gray
+        return linops.Gray(self.shape), self.gray
 
     def reduce(self, f: int) -> Task:
         self._check_divisible(f)
@@ -142,11 +142,11 @@ class DenoiseTask(Task):
 
     def tile_problem(self, win: Window):
         ys, xs = win.slices()
-        op = linops.op_identity((win.height, win.width, self.shape[2]))
+        op = linops.Identity((win.height, win.width, self.shape[2]))
         return op, self.observed[ys, xs, :]
 
     def full_problem(self):
-        return linops.op_identity(self.shape), self.observed
+        return linops.Identity(self.shape), self.observed
 
     def reduce(self, f: int) -> Task:
         self._check_divisible(f)
@@ -164,7 +164,7 @@ class GenerateTask(Task):
 
     def tile_problem(self, win: Window):
         known = np.zeros((win.height, win.width), dtype=bool)
-        op = linops.op_mask(known, channels=self.shape[2])
+        op = linops.Mask(known, channels=self.shape[2])
         return op, np.zeros((0,))
 
     def reduce(self, f: int) -> Task:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -70,9 +71,11 @@ def test_config_file_and_flag_precedence(tmp_path, prior_dir):
 
 def test_config_file_unknown_key(tmp_path):
     cfgfile = tmp_path / "bad.cfg"
-    cfgfile.write_text("etaa = 0.5\n")
-    with pytest.raises(JobError, match="etaa"):
-        cli._read_config(str(cfgfile))
+    # a typo, CLI-only options, and names that are not JobSpec fields
+    for key in ("etaa", "config", "block", "command"):
+        cfgfile.write_text(f"{key} = 0.5\n")
+        with pytest.raises(JobError, match=f"unknown key '{key}'"):
+            cli._read_config(str(cfgfile))
 
 
 def test_config_file_type_error(tmp_path):
@@ -80,6 +83,26 @@ def test_config_file_type_error(tmp_path):
     cfgfile.write_text("steps = many\n")
     with pytest.raises(JobError, match="steps"):
         cli._read_config(str(cfgfile))
+
+
+def test_config_file_sets_every_job_field_with_its_type(tmp_path):
+    # written out by hand, so a new JobSpec field must be added here too
+    expected = {
+        "task": ("sr", "sr"), "scale": ("4", 4), "mask": ("m.pgm", "m.pgm"),
+        "sigma_y": ("0.05", 0.05), "width": ("96", 96),
+        "height": ("64", 64), "patch": ("32", 32), "overlap": ("16", 16),
+        "steps": ("20", 20), "eta": ("0.5", 0.5), "travel_l": ("5", 5),
+        "travel_r": ("2", 2), "hir_factor": ("2", 2), "seed": ("7", 7),
+        "prior": ("p/", "p/"), "input": ("in.ppm", "in.ppm"),
+        "output": ("out.ppm", "out.ppm"), "naive": ("yes", True)}
+    assert set(expected) == {f.name for f in
+                             dataclasses.fields(cli.JobSpec)}
+    cfgfile = tmp_path / "job.cfg"
+    cfgfile.write_text("".join(f"{k.replace('_', '-')} = {text}\n"
+                               for k, (text, _) in expected.items()))
+    got = cli._read_config(str(cfgfile))
+    assert got == {k: v for k, (_, v) in expected.items()}
+    assert all(type(got[k]) is type(v) for k, (_, v) in expected.items())
 
 
 @pytest.mark.parametrize("text,value", [
@@ -211,6 +234,18 @@ def test_main_reports_job_errors(capsys):
     assert cli.main(["restore", "--task", "sr", "--in", "x.ppm",
                      "--out", "y.ppm", "--prior", "p/"]) == 2
     assert "scale" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--width", "10", "--height", "10"],             # canvas below patch
+    ["--width", "100", "--height", "64", "--block", "3"],  # misaligned
+    ["--width", "64", "--height", "64", "--overlap", "64"]])
+def test_main_reports_bad_plan_geometry(capsys, argv):
+    assert cli.main(["plan"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 class NanDenoiser(Denoiser):

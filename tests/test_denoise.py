@@ -1,12 +1,13 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from tilediff import imagecore
-from tilediff.denoise import (GaussianDenoiser, GmmDenoiser, ZeroDenoiser,
-                              eps_from_x0, gaussian_posterior_x0,
-                              gmm_posterior_x0, load_gmm_prior, zero_eps)
+from tilediff.denoise import (GmmDenoiser, ZeroDenoiser, eps_from_x0,
+                              gaussian_posterior_x0, gmm_posterior_x0,
+                              load_gmm_prior, zero_eps)
 from tilediff.schedule import build_schedule
 
 from conftest import smooth_means
@@ -169,9 +170,8 @@ def test_load_gmm_prior_bad_manifest(tmp_path):
 
 
 def test_gaussian_denoiser_shape_contract(rng):
-    den = GaussianDenoiser(np.zeros((6, 6, 3)), 0.2)
+    den = GmmDenoiser([np.zeros((6, 6, 3))], [1.0], math.sqrt(0.2))
     assert den.input_shape == (6, 6, 3)
-    assert den.patch_size == 6
     sched = build_schedule(10)
     out = den.predict_eps(rng.standard_normal((6, 6, 3)), 4, sched)
     assert out.shape == (6, 6, 3)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tilediff.denoise import GmmDenoiser
-from tilediff.hir import HirConfig, derive_phase1_task, hir_restore
+from tilediff.hir import derive_phase1_task, hir_restore
 from tilediff.linops import AvgPool
 from tilediff.msr import msr_restore, plan_tiles
 from tilediff.sampler import SamplerConfig
@@ -20,10 +20,15 @@ def make_denoiser(seed=0, k=2, tau=0.05):
 
 
 def test_factor_validation():
-    with pytest.raises(ValueError):
-        HirConfig(1, SamplerConfig(), SamplerConfig())
-    with pytest.raises(ValueError):
-        derive_phase1_task(GenerateTask(64, 64, 3), 1)
+    task = GenerateTask(128, 128, 3)
+    plan2 = plan_tiles(128, 128, PATCH, OVERLAP)
+    for factor in (0, 1):
+        # checked before the patch is divided by the factor
+        with pytest.raises(ValueError, match="factor must be >= 2"):
+            hir_restore(task, factor, plan2, make_denoiser(),
+                        SamplerConfig(T=2))
+        with pytest.raises(ValueError, match="factor must be >= 2"):
+            derive_phase1_task(task, factor)
 
 
 def test_derive_sr_halves_scale(rng):
@@ -97,9 +102,8 @@ def test_hir_hook_is_exact_projection_each_step(rng):
     den, task = make_inpaint_setup(rng)
     plan2 = plan_tiles(128, 192, PATCH, OVERLAP, block=2)
     cfg = SamplerConfig(T=15, seed=4)
-    hir = HirConfig(2, cfg, cfg)
     trace = []
-    result = hir_restore(task, hir, plan2, den, hook_trace=trace)
+    result = hir_restore(task, 2, plan2, den, cfg, hook_trace=trace)
     assert trace, "hook trace should have one entry per phase-2 step"
     assert max(trace) <= 1e-10
     assert np.isfinite(result.image).all()
@@ -119,8 +123,7 @@ def test_hir_phase1_consistency_inherited(rng):
     den, task = make_inpaint_setup(rng)
     plan2 = plan_tiles(128, 192, PATCH, OVERLAP, block=2)
     cfg = SamplerConfig(T=15, seed=4)
-    hir = HirConfig(2, cfg, cfg)
-    result = hir_restore(task, hir, plan2, den)
+    result = hir_restore(task, 2, plan2, den, cfg)
     red = derive_phase1_task(task, 2)
     op, y = red.full_problem()
     assert np.abs(op.forward(result.coarse) - y).max() <= 1e-6
@@ -142,4 +145,4 @@ def test_hir_rejects_misaligned_plan2(rng):
     plan2 = plan_tiles(128, 192, PATCH, 31, block=1)
     cfg = SamplerConfig(T=5, seed=0)
     with pytest.raises(ValueError):
-        hir_restore(task, HirConfig(2, cfg, cfg), plan2, den)
+        hir_restore(task, 2, plan2, den, cfg)

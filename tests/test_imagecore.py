@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from tilediff import imagecore
-from tilediff.imagecore import (CodecError, Image, Window, blit, crop,
-                                load_image, save_image)
+from tilediff.imagecore import CodecError, Image, load_image, save_image
 
 
 def test_range_endpoints():
@@ -67,53 +66,28 @@ def test_image_rejects_nonfinite_and_bad_channels():
         Image(np.zeros((2, 2, 2)))
 
 
-def test_crop_full_window_identity(rng):
-    img = Image(rng.uniform(-1, 1, size=(5, 7, 3)))
-    out = crop(img, Window(0, 0, 5, 7))
-    assert np.array_equal(out.data, img.data)
+@pytest.mark.parametrize("gap", range(3))
+def test_header_comment_between_tokens(tmp_path, gap):
+    # netpbm allows a `#` comment, running to the end of its line, wherever
+    # whitespace may separate two header tokens
+    seps = [b"\n"] * 3
+    seps[gap] = b" # made by gimp\n"
+    head = b"P6" + seps[0] + b"2" + seps[1] + b"1" + seps[2] + b"255\n"
+    p = tmp_path / "c.ppm"
+    p.write_bytes(head + bytes([0, 127, 255, 255, 127, 0]))
+    img = load_image(p)
+    assert img.data.shape == (1, 2, 3)
+    assert np.array_equal(imagecore.quantize(img).ravel(),
+                          [0, 127, 255, 255, 127, 0])
 
 
-def test_crop_blit_inverse_pair(rng):
-    img = Image(rng.uniform(-1, 1, size=(6, 6, 1)))
-    w = Window(1, 2, 3, 4)
-    assert np.array_equal(blit(img, crop(img, w), w).data, img.data)
-
-
-def test_crop_ramp_quadrant():
-    # index-arithmetic oracle on a 4x4 ramp
-    ramp = np.arange(16, dtype=float).reshape(4, 4, 1) / 16.0
-    img = Image(ramp)
-    out = crop(img, Window(0, 0, 2, 2))
-    expected = np.array([[0, 1], [4, 5]], dtype=float).reshape(2, 2, 1) / 16.0
-    assert np.array_equal(out.data, expected)
-
-
-def test_blit_disjoint_commutes(rng):
-    dst = Image(np.zeros((4, 4, 1)))
-    a = Image(rng.uniform(-1, 1, size=(2, 2, 1)))
-    b = Image(rng.uniform(-1, 1, size=(2, 2, 1)))
-    wa, wb = Window(0, 0, 2, 2), Window(2, 2, 2, 2)
-    one = blit(blit(dst, a, wa), b, wb)
-    two = blit(blit(dst, b, wb), a, wa)
-    assert np.array_equal(one.data, two.data)
-
-
-def test_blit_overlap_last_write_wins(rng):
-    # sequential replay oracle: emulate the two writes on a plain array
-    dst = Image(np.zeros((4, 4, 1)))
-    a = Image(rng.uniform(-1, 1, size=(3, 3, 1)))
-    b = Image(rng.uniform(-1, 1, size=(3, 3, 1)))
-    wa, wb = Window(0, 0, 3, 3), Window(1, 1, 3, 3)
-    out = blit(blit(dst, a, wa), b, wb)
-    replay = np.zeros((4, 4, 1))
-    replay[0:3, 0:3] = a.data
-    replay[1:4, 1:4] = b.data
-    assert np.array_equal(out.data, replay)
-
-
-def test_window_out_of_bounds():
-    img = Image(np.zeros((4, 4, 1)))
-    with pytest.raises(ValueError):
-        crop(img, Window(3, 3, 2, 2))
-    with pytest.raises(ValueError):
-        blit(img, Image(np.zeros((2, 2, 1))), Window(0, 0, 3, 3))
+def test_header_comment_edge_cases(tmp_path):
+    p = tmp_path / "c.pgm"
+    # a comment may follow a token directly and several may be stacked
+    p.write_bytes(b"P5\n# one\n#two\n\n1# w\n 1\n255\n\x80")
+    assert imagecore.quantize(load_image(p))[0, 0, 0] == 128
+    for bad in (b"P5\n# c\n1 x\n255\n\x00",   # non-numeric token
+                b"P5\n1 1\n# no maxval"):        # comment runs to EOF
+        p.write_bytes(bad)
+        with pytest.raises(CodecError):
+            load_image(p)

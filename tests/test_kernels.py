@@ -124,12 +124,12 @@ def test_ddnm_plus_scalar_lambda_matches_pinv_scaled(rng):
             for t in (1, 20, 99):
                 lam_of = lambda s: compute_lambda_gamma(
                     s, t, sched, cfg.eta, sigma_y)[0]
-                want = x0t + op.pinv_scaled(y - op.forward(x0t), lam_of)
-                got, gammas = ddnm_plus_project(op, y, x0t, t, sched, cfg)
+                want = x0t + lam_of(op.sing_value) * op.pinv(
+                    y - op.forward(x0t))
+                got, gamma = ddnm_plus_project(op, y, x0t, t, sched, cfg)
                 assert np.array_equal(got, want)
-                assert gammas == {op.sing_value: compute_lambda_gamma(
-                    op.sing_value, t, sched, cfg.eta, sigma_y)[1],
-                    0.0: cfg.eta}
+                assert gamma == compute_lambda_gamma(
+                    op.sing_value, t, sched, cfg.eta, sigma_y)[1]
 
 
 def test_sample_prev_matches_reference_mix(rng):
@@ -141,15 +141,15 @@ def test_sample_prev_matches_reference_mix(rng):
         for t in (1, 2, 30, 50):
             gam = compute_lambda_gamma(op.sing_value, t, sched, cfg.eta,
                                        cfg.sigma_y)[1]
-            gammas = {op.sing_value: gam, 0.0: cfg.eta}
             eps = np.random.default_rng(t).standard_normal(op.input_shape)
             pr = op.range_project(eps)
             noise = gam * pr + cfg.eta * (eps - pr)
-            for g, mix in ((gammas, noise), (None, cfg.eta * eps)):
+            for g, mix in ((gam, noise), (cfg.eta, cfg.eta * eps),
+                           (None, cfg.eta * eps)):
                 mix = mix + math.sqrt(1 - cfg.eta**2) * eps_t
                 want = sched.a[t - 1] * x0hat + sched.sigma[t - 1] * mix
                 got = sample_prev(x0hat, eps_t, t, sched, cfg,
-                                  np.random.default_rng(t), op=op, gammas=g)
+                                  np.random.default_rng(t), op=op, gamma=g)
                 assert np.abs(got - want).max() <= 16 * EPS
 
 

@@ -6,52 +6,52 @@ from tilediff import imagecore, linops
 
 def random_ops(rng, shape=(8, 8, 3)):
     return [
-        linops.op_avgpool(shape, 2),
-        linops.op_avgpool(shape, 4),
-        linops.op_mask(rng.random(shape) < 0.5),
-        linops.op_gray(shape),
-        linops.op_identity(shape),
+        linops.AvgPool(shape, 2),
+        linops.AvgPool(shape, 4),
+        linops.Mask(rng.random(shape) < 0.5),
+        linops.Gray(shape),
+        linops.Identity(shape),
     ]
 
 
 def test_avgpool_block_mean():
     x = np.array([[0.2, 0.4], [0.6, 0.8]]).reshape(2, 2, 1)
-    op = linops.op_avgpool((2, 2, 1), 2)
+    op = linops.AvgPool((2, 2, 1), 2)
     assert op.forward(x) == pytest.approx(0.5)
 
 
 def test_avgpool_pinv_replicates():
-    op = linops.op_avgpool((2, 2, 1), 2)
+    op = linops.AvgPool((2, 2, 1), 2)
     up = op.pinv(np.full((1, 1, 1), 0.5))
     assert np.array_equal(up, np.full((2, 2, 1), 0.5))
 
 
 def test_avgpool_right_inverse(rng):
-    op = linops.op_avgpool((8, 8, 3), 2)
+    op = linops.AvgPool((8, 8, 3), 2)
     y = rng.standard_normal(op.output_shape)
     assert np.allclose(op.forward(op.pinv(y)), y, atol=1e-12)
 
 
 def test_avgpool_rejects_nondivisible():
     with pytest.raises(ValueError):
-        linops.op_avgpool((6, 6, 1), 4)
+        linops.AvgPool((6, 6, 1), 4)
 
 
 def test_mask_all_known_is_identity(rng):
     x = rng.standard_normal((4, 4, 3))
-    op = linops.op_mask(np.ones((4, 4, 3), dtype=bool))
+    op = linops.Mask(np.ones((4, 4, 3), dtype=bool))
     assert np.array_equal(op.pinv(op.forward(x)), x)
 
 
 def test_mask_all_missing():
-    op = linops.op_mask(np.zeros((4, 4, 1), dtype=bool))
+    op = linops.Mask(np.zeros((4, 4, 1), dtype=bool))
     assert op.forward(np.ones((4, 4, 1))).size == 0
     assert np.array_equal(op.pinv(np.zeros((0,))), np.zeros((4, 4, 1)))
 
 
 def test_mask_checkerboard_per_pixel(rng):
     known = (np.indices((4, 4)).sum(axis=0) % 2 == 0)
-    op = linops.op_mask(known, channels=3)
+    op = linops.Mask(known, channels=3)
     x = rng.standard_normal((4, 4, 3))
     out = op.pinv(op.forward(x))
     # per-pixel oracle: known pixels kept, missing pixels zero
@@ -63,12 +63,12 @@ def test_mask_checkerboard_per_pixel(rng):
 
 def test_mask_rejects_soft_values():
     with pytest.raises(ValueError):
-        linops.op_mask(np.full((2, 2, 1), 0.5))
+        linops.Mask(np.full((2, 2, 1), 0.5))
 
 
 def test_gray_mean_and_replication():
     x = np.array([0.3, 0.6, 0.9]).reshape(1, 1, 3)
-    op = linops.op_gray((1, 1, 3))
+    op = linops.Gray((1, 1, 3))
     assert op.forward(x)[0, 0, 0] == pytest.approx(0.6)
     assert np.allclose(op.pinv(np.full((1, 1, 1), 0.6)),
                        np.full((1, 1, 3), 0.6))
@@ -76,16 +76,15 @@ def test_gray_mean_and_replication():
 
 def test_gray_rejects_single_channel():
     with pytest.raises(ValueError):
-        linops.op_gray((4, 4, 1))
+        linops.Gray((4, 4, 1))
 
 
 def test_identity_props(rng):
-    op = linops.op_identity((4, 4, 3))
+    op = linops.Identity((4, 4, 3))
     x = rng.standard_normal((4, 4, 3))
     assert np.array_equal(op.forward(x), x)
-    assert op.mode_classes == [(1.0, 48)]
-    r = rng.standard_normal((4, 4, 3))
-    assert np.allclose(op.pinv_scaled(r, lambda s: 0.7), 0.7 * r)
+    assert np.array_equal(op.pinv(x), x)
+    assert op.sing_value == 1.0 and op.output_dim == op.input_dim == 48
 
 
 def test_pseudo_inverse_identities(rng):
@@ -114,23 +113,6 @@ def test_forward_is_linear(rng):
         assert np.abs(lhs - rhs).max() <= 1e-10
 
 
-def test_mode_counts_sum_to_dimension(rng):
-    for op in random_ops(rng):
-        assert sum(n for _, n in op.mode_classes) == op.input_dim
-        assert all(s >= 0 for s, _ in op.mode_classes)
-
-
-def test_pinv_scaled_trivial_scales(rng):
-    op = linops.op_avgpool((4, 4, 1), 2)
-    r = rng.standard_normal(op.output_shape)
-    assert np.array_equal(op.pinv_scaled(r, lambda s: 1.0), op.pinv(r))
-    assert np.array_equal(op.pinv_scaled(r, lambda s: 0.0),
-                          np.zeros(op.input_shape))
-    # f(s) = s with s = 1/2: result is pinv(r) / 2
-    assert np.allclose(op.pinv_scaled(r, lambda s: s), op.pinv(r) / 2.0,
-                       atol=1e-14)
-
-
 def dense_pinv_scaled(op, residual, f):
     """Dense-SVD oracle: V diag(f(s_i)) pinv(S) U^T residual."""
     a = op.dense_matrix()
@@ -144,28 +126,29 @@ def dense_pinv_scaled(op, residual, f):
 @pytest.mark.parametrize("f", [lambda s: 1.0, lambda s: s,
                                lambda s: 1.0 / (1.0 + s * s)])
 def test_pinv_scaled_matches_dense_svd(rng, f):
+    # one shared singular value: V diag(f(s_i)) pinv(S) U^T = f(s) pinv
     shapes_ops = [
-        linops.op_avgpool((8, 8, 1), 2),   # D = 64, the spec's 8x8 instance
-        linops.op_gray((4, 4, 3)),         # D = 48
-        linops.op_mask(rng.random((8, 8, 1)) < 0.6),
-        linops.op_identity((4, 4, 3)),
+        linops.AvgPool((8, 8, 1), 2),   # D = 64, the spec's 8x8 instance
+        linops.Gray((4, 4, 3)),         # D = 48
+        linops.Mask(rng.random((8, 8, 1)) < 0.6),
+        linops.Identity((4, 4, 3)),
     ]
     for op in shapes_ops:
         r = rng.standard_normal(op.output_shape)
-        got = op.pinv_scaled(r, f)
+        got = f(op.sing_value) * op.pinv(r)
         want = dense_pinv_scaled(op, r, f)
         assert np.abs(got - want).max() <= 1e-8
 
 
 def test_dense_matrix_matches_forward(rng):
-    op = linops.op_gray((3, 3, 3))
+    op = linops.Gray((3, 3, 3))
     a = op.dense_matrix()
     x = rng.standard_normal(op.input_shape)
     assert np.allclose(a @ x.ravel(), op.forward(x).ravel(), atol=1e-12)
 
 
 def test_dense_matrix_size_guard():
-    op = linops.op_identity((64, 64, 3))
+    op = linops.Identity((64, 64, 3))
     with pytest.raises(ValueError):
         op.dense_matrix()
 

@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tilediff import linops
-from tilediff.denoise import GaussianDenoiser, ZeroDenoiser
+from tilediff.denoise import GmmDenoiser, ZeroDenoiser
 from tilediff.sampler import (ConstraintHooks, SamplerConfig, SamplerError,
                               compute_lambda_gamma, ddnm_plus_project,
                               ddnm_project, estimate_x0, run_sampler,
@@ -42,14 +47,14 @@ def test_estimate_x0_rejects_t0():
 
 
 def test_ddnm_project_fixed_point(rng):
-    op = linops.op_avgpool((4, 4, 1), 2)
+    op = linops.AvgPool((4, 4, 1), 2)
     x = op.pinv(rng.standard_normal(op.output_shape))  # already consistent
     y = op.forward(x)
     assert np.abs(ddnm_project(op, y, x) - x).max() <= 1e-12
 
 
 def test_ddnm_project_avgpool_example():
-    op = linops.op_avgpool((2, 2, 1), 2)
+    op = linops.AvgPool((2, 2, 1), 2)
     y = np.full((1, 1, 1), 0.5)
     out = ddnm_project(op, y, np.ones((2, 2, 1)))
     assert np.allclose(out, 0.5, atol=1e-14)
@@ -57,7 +62,7 @@ def test_ddnm_project_avgpool_example():
 
 def test_ddnm_project_mask_semantics(rng):
     known = rng.random((4, 4, 3)) < 0.5
-    op = linops.op_mask(known)
+    op = linops.Mask(known)
     truth = rng.standard_normal((4, 4, 3))
     y = op.forward(truth)
     x0t = rng.standard_normal((4, 4, 3))
@@ -67,9 +72,9 @@ def test_ddnm_project_mask_semantics(rng):
 
 
 def test_ddnm_project_consistency_and_idempotence(rng):
-    for op in [linops.op_avgpool((8, 8, 3), 2),
-               linops.op_gray((8, 8, 3)),
-               linops.op_mask(rng.random((8, 8, 3)) < 0.5)]:
+    for op in [linops.AvgPool((8, 8, 3), 2),
+               linops.Gray((8, 8, 3)),
+               linops.Mask(rng.random((8, 8, 3)) < 0.5)]:
         y = op.forward(rng.standard_normal(op.input_shape))
         x0t = rng.standard_normal(op.input_shape)
         out = ddnm_project(op, y, x0t)
@@ -82,7 +87,7 @@ def test_ddnm_project_consistency_and_idempotence(rng):
 
 
 def test_ddnm_project_shape_mismatch():
-    op = linops.op_avgpool((4, 4, 1), 2)
+    op = linops.AvgPool((4, 4, 1), 2)
     with pytest.raises(ValueError):
         ddnm_project(op, np.zeros((3, 3, 1)), np.zeros((4, 4, 1)))
 
@@ -141,26 +146,72 @@ def test_lambda_gamma_variance_identity_random(rng):
 
 
 def test_ddnm_plus_reduces_bit_exactly_when_noise_free(rng):
-    op = linops.op_avgpool((4, 4, 1), 2)
+    op = linops.AvgPool((4, 4, 1), 2)
     y = rng.standard_normal(op.output_shape)
     x0t = rng.standard_normal(op.input_shape)
     cfg = SamplerConfig(T=10, eta=0.8, sigma_y=0.0)
     sched = build_schedule(10)
-    got, gammas = ddnm_plus_project(op, y, x0t, 5, sched, cfg)
+    got, gamma = ddnm_plus_project(op, y, x0t, 5, sched, cfg)
     assert np.array_equal(got, ddnm_project(op, y, x0t))
-    assert gammas == {0.5: 0.8, 0.0: 0.8}
+    assert gamma == 0.8
 
 
 def test_ddnm_plus_clamp_gives_gamma_zero(rng):
-    op = linops.op_identity((2, 2, 1))
+    op = linops.Identity((2, 2, 1))
     sched = coef_schedule()
     cfg = SamplerConfig(T=2, eta=0.8, sigma_y=1.0)
     y = rng.standard_normal(op.output_shape)
     x0t = rng.standard_normal(op.input_shape)
-    xhat, gammas = ddnm_plus_project(op, y, x0t, 2, sched, cfg)
-    assert gammas[1.0] == 0.0
+    xhat, gamma = ddnm_plus_project(op, y, x0t, 2, sched, cfg)
+    assert gamma == 0.0
     lam = 0.4 / 0.9
     assert np.allclose(xhat, x0t + lam * (y - x0t), atol=1e-14)
+
+
+@st.composite
+def small_operators(draw):
+    """One of the four operators on a drawn shape, D = H*W*C <= 192."""
+    kind = draw(st.sampled_from(["avgpool", "mask", "gray", "identity"]))
+    c = 3 if kind == "gray" else draw(st.sampled_from([1, 3]))
+    p = draw(st.sampled_from([1, 2, 4])) if kind == "avgpool" else 1
+    h, w = (p * draw(st.integers(1, 8 // p)) for _ in range(2))
+    if kind == "avgpool":
+        return linops.AvgPool((h, w, c), p)
+    if kind == "mask":
+        return linops.Mask(draw(arrays(bool, (h, w))), channels=c)
+    if kind == "gray":
+        return linops.Gray((h, w, c))
+    return linops.Identity((h, w, c))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(op=small_operators(), t=st.integers(1, 20),
+       sigma_y=st.sampled_from([0.0, 0.01, 0.1, 0.5, 2.0]),
+       eta=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_ddnm_plus_matches_dense_svd(op, t, sigma_y, eta, seed):
+    # DDNM+ rescales each SVD mode by its own lambda(s_i); the scalar form
+    # is exact only because every operator has one non-zero singular value
+    sched = build_schedule(20)
+    cfg = SamplerConfig(T=20, eta=eta, sigma_y=sigma_y)
+    rng = np.random.default_rng(seed)
+    x0t = rng.standard_normal(op.input_shape)
+    y = rng.standard_normal(op.output_shape)
+    a = op.dense_matrix()
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    keep = s > 1e-12
+    u, s, vt = u[:, keep], s[keep], vt[keep]
+    assert np.allclose(s, op.sing_value, rtol=1e-12, atol=0)
+    coeffs = [compute_lambda_gamma(si, t, sched, eta, sigma_y) for si in s]
+    lam = np.array([c[0] for c in coeffs])
+    resid = y.ravel() - a @ x0t.ravel()
+    want = x0t.ravel() + vt.T @ (lam / s * (u.T @ resid))
+    got, gamma = ddnm_plus_project(op, y, x0t, t, sched, cfg)
+    assert np.abs(got.ravel() - want).max() <= 1e-8
+    # gamma^2 is linear in s^2: an s_i a few ulps off op.sing_value moves
+    # it by ~1e-15 a^2 sigma_y^2 s^2 / sigma_{t-1}^2 < 1e-12 here, while
+    # gamma itself, a square root near 0, can move by ~1e-6
+    for _, gam_i in coeffs:
+        assert abs(gamma**2 - gam_i**2) <= 1e-10
 
 
 def test_sample_prev_eta_zero_deterministic(rng):
@@ -198,15 +249,15 @@ def test_sample_prev_variance_monte_carlo():
 
 def test_run_sampler_full_mask_returns_measurement_exactly(rng):
     truth = rng.uniform(-1, 1, size=(4, 4, 3))
-    op = linops.op_mask(np.ones((4, 4, 3), dtype=bool))
+    op = linops.Mask(np.ones((4, 4, 3), dtype=bool))
     y = op.forward(truth)
-    den = GaussianDenoiser(np.zeros((4, 4, 3)), 0.5)
+    den = GmmDenoiser([np.zeros((4, 4, 3))], [1.0], math.sqrt(0.5))
     out = run_sampler(op, y, den, SamplerConfig(T=20, seed=3))
     assert np.array_equal(out, truth)
 
 
 def test_run_sampler_zero_eps_smoke(rng):
-    op = linops.op_avgpool((4, 4, 1), 2)
+    op = linops.AvgPool((4, 4, 1), 2)
     y = rng.standard_normal(op.output_shape)
     out = run_sampler(op, y, ZeroDenoiser(),
                       SamplerConfig(T=30, eta=1.0, seed=9))
@@ -215,19 +266,19 @@ def test_run_sampler_zero_eps_smoke(rng):
 
 
 def test_run_sampler_consistency_noise_free(rng):
-    for op in [linops.op_avgpool((8, 8, 3), 4),
-               linops.op_gray((8, 8, 3)),
-               linops.op_mask(rng.random((8, 8, 3)) < 0.5)]:
+    for op in [linops.AvgPool((8, 8, 3), 4),
+               linops.Gray((8, 8, 3)),
+               linops.Mask(rng.random((8, 8, 3)) < 0.5)]:
         y = op.forward(rng.uniform(-1, 1, size=op.input_shape))
-        den = GaussianDenoiser(np.zeros((8, 8, 3)), 0.3)
+        den = GmmDenoiser([np.zeros((8, 8, 3))], [1.0], math.sqrt(0.3))
         out = run_sampler(op, y, den, SamplerConfig(T=50, seed=11))
         assert np.abs(op.forward(out) - y).max() <= 1e-6
 
 
 def test_run_sampler_determinism(rng):
-    op = linops.op_gray((6, 6, 3))
+    op = linops.Gray((6, 6, 3))
     y = op.forward(rng.uniform(-1, 1, size=(6, 6, 3)))
-    den = GaussianDenoiser(np.zeros((6, 6, 3)), 0.4)
+    den = GmmDenoiser([np.zeros((6, 6, 3))], [1.0], math.sqrt(0.4))
     cfg = SamplerConfig(T=25, seed=42, travel=TravelPlan(5, 2))
     a = run_sampler(op, y, den, cfg)
     b = run_sampler(op, y, den, cfg)
@@ -236,9 +287,9 @@ def test_run_sampler_determinism(rng):
 
 def test_run_sampler_step_count_with_time_travel():
     calls = []
-    op = linops.op_identity((2, 2, 1))
+    op = linops.Identity((2, 2, 1))
     y = np.zeros((2, 2, 1))
-    den = GaussianDenoiser(np.zeros((2, 2, 1)), 0.5)
+    den = GmmDenoiser([np.zeros((2, 2, 1))], [1.0], math.sqrt(0.5))
     cfg = SamplerConfig(T=100, seed=0, travel=TravelPlan(10, 3))
     run_sampler(op, y, den, cfg, on_step=lambda t: calls.append(t))
     assert len(calls) == 300  # each of 10 blocks traversed 3 times
@@ -246,9 +297,9 @@ def test_run_sampler_step_count_with_time_travel():
 
 def test_run_sampler_hook_order():
     order = []
-    op = linops.op_identity((2, 2, 1))
+    op = linops.Identity((2, 2, 1))
     y = np.zeros((2, 2, 1))
-    den = GaussianDenoiser(np.zeros((2, 2, 1)), 0.5)
+    den = GmmDenoiser([np.zeros((2, 2, 1))], [1.0], math.sqrt(0.5))
     hooks = ConstraintHooks(
         pre=[lambda x, t: (order.append("pre"), x)[1]],
         post=[lambda x, t: (order.append("post"), x)[1]])
@@ -263,27 +314,27 @@ def test_run_sampler_aborts_on_nonfinite():
             return np.full_like(x_t, np.inf) if t == 5 else \
                 np.zeros_like(x_t)
 
-    op = linops.op_identity((2, 2, 1))
+    op = linops.Identity((2, 2, 1))
     with pytest.raises(SamplerError, match="t=5"):
         run_sampler(op, np.zeros((2, 2, 1)), BadDenoiser(),
                     SamplerConfig(T=10, seed=0))
 
 
 def test_run_sampler_rejects_shape_mismatch(rng):
-    op = linops.op_identity((4, 4, 1))
-    den = GaussianDenoiser(np.zeros((6, 6, 1)), 0.5)
+    op = linops.Identity((4, 4, 1))
+    den = GmmDenoiser([np.zeros((6, 6, 1))], [1.0], math.sqrt(0.5))
     with pytest.raises(ValueError):
         run_sampler(op, np.zeros((4, 4, 1)), den, SamplerConfig(T=5, seed=0))
 
 
 def test_run_sampler_noisy_path_runs_and_stays_finite(rng):
-    op = linops.op_avgpool((8, 8, 1), 2)
+    op = linops.AvgPool((8, 8, 1), 2)
     truth = rng.uniform(-1, 1, size=(8, 8, 1))
     noise_rng = np.random.default_rng(5)
     sigma_y = 0.1
     y = op.forward(truth) + sigma_y * noise_rng.standard_normal(
         op.output_shape)
-    den = GaussianDenoiser(np.zeros((8, 8, 1)), 0.3)
+    den = GmmDenoiser([np.zeros((8, 8, 1))], [1.0], math.sqrt(0.3))
     out = run_sampler(op, y, den,
                       SamplerConfig(T=50, seed=7, sigma_y=sigma_y))
     assert np.isfinite(out).all()
