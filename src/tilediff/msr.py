@@ -118,8 +118,7 @@ def _freeze_hook(fixed: np.ndarray, known: np.ndarray):
 def msr_restore(task: Task, plan: TilePlan, denoiser, cfg: SamplerConfig,
                 use_mask_hook: bool = True,
                 pre_hook_factory=None,
-                on_step=None,
-                canvas: Canvas | None = None) -> np.ndarray:
+                on_step=None) -> np.ndarray:
     """Solve each tile in raster order, freezing overlap with the canvas.
 
     use_mask_hook=False gives the naive independent-patch baseline (tiles
@@ -134,8 +133,7 @@ def msr_restore(task: Task, plan: TilePlan, denoiser, cfg: SamplerConfig,
         raise ValueError(
             f"plan {plan.height}x{plan.width} does not match task "
             f"shape {task.shape}")
-    if canvas is None:
-        canvas = Canvas.blank(task.shape)
+    canvas = Canvas.blank(task.shape)
     for idx, win in enumerate(plan.windows):
         row, col = plan.grid_index(idx)
         op, y = task.tile_problem(win)

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import queue
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -128,21 +130,21 @@ def ddnm_plus_project(op: LinearOperator, y: np.ndarray, x0t: np.ndarray,
 
 
 def sample_prev(x0hat: np.ndarray, eps_t: np.ndarray, t: int,
-                sched: Schedule, cfg: SamplerConfig,
-                rng: np.random.Generator,
+                sched: Schedule, cfg: SamplerConfig, noise: np.ndarray,
                 op: LinearOperator | None = None,
                 gamma: float | None = None) -> np.ndarray:
     """Sample x_{t-1} = a_{t-1} x0hat + sigma_{t-1} (noise mix).
 
-    The noise mix is eta * eps + sqrt(1 - eta^2) * eps_t. A gamma other
-    than eta rescales the fresh eps on the measured modes (those of op's
-    range projector) to gamma; null modes always keep eta. The result is
-    built in the buffer of the fresh draw.
+    noise is the step's fresh standard-normal draw eps. The noise mix is
+    eta * eps + sqrt(1 - eta^2) * eps_t. A gamma other than eta rescales
+    eps on the measured modes (those of op's range projector) to gamma;
+    null modes always keep eta. The result is built in noise's buffer,
+    which the call overwrites.
     """
     if t < 1:
         raise ValueError("sampling requires t >= 1")
     sig = sched.sigma[t - 1]
-    out = rng.standard_normal(x0hat.shape)
+    out = noise
     if gamma is not None and gamma != cfg.eta:
         # not in place: Identity's range projector returns its input
         pr = op.range_project(out) * (sig * (gamma - cfg.eta))
@@ -155,6 +157,67 @@ def sample_prev(x0hat: np.ndarray, eps_t: np.ndarray, t: int,
     return out
 
 
+class _NoiseAhead:
+    """The first `count` standard-normal draws of default_rng(seed), each of
+    the given shape, made in order on a background thread.
+
+    The thread is the Generator's only user and runs numpy alone, so the
+    draws are the serial sequence bit for bit (one call for n draws fills
+    the same numbers as n calls) while the caller computes the steps
+    before. Each call makes the fewest whole draws that hold BATCH
+    numbers, one at the 64x64x3 patch: every time the thread takes the
+    interpreter lock back it stalls the caller, which small draws would
+    pay on every step. At most two finished batches wait in the queue. An
+    error in the thread is raised by the next take(); close() stops and
+    joins the thread.
+    """
+
+    BATCH = 1 << 13
+
+    def __init__(self, seed: int, shape: tuple, count: int):
+        self._queue = queue.Queue(maxsize=2)
+        self._stop = threading.Event()
+        self._batch = iter(())
+        self._ended = False
+        self._thread = threading.Thread(
+            target=self._fill, args=(seed, shape, count),
+            name="tilediff-noise", daemon=True)
+        self._thread.start()
+
+    def _fill(self, seed, shape, count):
+        try:
+            rng = np.random.default_rng(seed)
+            per_call = math.ceil(self.BATCH / math.prod(shape))
+            made = 0
+            while made < count and not self._stop.is_set():
+                n = min(per_call, count - made)
+                self._queue.put(rng.standard_normal((n, *shape)))
+                made += n
+            end = RuntimeError(f"noise stream has only {count} draws")
+        except Exception as exc:  # re-raised on the calling thread
+            end = exc
+        # the last item is always an exception, so a take() past the end
+        # raises and close() knows when the thread is done putting
+        self._queue.put(end)
+
+    def take(self) -> np.ndarray:
+        draw = next(self._batch, None)
+        if draw is None:
+            batch = self._queue.get()
+            if isinstance(batch, Exception):
+                self._ended = True
+                raise batch
+            self._batch = iter(batch)
+            draw = next(self._batch)
+        return draw
+
+    def close(self):
+        self._stop.set()
+        while not self._ended:
+            self._ended = isinstance(self._queue.get(), Exception)
+        self._thread.join()
+
+
 def run_sampler(op: LinearOperator, y: np.ndarray, denoiser,
                 cfg: SamplerConfig,
                 hooks: ConstraintHooks | None = None,
@@ -165,7 +228,10 @@ def run_sampler(op: LinearOperator, y: np.ndarray, denoiser,
     Per step: predict eps, estimate x0|t, apply pre hooks, project onto
     the measurement subspace (relaxed by lambda when cfg.sigma_y > 0),
     apply post hooks, sample x_{t-1}. Time-travel blocks re-noise the
-    block start and re-traverse it cfg.travel.r times.
+    block start and re-traverse it cfg.travel.r times. The fresh noise is
+    drawn ahead on a background thread, in the order a serial loop over
+    default_rng(cfg.seed) would draw it; the denoiser, the hooks and
+    on_step run on the calling thread.
     """
     hooks = hooks or ConstraintHooks()
     if sched is None:
@@ -175,26 +241,34 @@ def run_sampler(op: LinearOperator, y: np.ndarray, denoiser,
         raise ValueError(
             f"denoiser shape {denoiser.input_shape} != operator input "
             f"{op.input_shape}")
-    rng = np.random.default_rng(cfg.seed)
-    x = rng.standard_normal(op.input_shape)
-    for t_hi, t_lo in travel_blocks(cfg.T, cfg.travel.l):
-        for rep in range(cfg.travel.r):
-            for t in range(t_hi, t_lo - 1, -1):
-                eps_t = denoiser.predict_eps(x, t, sched)
-                x0t = estimate_x0(x, eps_t, t, sched)
-                for h in hooks.pre:
-                    x0t = h(x0t, t)
-                x0hat, gamma = ddnm_plus_project(op, y, x0t, t, sched, cfg)
-                for h in hooks.post:
-                    x0hat = h(x0hat, t)
-                x = sample_prev(x0hat, eps_t, t, sched, cfg, rng,
-                                op=op, gamma=gamma)
-                if not np.all(np.isfinite(x)):
-                    raise SamplerError(f"non-finite state at step t={t}")
-                if on_step is not None:
-                    on_step(t)
-            if rep < cfg.travel.r - 1:
-                jump = t_hi - (t_lo - 1)
-                noise = rng.standard_normal(x.shape)
-                x = renoise_jump(x, t_lo - 1, jump, noise, sched)
+    blocks = travel_blocks(cfg.T, cfg.travel.l)
+    r = cfg.travel.r
+    # x_T, one draw per step, one per re-noising jump
+    noise = _NoiseAhead(cfg.seed, tuple(op.input_shape),
+                        1 + r * cfg.T + (r - 1) * len(blocks))
+    try:
+        x = noise.take()
+        for t_hi, t_lo in blocks:
+            for rep in range(r):
+                for t in range(t_hi, t_lo - 1, -1):
+                    eps_t = denoiser.predict_eps(x, t, sched)
+                    x0t = estimate_x0(x, eps_t, t, sched)
+                    for h in hooks.pre:
+                        x0t = h(x0t, t)
+                    x0hat, gamma = ddnm_plus_project(op, y, x0t, t, sched,
+                                                     cfg)
+                    for h in hooks.post:
+                        x0hat = h(x0hat, t)
+                    x = sample_prev(x0hat, eps_t, t, sched, cfg,
+                                    noise.take(), op=op, gamma=gamma)
+                    if not np.all(np.isfinite(x)):
+                        raise SamplerError(
+                            f"non-finite state at step t={t}")
+                    if on_step is not None:
+                        on_step(t)
+                if rep < r - 1:
+                    jump = t_hi - (t_lo - 1)
+                    x = renoise_jump(x, t_lo - 1, jump, noise.take(), sched)
+    finally:
+        noise.close()
     return x

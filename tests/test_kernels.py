@@ -148,8 +148,10 @@ def test_sample_prev_matches_reference_mix(rng):
                            (None, cfg.eta * eps)):
                 mix = mix + math.sqrt(1 - cfg.eta**2) * eps_t
                 want = sched.a[t - 1] * x0hat + sched.sigma[t - 1] * mix
-                got = sample_prev(x0hat, eps_t, t, sched, cfg,
-                                  np.random.default_rng(t), op=op, gamma=g)
+                draw = np.random.default_rng(t).standard_normal(
+                    op.input_shape)
+                got = sample_prev(x0hat, eps_t, t, sched, cfg, draw,
+                                  op=op, gamma=g)
                 assert np.abs(got - want).max() <= 16 * EPS
 
 

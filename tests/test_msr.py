@@ -98,10 +98,7 @@ def test_two_tile_sr_seam_is_bitwise_exact(rng):
     plan = plan_tiles(64, 96, PATCH, OVERLAP, block=4)
     cfg = SamplerConfig(T=40, seed=2)
 
-    committed = []
-    canvas = Canvas.blank(task.shape)
-    # replicate the commit loop to capture each tile result
-    orig = msr_restore(task, plan, den, cfg, canvas=canvas)
+    orig = msr_restore(task, plan, den, cfg)
     # second pass, capturing the tile-2 sampler output before commit
     canvas2 = Canvas.blank(task.shape)
     op, y = task.tile_problem(plan.windows[0])
@@ -152,9 +149,9 @@ def test_msr_known_region_monotone_and_complete(rng):
     den = make_denoiser(seed=6)
     task = GenerateTask(96, 96, 3)
     plan = plan_tiles(96, 96, PATCH, OVERLAP)
-    canvas = Canvas.blank(task.shape)
-    msr_restore(task, plan, den, SamplerConfig(T=20, seed=3), canvas=canvas)
-    assert canvas.known.all()
+    out = msr_restore(task, plan, den, SamplerConfig(T=20, seed=3))
+    # the canvas starts at exact zeros, so a pixel no tile committed reads 0
+    assert np.isfinite(out).all() and (out != 0).all()
 
 
 def test_msr_rejects_misaligned_plan(rng):

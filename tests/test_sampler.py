@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -8,12 +11,14 @@ from hypothesis.extra.numpy import arrays
 
 from tilediff import linops
 from tilediff.denoise import GmmDenoiser, ZeroDenoiser
+from tilediff.imagecore import Window
 from tilediff.sampler import (ConstraintHooks, SamplerConfig, SamplerError,
                               compute_lambda_gamma, ddnm_plus_project,
                               ddnm_project, estimate_x0, run_sampler,
                               sample_prev)
 from tilediff.schedule import (Schedule, TravelPlan, build_schedule,
-                               forward_diffuse)
+                               forward_diffuse, renoise_jump, travel_blocks)
+from tilediff.tasks import GenerateTask
 
 
 def make_vp_schedule(a_values):
@@ -220,7 +225,8 @@ def test_sample_prev_eta_zero_deterministic(rng):
     x0hat = rng.standard_normal((3, 3, 1))
     eps = rng.standard_normal((3, 3, 1))
     t = 7
-    out = sample_prev(x0hat, eps, t, sched, cfg, np.random.default_rng(0))
+    out = sample_prev(x0hat, eps, t, sched, cfg,
+                      np.random.default_rng(0).standard_normal((3, 3, 1)))
     want = sched.a[t - 1] * x0hat + sched.sigma[t - 1] * eps
     assert np.abs(out - want).max() <= 1e-14
 
@@ -230,7 +236,7 @@ def test_sample_prev_terminal_step_clean(rng):
     cfg = SamplerConfig(T=20, eta=1.0, seed=1)
     x0hat = rng.standard_normal((3, 3, 1))
     out = sample_prev(x0hat, rng.standard_normal((3, 3, 1)), 1, sched, cfg,
-                      np.random.default_rng(0))
+                      np.random.default_rng(0).standard_normal((3, 3, 1)))
     assert np.array_equal(out, x0hat)
 
 
@@ -241,7 +247,7 @@ def test_sample_prev_variance_monte_carlo():
     t = 10
     n = 10_000
     out = sample_prev(np.zeros(n), np.zeros(n), t, sched, cfg,
-                      np.random.default_rng(3))
+                      np.random.default_rng(3).standard_normal(n))
     v = sched.sigma[t - 1] ** 2
     band = 3.0 * np.sqrt(2.0 / n) * v
     assert abs(out.var() - v) <= band
@@ -348,3 +354,212 @@ def test_sampler_config_validation():
         SamplerConfig(eta=1.5)
     with pytest.raises(ValueError):
         SamplerConfig(sigma_y=-0.1)
+
+
+def serial_sampler(op, y, denoiser, cfg):
+    """run_sampler without hooks, written as one loop that takes every draw
+    (x_T, one per step, one per re-noising jump) from default_rng(cfg.seed)
+    in order."""
+    sched = build_schedule(cfg.T)
+    rng = np.random.default_rng(cfg.seed)
+    x = rng.standard_normal(op.input_shape)
+    for t_hi, t_lo in travel_blocks(cfg.T, cfg.travel.l):
+        for rep in range(cfg.travel.r):
+            for t in range(t_hi, t_lo - 1, -1):
+                eps_t = denoiser.predict_eps(x, t, sched)
+                x0t = estimate_x0(x, eps_t, t, sched)
+                x0hat, gamma = ddnm_plus_project(op, y, x0t, t, sched, cfg)
+                x = sample_prev(x0hat, eps_t, t, sched, cfg,
+                                rng.standard_normal(x.shape), op=op,
+                                gamma=gamma)
+            if rep < cfg.travel.r - 1:
+                x = renoise_jump(x, t_lo - 1, t_hi - t_lo + 1,
+                                 rng.standard_normal(x.shape), sched)
+    return x
+
+
+def within(fn, seconds=10.0):
+    """fn()'s result, computed on a helper thread so that a call that never
+    returns fails the test instead of hanging it; fn's error is re-raised."""
+    out = {}
+
+    def target():
+        try:
+            out["result"] = fn()
+        except Exception as exc:
+            out["error"] = exc
+
+    th = threading.Thread(target=target, daemon=True)
+    th.start()
+    th.join(seconds)
+    assert not th.is_alive(), "run_sampler did not return"
+    if "error" in out:
+        raise out["error"]
+    return out["result"]
+
+
+def _replay_problem(kind, seed=0):
+    rng = np.random.default_rng(seed)
+    if kind == "generate":
+        return GenerateTask(8, 8, 3).tile_problem(Window(0, 0, 8, 8))
+    op = linops.AvgPool((8, 8, 3), 2)
+    return op, op.forward(rng.uniform(-1, 1, size=op.input_shape))
+
+
+_REPLAY_DEN = GmmDenoiser([np.full((8, 8, 3), -0.4), np.full((8, 8, 3), 0.5)],
+                          [0.5, 0.5], 0.3)
+
+
+@pytest.mark.parametrize("kind, cfg", [
+    ("generate", SamplerConfig(T=20, seed=3)),
+    ("sr", SamplerConfig(T=20, seed=4)),
+    ("sr", SamplerConfig(T=20, seed=5, sigma_y=0.1)),
+    ("sr", SamplerConfig(T=20, seed=6, travel=TravelPlan(4, 3))),
+], ids=["generation", "clean-sr", "noisy-sr", "time-travel-r3"])
+def test_run_sampler_replays_the_serial_loop(kind, cfg):
+    op, y = _replay_problem(kind)
+    if cfg.sigma_y:
+        # the noisy case must take the gamma != eta branch of sample_prev
+        sched = build_schedule(cfg.T)
+        assert any(compute_lambda_gamma(op.sing_value, t, sched, cfg.eta,
+                                        cfg.sigma_y)[1] != cfg.eta
+                   for t in range(2, cfg.T + 1))
+    got = within(lambda: run_sampler(op, y, _REPLAY_DEN, cfg))
+    assert np.array_equal(got, serial_sampler(op, y, _REPLAY_DEN, cfg))
+
+
+@settings(max_examples=25, deadline=None)
+@given(T=st.integers(1, 12), l=st.integers(1, 6), r=st.integers(1, 3),
+       sigma_y=st.sampled_from([0.0, 0.1]), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["generate", "sr"]))
+def test_run_sampler_replays_the_serial_loop_for_any_travel_plan(
+        T, l, r, sigma_y, seed, kind):
+    op, y = _replay_problem(kind, seed)
+    cfg = SamplerConfig(T=T, seed=seed, travel=TravelPlan(l, r),
+                        sigma_y=sigma_y)
+    got = within(lambda: run_sampler(op, y, _REPLAY_DEN, cfg))
+    assert np.array_equal(got, serial_sampler(op, y, _REPLAY_DEN, cfg))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_run_sampler_leaves_no_thread_behind():
+    class BadDenoiser(ZeroDenoiser):
+        def predict_eps(self, x_t, t, sched):
+            return np.full_like(x_t, np.inf) if t == 5 else \
+                np.zeros_like(x_t)
+
+    def late_hook(x0, t):
+        # the look-ahead queue is full by now, so the producer is blocked
+        time.sleep(0.05)
+        raise KeyError("hook")
+
+    # patch-size draws, one per call, so the thread can block on a full
+    # queue when the run stops
+    op = linops.Identity((64, 64, 3))
+    y = np.zeros(op.output_shape)
+    cfg = SamplerConfig(T=40, seed=0, travel=TravelPlan(5, 2))
+    before = threading.active_count()
+    within(lambda: run_sampler(op, y, ZeroDenoiser(), cfg))
+    assert threading.active_count() == before
+    with pytest.raises(SamplerError, match="t=5"):
+        within(lambda: run_sampler(op, y, BadDenoiser(), cfg))
+    assert threading.active_count() == before
+    with pytest.raises(KeyError, match="hook"):
+        within(lambda: run_sampler(op, y, ZeroDenoiser(), cfg,
+                                   hooks=ConstraintHooks(post=[late_hook])))
+    assert threading.active_count() == before
+
+
+def test_run_sampler_stops_its_thread_at_any_step_under_switching():
+    # runs stop at every possible step, while the interpreter switches
+    # threads as often as it can, from more callers than cores
+    class Stop(Exception):
+        pass
+
+    def run(stop_at):
+        def hook(x0, t):
+            if t == stop_at:
+                raise Stop
+            return x0
+
+        op = linops.Identity((64, 64, 1))
+        cfg = SamplerConfig(T=6, seed=stop_at, travel=TravelPlan(2, 2))
+        for _ in range(15):
+            try:
+                run_sampler(op, np.zeros(op.output_shape), ZeroDenoiser(), cfg,
+                            hooks=ConstraintHooks(post=[hook]))
+                outcomes.append(None)
+            except Exception as exc:
+                outcomes.append(exc)
+
+    outcomes = []
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=run, args=(t,), daemon=True)
+                   for t in range(1, 7)]
+        for th in callers:
+            th.start()
+        deadline = time.monotonic() + 20.0
+        for th in callers:
+            th.join(max(0.0, deadline - time.monotonic()))
+        assert not any(th.is_alive() for th in callers), "a run hung"
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(outcomes) == 6 * 15
+    assert all(isinstance(o, Stop) for o in outcomes)
+    assert threading.active_count() == before
+
+
+def test_run_sampler_raises_the_producers_error(monkeypatch):
+    class DrawError(Exception):
+        pass
+
+    class FailingGenerator:
+        """Draws like default_rng(seed) until its fourth call raises."""
+
+        def __init__(self, seed):
+            self.rng = real_default_rng(seed)
+            self.calls = 0
+
+        def standard_normal(self, shape):
+            self.calls += 1
+            if self.calls == 4:
+                raise DrawError("call 4")
+            return self.rng.standard_normal(shape)
+
+    real_default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", FailingGenerator)
+    # at the 64x64x3 patch the thread makes one draw per call
+    op = linops.Identity((64, 64, 3))
+    steps = []
+    before = threading.active_count()
+    with pytest.raises(DrawError, match="call 4"):
+        within(lambda: run_sampler(op, np.zeros(op.output_shape),
+                                   ZeroDenoiser(), SamplerConfig(T=10, seed=0),
+                                   on_step=steps.append))
+    # the draws made before the failing call were used, then the run ended
+    assert 1 <= len(steps) < 10
+    assert threading.active_count() == before
+
+
+def test_run_sampler_calls_back_on_the_calling_thread():
+    idents = []
+
+    class RecordingDenoiser(ZeroDenoiser):
+        def predict_eps(self, x_t, t, sched):
+            idents.append(threading.get_ident())
+            return super().predict_eps(x_t, t, sched)
+
+    def hook(x0, t):
+        idents.append(threading.get_ident())
+        return x0
+
+    op = linops.AvgPool((4, 4, 1), 2)
+    run_sampler(op, np.zeros(op.output_shape), RecordingDenoiser(),
+                SamplerConfig(T=12, seed=1, travel=TravelPlan(4, 2)),
+                hooks=ConstraintHooks(pre=[hook], post=[hook]),
+                on_step=lambda t: idents.append(threading.get_ident()))
+    assert len(idents) == 4 * 24
+    assert set(idents) == {threading.get_ident()}
