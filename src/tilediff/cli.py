@@ -138,8 +138,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_plan = sub.add_parser("plan", help="print the tile plan and exit")
     p_plan.add_argument("--width", type=int, required=True)
     p_plan.add_argument("--height", type=int, required=True)
-    p_plan.add_argument("--patch", type=int, default=64)
-    p_plan.add_argument("--overlap", type=int, default=32)
+    p_plan.add_argument("--patch", type=int, default=JobSpec.patch)
+    p_plan.add_argument("--overlap", type=int, default=JobSpec.overlap)
     p_plan.add_argument("--block", type=int, default=1)
 
     sub.add_parser("selftest", help="run built-in invariant checks")
@@ -299,18 +299,13 @@ def run_job(job: JobSpec) -> int:
         cfg = SamplerConfig(T=job.steps, eta=job.eta,
                             travel=TravelPlan(job.travel_l, job.travel_r),
                             seed=job.seed, sigma_y=job.sigma_y)
-        steps = [0]
         if job.hir_factor >= 2:
-            result = hir_restore(task, job.hir_factor, plan, denoiser, cfg,
-                                 on_step=lambda t: steps.__setitem__(
-                                     0, steps[0] + 1))
+            result = hir_restore(task, job.hir_factor, plan, denoiser, cfg)
             img = result.image
             metrics["lowfreq_residual"] = result.lowfreq_residual
         else:
             img = msr_restore(task, plan, denoiser, cfg,
-                              use_mask_hook=not job.naive,
-                              on_step=lambda t: steps.__setitem__(
-                                  0, steps[0] + 1))
+                              use_mask_hook=not job.naive)
         full = task.full_problem()
         if full is not None:
             op, y = full
@@ -321,7 +316,7 @@ def run_job(job: JobSpec) -> int:
         metrics["seam_max"] = max((v for _, _, v in seams), default=0.0)
         for axis, pos, v in seams:
             metrics[f"seam_{axis}_{pos}"] = v
-        metrics["steps"] = steps[0]
+        metrics["steps"] = denoiser.calls
         save_image(job.output, Image(img))
         print(f"wrote {job.output}")
     except (JobError, ValueError, OSError) as e:

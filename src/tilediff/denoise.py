@@ -99,6 +99,7 @@ class GmmDenoiser(Denoiser):
         self._flat = self.means.reshape(len(weights), -1)
         self._sq_norms = np.einsum("kd,kd->k", self._flat, self._flat)
         self._log_w = np.log(weights)
+        self.calls = 0  # predict_eps calls, one per sampler step
 
     def posterior_x0(self, x_t, t, sched):
         return gmm_posterior_x0(x_t, self.means, self.weights, self.tau,
@@ -113,6 +114,7 @@ class GmmDenoiser(Denoiser):
         prediction is (1 - a shrink) / sigma (x - a mbar) = sigma / c
         (x - a mbar).
         """
+        self.calls += 1
         a, sigma = sched.a[t], sched.sigma[t]
         if sigma <= 0:
             raise ValueError(

@@ -34,18 +34,23 @@ def derive_phase1_task(task: Task, f: int) -> Task:
     return task.reduce(f)
 
 
+def _lowfreq_hook(sr: AvgPool, ref: np.ndarray):
+    """x0t -> pinv(A_sr) ref + (I - pinv(A_sr) A_sr) x0t, whose f x f block
+    means are the coarse tile ref's pixels."""
+    base = sr.pinv(ref)
+
+    def hook(x0t, t):
+        return base + x0t - sr.range_project(x0t)
+
+    return hook
+
+
 def hir_restore(task: Task, factor: int, plan2: TilePlan, denoiser,
-                cfg: SamplerConfig,
-                hook_trace: list | None = None,
-                on_step=None) -> HirResult:
+                cfg: SamplerConfig) -> HirResult:
     """Two-phase restoration with one sampler config for both phases;
     returns the full-size image, the coarse result, and the final
-    low-frequency residual.
-
-    The coarse phase tiles the 1/factor canvas with plan2's patch and
-    overlap. hook_trace, when given, collects max |A_sr x0tilde -
-    coarse_tile| right after the low-frequency hook at every step (should
-    be ~0 by construction).
+    low-frequency residual. The coarse phase tiles the 1/factor canvas
+    with plan2's patch and overlap.
     """
     f = factor
     reduced = derive_phase1_task(task, f)  # rejects f < 2 first
@@ -58,26 +63,18 @@ def hir_restore(task: Task, factor: int, plan2: TilePlan, denoiser,
 
     coarse_plan = plan_tiles(reduced.shape[0], reduced.shape[1],
                              patch, plan2.overlap, block=reduced.block)
-    coarse = msr_restore(reduced, coarse_plan, denoiser, cfg, on_step=on_step)
+    coarse = msr_restore(reduced, coarse_plan, denoiser, cfg)
 
     c = task.shape[2]
     sr = AvgPool((patch, patch, c), f)
 
     def hook_factory(win: Window):
-        ref = coarse[win.top // f:(win.top + win.height) // f,
-                     win.left // f:(win.left + win.width) // f, :]
-        base = sr.pinv(ref)
-
-        def hook(x0t, t):
-            out = base + x0t - sr.range_project(x0t)
-            if hook_trace is not None:
-                hook_trace.append(float(np.abs(sr.forward(out) - ref).max()))
-            return out
-
-        return hook
+        return _lowfreq_hook(sr, coarse[
+            win.top // f:(win.top + win.height) // f,
+            win.left // f:(win.left + win.width) // f, :])
 
     image = msr_restore(task, plan2, denoiser, cfg,
-                        pre_hook_factory=hook_factory, on_step=on_step)
+                        pre_hook_factory=hook_factory)
     full_sr = AvgPool(task.shape, f)
     residual = float(np.abs(full_sr.forward(image) - coarse).max())
     return HirResult(image=image, coarse=coarse, lowfreq_residual=residual)

@@ -90,9 +90,10 @@ def save_image(path: str | os.PathLike, img: Image) -> None:
         f.write(codes.tobytes())
 
 
-def _read_token(f) -> bytes:
-    """The next header token; a `#` comment runs to the end of its line
-    and separates tokens like whitespace does."""
+def _read_number(f) -> int:
+    """The next header token, a number of ASCII digits; a `#` comment runs
+    to the end of its line and separates tokens like whitespace does. No
+    file holds a size of more than 20 digits, which also bounds the read."""
     tok = b""
     while True:
         c = f.read(1)
@@ -103,8 +104,10 @@ def _read_token(f) -> bytes:
             raise CodecError("unexpected end of header")
         if c.isspace():
             if tok:
-                return tok
+                return int(tok)
             continue
+        if not c.isdigit() or len(tok) == 20:
+            raise CodecError(f"malformed header: {tok + c!r} is not a number")
         tok += c
 
 
@@ -118,17 +121,19 @@ def load_image(path: str | os.PathLike) -> Image:
             channels = 3
         else:
             raise CodecError(f"unsupported magic {magic!r}")
-        try:
-            width = int(_read_token(f))
-            height = int(_read_token(f))
-            maxval = int(_read_token(f))
-        except ValueError as e:
-            raise CodecError(f"malformed header: {e}") from None
+        width = _read_number(f)
+        height = _read_number(f)
+        maxval = _read_number(f)
         if maxval != 255:
             raise CodecError(f"unsupported maxval {maxval}, expected 255")
         if width <= 0 or height <= 0:
             raise CodecError(f"bad dimensions {width}x{height}")
         n = width * height * channels
+        # a size the file cannot hold is never passed to read()
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        if n > left:
+            raise CodecError(
+                f"truncated payload: expected {n} bytes, file has {left}")
         payload = f.read(n)
         if len(payload) != n:
             raise CodecError(

@@ -57,6 +57,8 @@ def plan_tiles(height: int, width: int, patch: int, overlap: int,
     """Positions at 0, stride, 2*stride, ..., last clamped to the edge."""
     if not 0 < overlap < patch:
         raise ValueError(f"need 0 < overlap < patch, got {overlap}/{patch}")
+    if block < 1:
+        raise ValueError(f"block must be >= 1, got {block}")
     if patch % block or overlap % block:
         raise ValueError(
             f"patch {patch} and overlap {overlap} must be multiples of "
@@ -117,8 +119,7 @@ def _freeze_hook(fixed: np.ndarray, known: np.ndarray):
 
 def msr_restore(task: Task, plan: TilePlan, denoiser, cfg: SamplerConfig,
                 use_mask_hook: bool = True,
-                pre_hook_factory=None,
-                on_step=None) -> np.ndarray:
+                pre_hook_factory=None) -> np.ndarray:
     """Solve each tile in raster order, freezing overlap with the canvas.
 
     use_mask_hook=False gives the naive independent-patch baseline (tiles
@@ -149,8 +150,7 @@ def msr_restore(task: Task, plan: TilePlan, denoiser, cfg: SamplerConfig,
         tile_cfg = dataclasses.replace(
             cfg, seed=tile_seed(cfg.seed, row, col))
         result = run_sampler(op, y, denoiser, tile_cfg,
-                             hooks=ConstraintHooks(pre=pre, post=post),
-                             on_step=on_step)
+                             hooks=ConstraintHooks(pre=pre, post=post))
         canvas.image[ys, xs, :] = result
         canvas.known[ys, xs] = True
     return canvas.image

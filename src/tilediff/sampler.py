@@ -131,8 +131,7 @@ def ddnm_plus_project(op: LinearOperator, y: np.ndarray, x0t: np.ndarray,
 
 def sample_prev(x0hat: np.ndarray, eps_t: np.ndarray, t: int,
                 sched: Schedule, cfg: SamplerConfig, noise: np.ndarray,
-                op: LinearOperator | None = None,
-                gamma: float | None = None) -> np.ndarray:
+                op: LinearOperator, gamma: float) -> np.ndarray:
     """Sample x_{t-1} = a_{t-1} x0hat + sigma_{t-1} (noise mix).
 
     noise is the step's fresh standard-normal draw eps. The noise mix is
@@ -145,7 +144,7 @@ def sample_prev(x0hat: np.ndarray, eps_t: np.ndarray, t: int,
         raise ValueError("sampling requires t >= 1")
     sig = sched.sigma[t - 1]
     out = noise
-    if gamma is not None and gamma != cfg.eta:
+    if gamma != cfg.eta:
         # not in place: Identity's range projector returns its input
         pr = op.range_project(out) * (sig * (gamma - cfg.eta))
         out *= sig * cfg.eta
@@ -220,9 +219,7 @@ class _NoiseAhead:
 
 def run_sampler(op: LinearOperator, y: np.ndarray, denoiser,
                 cfg: SamplerConfig,
-                hooks: ConstraintHooks | None = None,
-                sched: Schedule | None = None,
-                on_step: Callable[[int], None] | None = None) -> np.ndarray:
+                hooks: ConstraintHooks | None = None) -> np.ndarray:
     """Run the full reverse process and return x_0.
 
     Per step: predict eps, estimate x0|t, apply pre hooks, project onto
@@ -230,12 +227,11 @@ def run_sampler(op: LinearOperator, y: np.ndarray, denoiser,
     apply post hooks, sample x_{t-1}. Time-travel blocks re-noise the
     block start and re-traverse it cfg.travel.r times. The fresh noise is
     drawn ahead on a background thread, in the order a serial loop over
-    default_rng(cfg.seed) would draw it; the denoiser, the hooks and
-    on_step run on the calling thread.
+    default_rng(cfg.seed) would draw it; the denoiser and the hooks run on
+    the calling thread.
     """
     hooks = hooks or ConstraintHooks()
-    if sched is None:
-        sched = build_schedule(cfg.T)
+    sched = build_schedule(cfg.T)
     if denoiser.input_shape is not None and \
             tuple(denoiser.input_shape) != tuple(op.input_shape):
         raise ValueError(
@@ -264,8 +260,6 @@ def run_sampler(op: LinearOperator, y: np.ndarray, denoiser,
                     if not np.all(np.isfinite(x)):
                         raise SamplerError(
                             f"non-finite state at step t={t}")
-                    if on_step is not None:
-                        on_step(t)
                 if rep < r - 1:
                     jump = t_hi - (t_lo - 1)
                     x = renoise_jump(x, t_lo - 1, jump, noise.take(), sched)

@@ -1,5 +1,9 @@
+import contextlib
+
 import numpy as np
 import pytest
+
+from tilediff import hir
 
 
 def smooth_means(k, height, width, channels=3, seed=0, amplitude=0.6,
@@ -30,6 +34,34 @@ def smooth_means(k, height, width, channels=3, seed=0, amplitude=0.6,
 
 def constant_means(levels, height, width, channels=3):
     return [np.full((height, width, channels), float(v)) for v in levels]
+
+
+@contextlib.contextmanager
+def lowfreq_residuals():
+    """A list that gets max |A_sr out - ref| after every call of a HiR
+    low-frequency hook made inside the block.
+
+    Patched with try/finally rather than the monkeypatch fixture, because
+    test_acceptance.py also runs as a plain script.
+    """
+    trace = []
+    real = hir._lowfreq_hook
+
+    def recording(sr, ref):
+        hook = real(sr, ref)
+
+        def wrapped(x0t, t):
+            out = hook(x0t, t)
+            trace.append(float(np.abs(sr.forward(out) - ref).max()))
+            return out
+
+        return wrapped
+
+    hir._lowfreq_hook = recording
+    try:
+        yield trace
+    finally:
+        hir._lowfreq_hook = real
 
 
 @pytest.fixture

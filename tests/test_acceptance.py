@@ -31,7 +31,7 @@ from tilediff.schedule import TravelPlan, build_schedule, renoise_jump
 from tilediff.tasks import (ColorizeTask, GenerateTask, InpaintTask,
                             SuperResolutionTask)
 
-from conftest import smooth_means
+from conftest import lowfreq_residuals, smooth_means
 from test_denoise import write_prior
 from test_linops import dense_pinv_scaled
 
@@ -269,8 +269,8 @@ def test_criterion_6_hierarchical():
     task = InpaintTask(truth, known)
     plan2 = plan_tiles(h, w, PATCH, OVERLAP, block=2)
     cfg = SamplerConfig(T=15, seed=4)
-    trace = []
-    result = hir_restore(task, 2, plan2, den, cfg, hook_trace=trace)
+    with lowfreq_residuals() as trace:
+        result = hir_restore(task, 2, plan2, den, cfg)
     assert trace and max(trace) <= 1e-10  # hook is exact at every step
     assert result.lowfreq_residual <= 0.1
 
@@ -330,13 +330,11 @@ def test_criterion_8_schedule():
     assert abs(draws.mean() - mean) <= 3 * std / math.sqrt(n)
     assert abs(draws.std(ddof=1) - std) <= 3 * std / math.sqrt(2 * n)
     # T=100, block length 10, 3 traversals: exactly 300 denoising steps
-    steps = []
     op = linops.Identity((2, 2, 1))
     den = GmmDenoiser([np.zeros((2, 2, 1))], [1.0], 1.0)
     run_sampler(op, np.zeros((2, 2, 1)), den,
-                SamplerConfig(T=100, travel=TravelPlan(10, 3)),
-                on_step=lambda t: steps.append(t))
-    assert len(steps) == 300
+                SamplerConfig(T=100, travel=TravelPlan(10, 3)))
+    assert den.calls == 300
 
 
 @criterion(9, "determinism")

@@ -248,6 +248,21 @@ def test_main_reports_bad_plan_geometry(capsys, argv):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("dims", [b"99999999999 99999999999",
+                                  b"1000000000 1000000000"])
+def test_main_reports_an_impossible_input_image(tmp_path, prior_dir, capsys,
+                                                dims):
+    bad = tmp_path / "bad.ppm"
+    bad.write_bytes(b"P6 " + dims + b" 255\n" + bytes(12))
+    assert cli.main(["restore", "--task", "denoise", "--in", str(bad),
+                     "--out", str(tmp_path / "o.ppm"),
+                     "--prior", str(prior_dir)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: truncated payload")
+    metrics = read_metrics(tmp_path / "metrics.txt")
+    assert metrics["error"].startswith("truncated payload")
+
+
 class NanDenoiser(Denoiser):
     input_shape = (PATCH, PATCH, 3)
 

@@ -9,7 +9,7 @@ from tilediff.sampler import SamplerConfig
 from tilediff.tasks import (ColorizeTask, DenoiseTask, GenerateTask,
                             InpaintTask, SuperResolutionTask)
 
-from conftest import smooth_means
+from conftest import lowfreq_residuals, smooth_means
 
 PATCH, OVERLAP = 64, 32
 
@@ -102,8 +102,8 @@ def test_hir_hook_is_exact_projection_each_step(rng):
     den, task = make_inpaint_setup(rng)
     plan2 = plan_tiles(128, 192, PATCH, OVERLAP, block=2)
     cfg = SamplerConfig(T=15, seed=4)
-    trace = []
-    result = hir_restore(task, 2, plan2, den, cfg, hook_trace=trace)
+    with lowfreq_residuals() as trace:
+        result = hir_restore(task, 2, plan2, den, cfg)
     assert trace, "hook trace should have one entry per phase-2 step"
     assert max(trace) <= 1e-10
     assert np.isfinite(result.image).all()

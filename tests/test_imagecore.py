@@ -2,6 +2,9 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tilediff import imagecore
 from tilediff.imagecore import CodecError, Image, load_image, save_image
@@ -91,3 +94,57 @@ def test_header_comment_edge_cases(tmp_path):
         p.write_bytes(bad)
         with pytest.raises(CodecError):
             load_image(p)
+
+
+@pytest.mark.parametrize("dims", [b"99999999999 99999999999",
+                                  b"1000000000 1000000000"])
+def test_payload_larger_than_the_file_is_a_codec_error(tmp_path, dims):
+    # past the largest index, and past any allocation: read() must not see them
+    p = tmp_path / "big.ppm"
+    p.write_bytes(b"P6 " + dims + b" 255\n" + bytes(12))
+    with pytest.raises(CodecError, match="truncated payload"):
+        load_image(p)
+
+
+@pytest.mark.parametrize("token", [b"1_0", b"+1", b"\xd9\xa1", b"1" * 5000])
+def test_header_numbers_are_ascii_digits(tmp_path, token):
+    # int() would take the first two as 10 and 1
+    p = tmp_path / "c.ppm"
+    p.write_bytes(b"P6 " + token + b" 1 255\n" + bytes(30))
+    with pytest.raises(CodecError, match="not a number"):
+        load_image(p)
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(codes=arrays(np.uint8, st.tuples(st.integers(1, 6), st.integers(1, 6),
+                                        st.sampled_from([1, 3]))))
+def test_codes_round_trip_exactly(tmp_path, codes):
+    p = tmp_path / "r.pnm"
+    save_image(p, imagecore.dequantize(codes))
+    assert p.read_bytes()[:2] == (b"P5" if codes.shape[2] == 1 else b"P6")
+    assert np.array_equal(imagecore.quantize(load_image(p)), codes)
+
+
+# sizes are small or 20-digit, past the largest index, so a reader that
+# trusts the header fails before it allocates anything
+_numbers = st.one_of(st.integers(0, 8), st.integers(10**19, 10**20 - 1),
+                     st.integers(250, 260)).map(lambda n: b"%d" % n)
+_tokens = st.one_of(_numbers, _numbers, st.binary(max_size=4))
+_seps = st.sampled_from([b" ", b"\n", b"\t", b" # c\n", b"#", b""])
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(magic=st.sampled_from([b"P5", b"P6", b"P7", b"P"]),
+       parts=st.lists(st.tuples(_seps, _tokens), max_size=4),
+       tail=_seps, payload=st.binary(max_size=64))
+def test_fuzzed_files_load_or_raise_codec_error(tmp_path, magic, parts,
+                                               tail, payload):
+    p = tmp_path / "f.pnm"
+    p.write_bytes(magic + b"".join(s + t for s, t in parts) + tail + payload)
+    try:
+        img = load_image(p)
+    except CodecError:
+        return
+    assert img.channels == (1 if magic == b"P5" else 3)

@@ -144,8 +144,7 @@ def test_sample_prev_matches_reference_mix(rng):
             eps = np.random.default_rng(t).standard_normal(op.input_shape)
             pr = op.range_project(eps)
             noise = gam * pr + cfg.eta * (eps - pr)
-            for g, mix in ((gam, noise), (cfg.eta, cfg.eta * eps),
-                           (None, cfg.eta * eps)):
+            for g, mix in ((gam, noise), (cfg.eta, cfg.eta * eps)):
                 mix = mix + math.sqrt(1 - cfg.eta**2) * eps_t
                 want = sched.a[t - 1] * x0hat + sched.sigma[t - 1] * mix
                 draw = np.random.default_rng(t).standard_normal(

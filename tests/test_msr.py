@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tilediff.denoise import GmmDenoiser
 from tilediff.msr import (Canvas, msr_restore, overlap_mask, plan_tiles,
@@ -46,6 +48,66 @@ def test_plan_validation():
         plan_tiles(64, 98, PATCH, OVERLAP, block=4)  # alignment violation
     with pytest.raises(ValueError):
         plan_tiles(64, 96, 62, 30, block=4)
+
+
+@st.composite
+def accepted_geometries(draw):
+    """(height, width, patch, overlap, block) that plan_tiles accepts."""
+    block = draw(st.integers(1, 4))
+    patch = block * draw(st.integers(2, 8))
+    overlap = block * draw(st.integers(1, patch // block - 1))
+    height = patch + block * draw(st.integers(0, 20))
+    width = patch + block * draw(st.integers(0, 20))
+    return height, width, patch, overlap, block
+
+
+def _axis_ok(starts, extent, patch, stride):
+    """0, stride, 2 stride, ..., with only the last step shorter, ending
+    at the canvas edge."""
+    steps = np.diff(starts)
+    return (starts[0] == 0 and starts[-1] == extent - patch
+            and all(d == stride for d in steps[:-1])
+            and all(0 < d <= stride for d in steps[-1:]))
+
+
+def _covers(plan):
+    covered = np.zeros((plan.height, plan.width), dtype=bool)
+    for w in plan.windows:
+        covered[w.slices()] = True
+    return covered.all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(accepted_geometries())
+@example((64, 64, 64, 32, 1))     # canvas equal to the patch
+@example((64, 100, 64, 32, 4))    # clamped last tile, block > 1
+def test_plan_tiles_covers_the_canvas_in_raster_order(geometry):
+    height, width, patch, overlap, block = geometry
+    plan = plan_tiles(height, width, patch, overlap, block=block)
+    for w in plan.windows:
+        assert (w.height, w.width) == (patch, patch)
+        assert w.top + patch <= height and w.left + patch <= width
+        assert w.top % block == 0 and w.left % block == 0
+    tops = sorted({w.top for w in plan.windows})
+    lefts = sorted({w.left for w in plan.windows})
+    assert (plan.rows, plan.cols) == (len(tops), len(lefts))
+    assert [(w.top, w.left) for w in plan.windows] == [
+        (y, x) for y in tops for x in lefts]
+    assert _covers(plan)
+    assert _axis_ok(tops, height, patch, plan.stride)
+    assert _axis_ok(lefts, width, patch, plan.stride)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-4, 140), st.integers(-4, 140), st.integers(-4, 70),
+       st.integers(-4, 70), st.integers(-2, 6))
+def test_plan_tiles_rejects_geometry_with_value_error_only(
+        height, width, patch, overlap, block):
+    try:
+        plan = plan_tiles(height, width, patch, overlap, block=block)
+    except ValueError:
+        return
+    assert _covers(plan)
 
 
 def test_overlap_masks_by_construction():

@@ -226,7 +226,8 @@ def test_sample_prev_eta_zero_deterministic(rng):
     eps = rng.standard_normal((3, 3, 1))
     t = 7
     out = sample_prev(x0hat, eps, t, sched, cfg,
-                      np.random.default_rng(0).standard_normal((3, 3, 1)))
+                      np.random.default_rng(0).standard_normal((3, 3, 1)),
+                      op=linops.Identity((3, 3, 1)), gamma=cfg.eta)
     want = sched.a[t - 1] * x0hat + sched.sigma[t - 1] * eps
     assert np.abs(out - want).max() <= 1e-14
 
@@ -236,7 +237,8 @@ def test_sample_prev_terminal_step_clean(rng):
     cfg = SamplerConfig(T=20, eta=1.0, seed=1)
     x0hat = rng.standard_normal((3, 3, 1))
     out = sample_prev(x0hat, rng.standard_normal((3, 3, 1)), 1, sched, cfg,
-                      np.random.default_rng(0).standard_normal((3, 3, 1)))
+                      np.random.default_rng(0).standard_normal((3, 3, 1)),
+                      op=linops.Identity((3, 3, 1)), gamma=cfg.eta)
     assert np.array_equal(out, x0hat)
 
 
@@ -247,7 +249,8 @@ def test_sample_prev_variance_monte_carlo():
     t = 10
     n = 10_000
     out = sample_prev(np.zeros(n), np.zeros(n), t, sched, cfg,
-                      np.random.default_rng(3).standard_normal(n))
+                      np.random.default_rng(3).standard_normal(n),
+                      op=linops.Identity((n,)), gamma=cfg.eta)
     v = sched.sigma[t - 1] ** 2
     band = 3.0 * np.sqrt(2.0 / n) * v
     assert abs(out.var() - v) <= band
@@ -292,13 +295,12 @@ def test_run_sampler_determinism(rng):
 
 
 def test_run_sampler_step_count_with_time_travel():
-    calls = []
     op = linops.Identity((2, 2, 1))
     y = np.zeros((2, 2, 1))
     den = GmmDenoiser([np.zeros((2, 2, 1))], [1.0], math.sqrt(0.5))
     cfg = SamplerConfig(T=100, seed=0, travel=TravelPlan(10, 3))
-    run_sampler(op, y, den, cfg, on_step=lambda t: calls.append(t))
-    assert len(calls) == 300  # each of 10 blocks traversed 3 times
+    run_sampler(op, y, den, cfg)
+    assert den.calls == 300  # each of 10 blocks traversed 3 times
 
 
 def test_run_sampler_hook_order():
@@ -533,14 +535,13 @@ def test_run_sampler_raises_the_producers_error(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", FailingGenerator)
     # at the 64x64x3 patch the thread makes one draw per call
     op = linops.Identity((64, 64, 3))
-    steps = []
+    den = GmmDenoiser([np.zeros(op.input_shape)], [1.0], 1.0)
     before = threading.active_count()
     with pytest.raises(DrawError, match="call 4"):
-        within(lambda: run_sampler(op, np.zeros(op.output_shape),
-                                   ZeroDenoiser(), SamplerConfig(T=10, seed=0),
-                                   on_step=steps.append))
+        within(lambda: run_sampler(op, np.zeros(op.output_shape), den,
+                                   SamplerConfig(T=10, seed=0)))
     # the draws made before the failing call were used, then the run ended
-    assert 1 <= len(steps) < 10
+    assert 1 <= den.calls < 10
     assert threading.active_count() == before
 
 
@@ -559,7 +560,6 @@ def test_run_sampler_calls_back_on_the_calling_thread():
     op = linops.AvgPool((4, 4, 1), 2)
     run_sampler(op, np.zeros(op.output_shape), RecordingDenoiser(),
                 SamplerConfig(T=12, seed=1, travel=TravelPlan(4, 2)),
-                hooks=ConstraintHooks(pre=[hook], post=[hook]),
-                on_step=lambda t: idents.append(threading.get_ident()))
-    assert len(idents) == 4 * 24
+                hooks=ConstraintHooks(pre=[hook], post=[hook]))
+    assert len(idents) == 3 * 24
     assert set(idents) == {threading.get_ident()}
