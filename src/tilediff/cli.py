@@ -113,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--travel-l", type=int, dest="travel_l")
         p.add_argument("--travel-r", type=int, dest="travel_r")
         p.add_argument("--hir-factor", type=int, dest="hir_factor",
-                       help="coarse-phase downsample factor, 0 = off")
+                       help="coarse-phase downsample factor >= 2, 0 = off")
         p.add_argument("--seed", type=int)
         p.add_argument("--sigma-y", type=float, dest="sigma_y")
         p.add_argument("--prior", help="prior directory with prior.txt")
@@ -178,6 +178,8 @@ def validate_job(job: JobSpec):
             raise JobError(f"task {job.task} requires an input image")
     if job.task == "sr" and not job.scale:
         raise JobError("sr requires scale")
+    if job.task == "sr" and job.scale < 1:
+        raise JobError(f"scale must be >= 1, got {job.scale}")
     if job.task == "inpaint" and not job.mask:
         raise JobError("inpaint requires mask")
     if not 0 < job.overlap < job.patch:
@@ -188,7 +190,7 @@ def validate_job(job: JobSpec):
         raise JobError(
             f"patch {job.patch} and overlap {job.overlap} must be "
             f"multiples of {block} (operator block x hierarchy factor)")
-    if job.hir_factor == 1:
+    if job.hir_factor < 0 or job.hir_factor == 1:
         raise JobError("hir-factor must be 0 (off) or >= 2")
     if job.steps < 1:
         raise JobError("steps must be >= 1")

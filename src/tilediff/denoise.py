@@ -18,54 +18,10 @@ from . import imagecore
 from .schedule import Schedule
 
 
-def gaussian_posterior_x0(x_t, mu, var, a_t: float, sigma_t: float):
-    """Posterior mean of x_0 under the prior N(mu, var I).
-
-    x0hat = mu + a_t var / (a_t^2 var + sigma_t^2) * (x_t - a_t mu).
-    """
-    if sigma_t <= 0:
-        raise ValueError("denoiser requires sigma_t > 0 (never called at t=0)")
-    shrink = a_t * var / (a_t**2 * var + sigma_t**2)
-    return mu + shrink * (x_t - a_t * mu)
-
-
-def gmm_posterior_x0(x_t, means, weights, tau: float, a_t: float,
-                     sigma_t: float):
-    """Posterior mean of x_0 under a mixture of isotropic Gaussians.
-
-    Responsibilities are computed in log space with max-subtraction, so at
-    least one component always survives.
-    """
-    if sigma_t <= 0:
-        raise ValueError("denoiser requires sigma_t > 0 (never called at t=0)")
-    means = np.asarray(means, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    c = a_t**2 * tau**2 + sigma_t**2
-    diffs = x_t[None, ...] - a_t * means
-    sq = (diffs**2).reshape(len(weights), -1).sum(axis=1)
-    logp = np.log(weights) - sq / (2.0 * c)
-    logp -= logp.max()
-    rho = np.exp(logp)
-    rho /= rho.sum()
-    assert np.isfinite(rho).all()
-    mbar = np.tensordot(rho, means, axes=1)
-    shrink = a_t * tau**2 / c
-    return mbar + shrink * (x_t - a_t * mbar)
-
-
-def eps_from_x0(x_t, x0hat, a_t: float, sigma_t: float):
-    return (x_t - a_t * x0hat) / sigma_t
-
-
-def zero_eps(x_t, t: int | None = None):
-    """All-zero noise prediction (test stub); implies x0|t = x_t / a_t."""
-    return np.zeros_like(x_t)
-
-
 class Denoiser:
-    """Interface: predict_eps(x_t, t, sched). input_shape None accepts any."""
+    """Interface: predict_eps(x_t, t, sched) for states of input_shape."""
 
-    input_shape: tuple | None = None
+    input_shape: tuple
 
     def predict_eps(self, x_t: np.ndarray, t: int,
                     sched: Schedule) -> np.ndarray:
@@ -101,16 +57,14 @@ class GmmDenoiser(Denoiser):
         self._log_w = np.log(weights)
         self.calls = 0  # predict_eps calls, one per sampler step
 
-    def posterior_x0(self, x_t, t, sched):
-        return gmm_posterior_x0(x_t, self.means, self.weights, self.tau,
-                                sched.a[t], sched.sigma[t])
-
     def predict_eps(self, x_t, t, sched):
-        """eps_from_x0(x_t, posterior_x0(...)) without the K x D distances.
+        """(x_t - a x0hat) / sigma for the mixture's posterior mean x0hat,
+        without the K x D distances.
 
-        ||x - a m_k||^2 = ||x||^2 - 2a <m_k, x> + a^2 ||m_k||^2, and
-        ||x||^2 is shared by every component, so it cancels in the
-        softmax. With x0hat = mbar + shrink (x - a mbar) the noise
+        Responsibilities are the softmax of log w_k - ||x - a m_k||^2 / 2c,
+        c = a^2 tau^2 + sigma^2, and ||x - a m_k||^2 = ||x||^2 - 2a <m_k, x>
+        + a^2 ||m_k||^2, whose shared ||x||^2 cancels in the softmax. With
+        x0hat = mbar + shrink (x - a mbar), shrink = a tau^2 / c, the noise
         prediction is (1 - a shrink) / sigma (x - a mbar) = sigma / c
         (x - a mbar).
         """
@@ -136,13 +90,6 @@ class GmmDenoiser(Denoiser):
         eps += x_t
         eps *= sigma / c
         return eps
-
-
-class ZeroDenoiser(Denoiser):
-    input_shape = None
-
-    def predict_eps(self, x_t, t, sched):
-        return zero_eps(x_t, t)
 
 
 def load_gmm_prior(directory) -> GmmDenoiser:

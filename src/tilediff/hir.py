@@ -24,16 +24,6 @@ class HirResult:
     lowfreq_residual: float  # max |A_sr image - coarse|, logged, not bounded
 
 
-def derive_phase1_task(task: Task, f: int) -> Task:
-    """The reduced task solved by the semantic phase."""
-    if f < 2:
-        raise ValueError(f"hierarchy factor must be >= 2, got {f}")
-    h, w, _ = task.shape
-    if h % f or w % f:
-        raise ValueError(f"result dims {h}x{w} not divisible by factor {f}")
-    return task.reduce(f)
-
-
 def _lowfreq_hook(sr: AvgPool, ref: np.ndarray):
     """x0t -> pinv(A_sr) ref + (I - pinv(A_sr) A_sr) x0t, whose f x f block
     means are the coarse tile ref's pixels."""
@@ -53,7 +43,7 @@ def hir_restore(task: Task, factor: int, plan2: TilePlan, denoiser,
     with plan2's patch and overlap.
     """
     f = factor
-    reduced = derive_phase1_task(task, f)  # rejects f < 2 first
+    reduced = task.reduce(f)  # rejects f < 2 before patch % f
     patch = plan2.patch
     if patch % f:
         raise ValueError(f"patch {patch} must be divisible by factor {f}")

@@ -39,27 +39,6 @@ class LinearOperator:
         """Apply the range projector pinv(A) A."""
         return self.pinv(self.forward(x))
 
-    @property
-    def input_dim(self) -> int:
-        return int(np.prod(self.input_shape))
-
-    @property
-    def output_dim(self) -> int:
-        return int(np.prod(self.output_shape))
-
-    def dense_matrix(self) -> np.ndarray:
-        """Explicit (output_dim x input_dim) matrix; test oracles only."""
-        d = self.input_dim
-        if d > 4096:
-            raise ValueError(f"dense matrix limited to D <= 4096, got {d}")
-        cols = np.zeros((self.output_dim, d))
-        basis = np.zeros(d)
-        for j in range(d):
-            basis[j] = 1.0
-            cols[:, j] = self.forward(basis.reshape(self.input_shape)).ravel()
-            basis[j] = 0.0
-        return cols
-
 
 class AvgPool(LinearOperator):
     """p x p block mean per channel; pseudo-inverse is replication."""

@@ -72,27 +72,6 @@ def plan_tiles(height: int, width: int, patch: int, overlap: int,
                     width=width, block=block)
 
 
-@dataclasses.dataclass
-class Canvas:
-    """Growing full-size result with a mask of already-restored pixels."""
-
-    image: np.ndarray
-    known: np.ndarray
-
-    @classmethod
-    def blank(cls, shape) -> "Canvas":
-        return cls(image=np.zeros(shape),
-                   known=np.zeros(shape[:2], dtype=bool))
-
-
-def overlap_mask(plan: TilePlan, idx: int, canvas: Canvas) -> np.ndarray:
-    """The canvas known-mask restricted to tile idx's window."""
-    if idx < 0 or idx >= len(plan.windows):
-        raise ValueError(f"tile index {idx} out of range")
-    ys, xs = plan.windows[idx].slices()
-    return canvas.known[ys, xs].copy()
-
-
 def tile_seed(global_seed: int, row: int, col: int) -> int:
     """Stable per-tile seed, independent of tile count."""
     ss = np.random.SeedSequence((global_seed, row, col))
@@ -134,16 +113,17 @@ def msr_restore(task: Task, plan: TilePlan, denoiser, cfg: SamplerConfig,
         raise ValueError(
             f"plan {plan.height}x{plan.width} does not match task "
             f"shape {task.shape}")
-    canvas = Canvas.blank(task.shape)
+    image = np.zeros(task.shape)
+    known = np.zeros(task.shape[:2], dtype=bool)
     for idx, win in enumerate(plan.windows):
         row, col = plan.grid_index(idx)
         op, y = task.tile_problem(win)
         ys, xs = win.slices()
         post = []
         if use_mask_hook:
-            known = canvas.known[ys, xs]
-            if known.any():
-                post.append(_freeze_hook(canvas.image[ys, xs, :], known))
+            frozen = known[ys, xs]
+            if frozen.any():
+                post.append(_freeze_hook(image[ys, xs, :], frozen))
         pre = []
         if pre_hook_factory is not None:
             pre.append(pre_hook_factory(win))
@@ -151,6 +131,6 @@ def msr_restore(task: Task, plan: TilePlan, denoiser, cfg: SamplerConfig,
             cfg, seed=tile_seed(cfg.seed, row, col))
         result = run_sampler(op, y, denoiser, tile_cfg,
                              hooks=ConstraintHooks(pre=pre, post=post))
-        canvas.image[ys, xs, :] = result
-        canvas.known[ys, xs] = True
-    return canvas.image
+        image[ys, xs, :] = result
+        known[ys, xs] = True
+    return image

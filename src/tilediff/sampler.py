@@ -232,8 +232,7 @@ def run_sampler(op: LinearOperator, y: np.ndarray, denoiser,
     """
     hooks = hooks or ConstraintHooks()
     sched = build_schedule(cfg.T)
-    if denoiser.input_shape is not None and \
-            tuple(denoiser.input_shape) != tuple(op.input_shape):
+    if tuple(denoiser.input_shape) != tuple(op.input_shape):
         raise ValueError(
             f"denoiser shape {denoiser.input_shape} != operator input "
             f"{op.input_shape}")

@@ -1,5 +1,5 @@
-"""Diffusion time grid: scale factors a_t, noise levels sigma_t, the forward
-process, and the re-noising jumps used by time-travel resampling.
+"""Diffusion time grid: scale factors a_t, noise levels sigma_t, and the
+re-noising jumps used by time-travel resampling.
 
 The numeric grid is a linear-beta schedule, beta from 1e-4 to 0.02 over 1000
 reference steps, rescaled by 1000/T so any T spans the same cumulative noise
@@ -64,14 +64,6 @@ def build_schedule(T: int) -> Schedule:
     sched = Schedule(T=T, a=a, sigma=sigma)
     sched.validate()
     return sched
-
-
-def forward_diffuse(x0: np.ndarray, t: int, noise: np.ndarray,
-                    sched: Schedule) -> np.ndarray:
-    """x_t = a_t x_0 + sigma_t eps for standard-normal eps."""
-    if not 0 <= t <= sched.T:
-        raise ValueError(f"t = {t} out of range 0..{sched.T}")
-    return sched.a[t] * x0 + sched.sigma[t] * noise
 
 
 def renoise_jump(x_t: np.ndarray, t: int, l: int, noise: np.ndarray,

@@ -30,10 +30,12 @@ class Task:
         return None
 
     def reduce(self, f: int) -> "Task":
-        """The same task at 1/f size, for the coarse restoration phase."""
+        """The same task at 1/f size (f >= 2), for the coarse phase."""
         raise NotImplementedError
 
     def _check_divisible(self, f: int):
+        if f < 2:
+            raise ValueError(f"hierarchy factor must be >= 2, got {f}")
         h, w, _ = self.shape
         if h % f or w % f:
             raise ValueError(f"result dims {h}x{w} not divisible by {f}")

@@ -1,0 +1,113 @@
+"""Reference implementations the tests compare tilediff against.
+
+No run of the package needs these: the textbook Gaussian and mixture
+posterior means, the forward process, an operator's dense matrix, a
+zero-noise denoiser and a plain re-derivation of the mask-shift tiling
+loop.
+"""
+
+import dataclasses
+
+import numpy as np
+
+from tilediff.denoise import Denoiser
+from tilediff.msr import tile_seed
+from tilediff.sampler import ConstraintHooks, run_sampler
+
+
+def dense_matrix(op) -> np.ndarray:
+    """Explicit (output size x input size) matrix of op.forward."""
+    d = int(np.prod(op.input_shape))
+    if d > 4096:
+        raise ValueError(f"dense matrix limited to D <= 4096, got {d}")
+    cols = np.zeros((int(np.prod(op.output_shape)), d))
+    basis = np.zeros(d)
+    for j in range(d):
+        basis[j] = 1.0
+        cols[:, j] = op.forward(basis.reshape(op.input_shape)).ravel()
+        basis[j] = 0.0
+    return cols
+
+
+def gaussian_posterior_x0(x_t, mu, var, a_t: float, sigma_t: float):
+    """Posterior mean of x_0 under the prior N(mu, var I).
+
+    x0hat = mu + a_t var / (a_t^2 var + sigma_t^2) * (x_t - a_t mu).
+    """
+    if sigma_t <= 0:
+        raise ValueError("denoiser requires sigma_t > 0 (never called at t=0)")
+    shrink = a_t * var / (a_t**2 * var + sigma_t**2)
+    return mu + shrink * (x_t - a_t * mu)
+
+
+def gmm_posterior_x0(x_t, means, weights, tau: float, a_t: float,
+                     sigma_t: float):
+    """Posterior mean of x_0 under a mixture of isotropic Gaussians.
+
+    Responsibilities are computed in log space with max-subtraction, so at
+    least one component always survives.
+    """
+    if sigma_t <= 0:
+        raise ValueError("denoiser requires sigma_t > 0 (never called at t=0)")
+    means = np.asarray(means, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    c = a_t**2 * tau**2 + sigma_t**2
+    diffs = x_t[None, ...] - a_t * means
+    sq = (diffs**2).reshape(len(weights), -1).sum(axis=1)
+    logp = np.log(weights) - sq / (2.0 * c)
+    logp -= logp.max()
+    rho = np.exp(logp)
+    rho /= rho.sum()
+    assert np.isfinite(rho).all()
+    mbar = np.tensordot(rho, means, axes=1)
+    shrink = a_t * tau**2 / c
+    return mbar + shrink * (x_t - a_t * mbar)
+
+
+def eps_from_x0(x_t, x0hat, a_t: float, sigma_t: float):
+    return (x_t - a_t * x0hat) / sigma_t
+
+
+def forward_diffuse(x0, t: int, noise, sched):
+    """x_t = a_t x_0 + sigma_t eps for standard-normal eps."""
+    if not 0 <= t <= sched.T:
+        raise ValueError(f"t = {t} out of range 0..{sched.T}")
+    return sched.a[t] * x0 + sched.sigma[t] * noise
+
+
+class ZeroDenoiser(Denoiser):
+    """All-zero noise prediction for states of the given shape; implies
+    x0|t = x_t / a_t."""
+
+    def __init__(self, shape):
+        self.input_shape = tuple(shape)
+
+    def predict_eps(self, x_t, t, sched):
+        return np.zeros_like(x_t)
+
+
+def replay_msr(task, plan, den, cfg):
+    """Independent re-derivation of the tiling loop; asserts each committed
+    tile leaves already-known canvas pixels bitwise unchanged."""
+    image = np.zeros(task.shape)
+    known = np.zeros(task.shape[:2], dtype=bool)
+    for idx, win in enumerate(plan.windows):
+        row, col = plan.grid_index(idx)
+        op, y = task.tile_problem(win)
+        ys, xs = win.slices()
+        frozen = known[ys, xs].copy()
+        post = []
+        if frozen.any():
+            fixed = image[ys, xs, :].copy()
+            post.append(lambda x0, t, k=frozen[:, :, None], f=fixed:
+                        np.where(k, f, x0))
+        out = run_sampler(op, y, den,
+                          dataclasses.replace(cfg,
+                                              seed=tile_seed(cfg.seed, row,
+                                                             col)),
+                          hooks=ConstraintHooks(post=post))
+        if frozen.any():
+            assert np.array_equal(out[frozen], image[ys, xs, :][frozen])
+        image[ys, xs, :] = out
+        known[ys, xs] = True
+    return image

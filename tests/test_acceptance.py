@@ -6,12 +6,16 @@ are either dense linear algebra, Monte-Carlo statistics, or closed-form
 Gaussian identities.
 """
 
+import contextlib
 import dataclasses
 import functools
 import hashlib
+import io
 import math
 import os
+import pathlib
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -24,14 +28,15 @@ from tilediff import cli, linops
 from tilediff.cli import parse_job, run_job
 from tilediff.denoise import GmmDenoiser
 from tilediff.hir import hir_restore
-from tilediff.msr import Canvas, msr_restore, overlap_mask, plan_tiles, tile_seed
-from tilediff.sampler import (ConstraintHooks, SamplerConfig, ddnm_plus_project,
-                              ddnm_project, compute_lambda_gamma, run_sampler)
+from tilediff.msr import msr_restore, plan_tiles
+from tilediff.sampler import (SamplerConfig, ddnm_plus_project, ddnm_project,
+                              compute_lambda_gamma, run_sampler)
 from tilediff.schedule import TravelPlan, build_schedule, renoise_jump
 from tilediff.tasks import (ColorizeTask, GenerateTask, InpaintTask,
                             SuperResolutionTask)
 
 from conftest import lowfreq_residuals, smooth_means
+from oracles import replay_msr
 from test_denoise import write_prior
 from test_linops import dense_pinv_scaled
 
@@ -142,32 +147,6 @@ def test_criterion_3_coefficients():
         assert gamma == cfg.eta
 
 
-def _replay_msr(task, plan, den, cfg):
-    """Independent re-derivation of the tiling loop; asserts each committed
-    tile leaves already-known canvas pixels bitwise unchanged."""
-    canvas = Canvas.blank(task.shape)
-    for idx, win in enumerate(plan.windows):
-        row, col = plan.grid_index(idx)
-        op, y = task.tile_problem(win)
-        ys, xs = win.slices()
-        known = overlap_mask(plan, idx, canvas)
-        post = []
-        if known.any():
-            fixed = canvas.image[ys, xs, :].copy()
-            known3 = known[:, :, None]
-            post.append(lambda x0, t, k=known3, f=fixed: np.where(k, f, x0))
-        out = run_sampler(op, y, den,
-                          dataclasses.replace(cfg,
-                                              seed=tile_seed(cfg.seed, row,
-                                                             col)),
-                          hooks=ConstraintHooks(post=post))
-        if known.any():
-            assert np.array_equal(out[known], canvas.image[ys, xs, :][known])
-        canvas.image[ys, xs, :] = out
-        canvas.known[ys, xs] = True
-    return canvas.image
-
-
 def _line_excess(img, axis, pos, extent):
     """Boundary first-difference excess over the adjacent interior band,
     the same statistic the CLI's seam metric reports."""
@@ -195,13 +174,13 @@ def test_criterion_4_msr_seams():
     # equals the public implementation bit for bit
     for plan, shape in ((two, (64, 96)), (six, (96, 128))):
         gen = GenerateTask(shape[0], shape[1], 3)
-        assert np.array_equal(_replay_msr(gen, plan, den, cfg),
+        assert np.array_equal(replay_msr(gen, plan, den, cfg),
                               msr_restore(gen, plan, den, cfg))
         truth = rng.uniform(-1, 1, size=shape + (3,))
         y = truth.reshape(shape[0] // 4, 4, shape[1] // 4, 4, 3).mean(
             axis=(1, 3))
         sr = SuperResolutionTask(y, 4)
-        img = _replay_msr(sr, plan, den, cfg)
+        img = replay_msr(sr, plan, den, cfg)
         assert np.array_equal(img, msr_restore(sr, plan, den, cfg))
         op, yy = sr.full_problem()
         assert np.abs(op.forward(img) - yy).max() <= 1e-6
@@ -339,36 +318,30 @@ def test_criterion_8_schedule():
 
 @criterion(9, "determinism")
 def test_criterion_9_determinism(tmp_path=None):
-    import io
-    import tempfile
-    from contextlib import redirect_stdout
-
-    if tmp_path is None:
-        tmp_path = tempfile.mkdtemp()
-    tmp_path = str(tmp_path)
-
     outputs = []
     for _ in range(2):
         buf = io.StringIO()
-        with redirect_stdout(buf):
+        with contextlib.redirect_stdout(buf):
             assert cli.main(["selftest"]) == 0
         outputs.append(buf.getvalue())
     assert outputs[0] == outputs[1]
 
-    import pathlib
-    prior = pathlib.Path(tmp_path) / "prior"
-    prior.mkdir(exist_ok=True)
-    write_prior(prior, smooth_means(2, PATCH, PATCH, seed=11), [0.5, 0.5],
-                0.05)
-    hashes = set()
-    for name in ("first.ppm", "second.ppm"):
-        out = f"{tmp_path}/{name}"
-        _, job = parse_job(["generate", "--width", "96", "--height", "64",
-                            "--out", out, "--prior", str(prior),
-                            "--seed", "5",
-                            "--steps", "15", "--travel-r", "1"])
-        assert run_job(job) == 0
-        hashes.add(hashlib.sha256(open(out, "rb").read()).hexdigest())
+    # a plain script run gets a directory that is removed afterwards
+    with (contextlib.nullcontext(tmp_path) if tmp_path is not None
+          else tempfile.TemporaryDirectory()) as tmp:
+        prior = pathlib.Path(tmp) / "prior"
+        prior.mkdir(exist_ok=True)
+        write_prior(prior, smooth_means(2, PATCH, PATCH, seed=11),
+                    [0.5, 0.5], 0.05)
+        hashes = set()
+        for name in ("first.ppm", "second.ppm"):
+            out = pathlib.Path(tmp) / name
+            _, job = parse_job(["generate", "--width", "96", "--height", "64",
+                                "--out", str(out), "--prior", str(prior),
+                                "--seed", "5",
+                                "--steps", "15", "--travel-r", "1"])
+            assert run_job(job) == 0
+            hashes.add(hashlib.sha256(out.read_bytes()).hexdigest())
     assert len(hashes) == 1
 
 

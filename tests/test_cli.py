@@ -236,6 +236,27 @@ def test_main_reports_job_errors(capsys):
     assert "scale" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["generate", "--width", "128", "--height", "128", "--hir-factor", "-2"],
+     "error: hir-factor must be 0 (off) or >= 2"),
+    (["restore", "--task", "sr", "--scale", "-2", "--in", "x.ppm"],
+     "error: scale must be >= 1, got -2")], ids=["hir-factor", "scale"])
+def test_main_rejects_a_negative_factor(tmp_path, prior_dir, capsys, argv,
+                                        message):
+    assert cli.main(argv + ["--prior", str(prior_dir),
+                            "--out", str(tmp_path / "o.ppm")]) == 2
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert not (tmp_path / "metrics.txt").exists()
+
+
+def test_config_file_negative_hir_factor_is_a_job_error(tmp_path, prior_dir):
+    cfgfile = tmp_path / "job.cfg"
+    cfgfile.write_text(f"hir_factor = -2\nprior = {prior_dir}\n")
+    with pytest.raises(JobError, match="hir-factor must be 0"):
+        parse_job(["generate", "--config", str(cfgfile), "--width", "128",
+                   "--height", "128", "--out", str(tmp_path / "g.ppm")])
+
+
 @pytest.mark.parametrize("argv", [
     ["--width", "10", "--height", "10"],             # canvas below patch
     ["--width", "100", "--height", "64", "--block", "3"],  # misaligned

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from tilediff import imagecore
-from tilediff.denoise import (GmmDenoiser, ZeroDenoiser, eps_from_x0,
-                              gaussian_posterior_x0, gmm_posterior_x0,
-                              load_gmm_prior, zero_eps)
+from tilediff.denoise import GmmDenoiser, load_gmm_prior
 from tilediff.schedule import build_schedule
 
 from conftest import smooth_means
+from oracles import (ZeroDenoiser, eps_from_x0, gaussian_posterior_x0,
+                     gmm_posterior_x0)
 
 
 def test_gaussian_shrinkage_half():
@@ -101,7 +101,8 @@ def test_eps_x0_roundtrip(rng):
                       [0.6, 0.4], 0.05)
     xt = rng.standard_normal((4, 4, 3))
     t = 17
-    x0 = den.posterior_x0(xt, t, sched)
+    x0 = gmm_posterior_x0(xt, den.means, den.weights, den.tau, sched.a[t],
+                          sched.sigma[t])
     eps = den.predict_eps(xt, t, sched)
     back = (xt - sched.sigma[t] * eps) / sched.a[t]
     assert np.abs(back - x0).max() <= 1e-12
@@ -109,10 +110,10 @@ def test_eps_x0_roundtrip(rng):
 
 def test_zero_eps_stub(rng):
     xt = rng.standard_normal((2, 2, 1))
-    assert np.array_equal(zero_eps(xt), np.zeros_like(xt))
     sched = build_schedule(10)
-    den = ZeroDenoiser()
+    den = ZeroDenoiser(xt.shape)
     eps = den.predict_eps(xt, 5, sched)
+    assert np.array_equal(eps, np.zeros_like(xt))
     x0 = (xt - sched.sigma[5] * eps) / sched.a[5]
     assert np.allclose(x0, xt / sched.a[5])
 

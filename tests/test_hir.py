@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tilediff.denoise import GmmDenoiser
-from tilediff.hir import derive_phase1_task, hir_restore
+from tilediff.hir import hir_restore
 from tilediff.linops import AvgPool
 from tilediff.msr import msr_restore, plan_tiles
 from tilediff.sampler import SamplerConfig
@@ -28,13 +28,24 @@ def test_factor_validation():
             hir_restore(task, factor, plan2, make_denoiser(),
                         SamplerConfig(T=2))
         with pytest.raises(ValueError, match="factor must be >= 2"):
-            derive_phase1_task(task, factor)
+            task.reduce(factor)
+
+
+@pytest.mark.parametrize("factor", [-2, 0, 1])
+def test_every_task_reduce_rejects_factors_below_2(rng, factor):
+    obs = rng.uniform(-1, 1, size=(8, 8, 3))
+    for task in (SuperResolutionTask(obs, 4),
+                 InpaintTask(obs, np.ones((8, 8), dtype=bool)),
+                 ColorizeTask(obs[:, :, :1]), DenoiseTask(obs),
+                 GenerateTask(8, 8, 3)):
+        with pytest.raises(ValueError, match="factor must be >= 2"):
+            task.reduce(factor)
 
 
 def test_derive_sr_halves_scale(rng):
     y = rng.uniform(-1, 1, size=(8, 8, 3))
     task = SuperResolutionTask(y, 16)
-    red = derive_phase1_task(task, 2)
+    red = task.reduce(2)
     assert isinstance(red, SuperResolutionTask)
     assert red.scale == 8
     assert red.shape == (64, 64, 3)
@@ -44,18 +55,18 @@ def test_derive_sr_halves_scale(rng):
 def test_derive_sr_requires_divisible_scale(rng):
     task = SuperResolutionTask(rng.uniform(-1, 1, size=(8, 8, 3)), 4)
     with pytest.raises(ValueError):
-        derive_phase1_task(task, 3)
+        task.reduce(3)
 
 
 def test_derive_inpaint_footprint_rule(rng):
     obs = rng.uniform(-1, 1, size=(8, 8, 3))
     all_known = InpaintTask(obs, np.ones((8, 8), dtype=bool))
-    red = derive_phase1_task(all_known, 2)
+    red = all_known.reduce(2)
     assert red.known.all()
     # checkerboard: no 2x2 footprint is fully known -> all missing
     checker = (np.indices((8, 8)).sum(axis=0) % 2 == 0)
     with pytest.warns(UserWarning, match="no known pixels"):
-        red = derive_phase1_task(InpaintTask(obs, checker), 2)
+        red = InpaintTask(obs, checker).reduce(2)
     assert not red.known.any()
 
 
@@ -63,25 +74,25 @@ def test_derive_inpaint_values_are_footprint_means(rng):
     obs = rng.uniform(-1, 1, size=(4, 4, 1))
     known = np.zeros((4, 4), dtype=bool)
     known[:2, :2] = True
-    red = derive_phase1_task(InpaintTask(obs, known), 2)
+    red = InpaintTask(obs, known).reduce(2)
     assert red.known[0, 0] and not red.known[0, 1]
     assert red.observed[0, 0, 0] == pytest.approx(obs[:2, :2, 0].mean())
 
 
 def test_derive_other_tasks(rng):
     gray = rng.uniform(-1, 1, size=(8, 8, 1))
-    red = derive_phase1_task(ColorizeTask(gray), 2)
+    red = ColorizeTask(gray).reduce(2)
     assert red.shape == (4, 4, 3)
     assert red.gray[0, 0, 0] == pytest.approx(gray[:2, :2, 0].mean())
-    red = derive_phase1_task(DenoiseTask(rng.uniform(-1, 1, (8, 8, 3))), 4)
+    red = DenoiseTask(rng.uniform(-1, 1, (8, 8, 3))).reduce(4)
     assert red.shape == (2, 2, 3)
-    red = derive_phase1_task(GenerateTask(128, 192, 3), 2)
+    red = GenerateTask(128, 192, 3).reduce(2)
     assert red.shape == (64, 96, 3)
 
 
 def test_derive_rejects_nondivisible_dims():
     with pytest.raises(ValueError):
-        derive_phase1_task(GenerateTask(66, 64, 3), 4)
+        GenerateTask(66, 64, 3).reduce(4)
 
 
 def make_inpaint_setup(rng, h=128, w=192, f=2, known_frac=0.5):
@@ -124,7 +135,7 @@ def test_hir_phase1_consistency_inherited(rng):
     plan2 = plan_tiles(128, 192, PATCH, OVERLAP, block=2)
     cfg = SamplerConfig(T=15, seed=4)
     result = hir_restore(task, 2, plan2, den, cfg)
-    red = derive_phase1_task(task, 2)
+    red = task.reduce(2)
     op, y = red.full_problem()
     assert np.abs(op.forward(result.coarse) - y).max() <= 1e-6
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from tilediff import linops
-from tilediff.denoise import GmmDenoiser, eps_from_x0, gmm_posterior_x0
+from tilediff.denoise import GmmDenoiser
 from tilediff.imagecore import Window
 from tilediff.msr import _freeze_hook
 from tilediff.sampler import (SamplerConfig, compute_lambda_gamma,
@@ -20,6 +20,7 @@ from tilediff.schedule import build_schedule
 from tilediff.tasks import GenerateTask
 
 from conftest import smooth_means
+from oracles import eps_from_x0, gmm_posterior_x0
 
 EPS = np.finfo(np.float64).eps
 

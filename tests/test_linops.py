@@ -1,7 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tilediff import imagecore, linops
+
+from oracles import dense_matrix
+from test_sampler import small_operators
 
 
 def random_ops(rng, shape=(8, 8, 3)):
@@ -84,7 +91,8 @@ def test_identity_props(rng):
     x = rng.standard_normal((4, 4, 3))
     assert np.array_equal(op.forward(x), x)
     assert np.array_equal(op.pinv(x), x)
-    assert op.sing_value == 1.0 and op.output_dim == op.input_dim == 48
+    assert op.sing_value == 1.0
+    assert math.prod(op.output_shape) == math.prod(op.input_shape) == 48
 
 
 def test_pseudo_inverse_identities(rng):
@@ -104,6 +112,23 @@ def test_pseudo_inverse_identities(rng):
         assert np.abs(op.forward(op.pinv(y)) - y).max() <= 1e-10
 
 
+@settings(max_examples=150, deadline=None)
+@given(op=small_operators(), seed=st.integers(0, 2**32 - 1))
+def test_operator_identities_on_random_shapes(op, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(op.input_shape)
+    y = rng.standard_normal(op.output_shape)
+    # A pinv(A) y = y; a Mask with nothing known measures nothing
+    assert np.max(np.abs(op.forward(op.pinv(y)) - y), initial=0.0) <= 1e-10
+    # the range projector pinv(A) A is idempotent ...
+    px = op.range_project(x)
+    assert np.abs(op.range_project(px) - px).max() <= 1e-10
+    # ... and equals pinv(M) M for the operator's dense matrix M
+    m = dense_matrix(op)
+    want = np.linalg.pinv(m) @ (m @ x.ravel())
+    assert np.abs(px.ravel() - want).max() <= 1e-10
+
+
 def test_forward_is_linear(rng):
     for op in random_ops(rng):
         x, z = (rng.standard_normal(op.input_shape) for _ in range(2))
@@ -115,7 +140,7 @@ def test_forward_is_linear(rng):
 
 def dense_pinv_scaled(op, residual, f):
     """Dense-SVD oracle: V diag(f(s_i)) pinv(S) U^T residual."""
-    a = op.dense_matrix()
+    a = dense_matrix(op)
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     keep = s > 1e-12
     u, s, vt = u[:, keep], s[keep], vt[keep]
@@ -142,7 +167,7 @@ def test_pinv_scaled_matches_dense_svd(rng, f):
 
 def test_dense_matrix_matches_forward(rng):
     op = linops.Gray((3, 3, 3))
-    a = op.dense_matrix()
+    a = dense_matrix(op)
     x = rng.standard_normal(op.input_shape)
     assert np.allclose(a @ x.ravel(), op.forward(x).ravel(), atol=1e-12)
 
@@ -150,7 +175,7 @@ def test_dense_matrix_matches_forward(rng):
 def test_dense_matrix_size_guard():
     op = linops.Identity((64, 64, 3))
     with pytest.raises(ValueError):
-        op.dense_matrix()
+        dense_matrix(op)
 
 
 def test_load_mask_roundtrip(tmp_path, rng):

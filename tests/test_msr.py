@@ -6,12 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tilediff.denoise import GmmDenoiser
-from tilediff.msr import (Canvas, msr_restore, overlap_mask, plan_tiles,
-                          tile_seed)
-from tilediff.sampler import SamplerConfig, run_sampler
-from tilediff.tasks import GenerateTask, SuperResolutionTask
+from tilediff.msr import msr_restore, plan_tiles, tile_seed
+from tilediff.sampler import ConstraintHooks, SamplerConfig, run_sampler
+from tilediff.tasks import GenerateTask, InpaintTask, SuperResolutionTask
 
 from conftest import smooth_means
+from oracles import replay_msr
 
 PATCH, OVERLAP = 64, 32
 
@@ -112,25 +112,58 @@ def test_plan_tiles_rejects_geometry_with_value_error_only(
 
 def test_overlap_masks_by_construction():
     plan = plan_tiles(96, 96, PATCH, OVERLAP)
-    canvas = Canvas.blank((96, 96, 3))
+    known = np.zeros((96, 96), dtype=bool)
     # tile 0: nothing restored yet
-    assert not overlap_mask(plan, 0, canvas).any()
-    ys, xs = plan.windows[0].slices()
-    canvas.known[ys, xs] = True
+    assert not known[plan.windows[0].slices()].any()
+    known[plan.windows[0].slices()] = True
     # tile 1 (second in first row): left `overlap` columns known
-    m1 = overlap_mask(plan, 1, canvas)
+    m1 = known[plan.windows[1].slices()]
     assert m1[:, :OVERLAP].all() and not m1[:, OVERLAP:].any()
-    ys, xs = plan.windows[1].slices()
-    canvas.known[ys, xs] = True
+    known[plan.windows[1].slices()] = True
     # tile 2 (first of second row): top `overlap` rows known
-    m2 = overlap_mask(plan, 2, canvas)
+    m2 = known[plan.windows[2].slices()]
     assert m2[:OVERLAP, :].all() and not m2[OVERLAP:, :].any()
     # tile 3 sees an L-shaped known region
-    ys, xs = plan.windows[2].slices()
-    canvas.known[ys, xs] = True
-    m3 = overlap_mask(plan, 3, canvas)
+    known[plan.windows[2].slices()] = True
+    m3 = known[plan.windows[3].slices()]
     assert m3[:OVERLAP, :].all() and m3[:, :OVERLAP].all()
     assert not m3[OVERLAP:, OVERLAP:].any()
+
+
+@st.composite
+def small_geometries(draw):
+    """(height, width, patch, overlap, block) with a 4-16 px patch and up
+    to two strides past it per side, so a last tile may be clamped."""
+    block = draw(st.sampled_from([1, 2, 4]))
+    patch = block * draw(st.integers(max(2, 4 // block), 16 // block))
+    overlap = block * draw(st.integers(1, patch // block - 1))
+    height, width = (patch + block * draw(
+        st.integers(0, 2 * (patch - overlap) // block)) for _ in range(2))
+    return height, width, patch, overlap, block
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_geometries(), st.sampled_from(["generate", "sr", "inpaint"]),
+       st.integers(0, 2**32 - 1))
+@example((8, 8, 8, 4, 2), "inpaint", 0)      # canvas equal to the patch
+@example((14, 14, 8, 4, 2), "sr", 1)         # clamped last row and column
+def test_msr_equals_the_replay_bitwise_on_random_plans(geometry, kind, seed):
+    height, width, patch, overlap, block = geometry
+    plan = plan_tiles(height, width, patch, overlap, block=block)
+    rng = np.random.default_rng(seed)
+    if kind == "generate":
+        task = GenerateTask(height, width, 3)
+    elif kind == "sr":
+        task = SuperResolutionTask(rng.uniform(
+            -1, 1, size=(height // block, width // block, 3)), block)
+    else:
+        task = InpaintTask(rng.uniform(-1, 1, size=(height, width, 3)),
+                           rng.random((height, width)) < 0.5)
+    den = GmmDenoiser(smooth_means(2, patch, patch, seed=seed),
+                      [0.5, 0.5], 0.05)
+    cfg = SamplerConfig(T=4, seed=seed)
+    assert np.array_equal(msr_restore(task, plan, den, cfg),
+                          replay_msr(task, plan, den, cfg))
 
 
 def test_tile_seed_stable_and_distinct():
@@ -162,20 +195,18 @@ def test_two_tile_sr_seam_is_bitwise_exact(rng):
 
     orig = msr_restore(task, plan, den, cfg)
     # second pass, capturing the tile-2 sampler output before commit
-    canvas2 = Canvas.blank(task.shape)
+    image = np.zeros(task.shape)
+    known = np.zeros(task.shape[:2], dtype=bool)
     op, y = task.tile_problem(plan.windows[0])
     t0 = run_sampler(op, y, den,
                      dataclasses.replace(cfg, seed=tile_seed(2, 0, 0)))
-    canvas2.image[plan.windows[0].slices()[0],
-                  plan.windows[0].slices()[1], :] = t0
-    canvas2.known[plan.windows[0].slices()[0],
-                  plan.windows[0].slices()[1]] = True
+    image[plan.windows[0].slices()] = t0
+    known[plan.windows[0].slices()] = True
     win = plan.windows[1]
     op, y = task.tile_problem(win)
     ys, xs = win.slices()
-    fixed = canvas2.image[ys, xs, :].copy()
-    known3 = canvas2.known[ys, xs][:, :, None]
-    from tilediff.sampler import ConstraintHooks
+    fixed = image[ys, xs, :].copy()
+    known3 = known[ys, xs][:, :, None]
     t1 = run_sampler(op, y, den,
                      dataclasses.replace(cfg, seed=tile_seed(2, 0, 1)),
                      hooks=ConstraintHooks(post=[
@@ -183,8 +214,8 @@ def test_two_tile_sr_seam_is_bitwise_exact(rng):
     # overlap columns equal the canvas bitwise (final-step overwrite)
     assert np.array_equal(t1[:, :OVERLAP, :], fixed[:, :OVERLAP, :])
     # and the assembled image from the public API matches this replay
-    canvas2.image[ys, xs, :] = t1
-    assert np.array_equal(orig, canvas2.image)
+    image[ys, xs, :] = t1
+    assert np.array_equal(orig, image)
 
 
 def test_msr_global_consistency_sr(rng):

@@ -10,15 +10,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tilediff import linops
-from tilediff.denoise import GmmDenoiser, ZeroDenoiser
+from tilediff.denoise import GmmDenoiser
 from tilediff.imagecore import Window
 from tilediff.sampler import (ConstraintHooks, SamplerConfig, SamplerError,
                               compute_lambda_gamma, ddnm_plus_project,
                               ddnm_project, estimate_x0, run_sampler,
                               sample_prev)
 from tilediff.schedule import (Schedule, TravelPlan, build_schedule,
-                               forward_diffuse, renoise_jump, travel_blocks)
+                               renoise_jump, travel_blocks)
 from tilediff.tasks import GenerateTask
+
+from oracles import ZeroDenoiser, dense_matrix, forward_diffuse
 
 
 def make_vp_schedule(a_values):
@@ -175,14 +177,18 @@ def test_ddnm_plus_clamp_gives_gamma_zero(rng):
 
 @st.composite
 def small_operators(draw):
-    """One of the four operators on a drawn shape, D = H*W*C <= 192."""
+    """One of the four operators on a drawn shape, D = H*W*C <= 192:
+    AvgPool with block 1-4, and Mask given per pixel with a channel count
+    or per element."""
     kind = draw(st.sampled_from(["avgpool", "mask", "gray", "identity"]))
     c = 3 if kind == "gray" else draw(st.sampled_from([1, 3]))
-    p = draw(st.sampled_from([1, 2, 4])) if kind == "avgpool" else 1
+    p = draw(st.integers(1, 4)) if kind == "avgpool" else 1
     h, w = (p * draw(st.integers(1, 8 // p)) for _ in range(2))
     if kind == "avgpool":
         return linops.AvgPool((h, w, c), p)
     if kind == "mask":
+        if draw(st.booleans()):
+            return linops.Mask(draw(arrays(bool, (h, w, c))))
         return linops.Mask(draw(arrays(bool, (h, w))), channels=c)
     if kind == "gray":
         return linops.Gray((h, w, c))
@@ -201,7 +207,7 @@ def test_ddnm_plus_matches_dense_svd(op, t, sigma_y, eta, seed):
     rng = np.random.default_rng(seed)
     x0t = rng.standard_normal(op.input_shape)
     y = rng.standard_normal(op.output_shape)
-    a = op.dense_matrix()
+    a = dense_matrix(op)
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     keep = s > 1e-12
     u, s, vt = u[:, keep], s[keep], vt[keep]
@@ -268,7 +274,7 @@ def test_run_sampler_full_mask_returns_measurement_exactly(rng):
 def test_run_sampler_zero_eps_smoke(rng):
     op = linops.AvgPool((4, 4, 1), 2)
     y = rng.standard_normal(op.output_shape)
-    out = run_sampler(op, y, ZeroDenoiser(),
+    out = run_sampler(op, y, ZeroDenoiser(op.input_shape),
                       SamplerConfig(T=30, eta=1.0, seed=9))
     assert np.isfinite(out).all()
     assert np.abs(op.forward(out) - y).max() <= 1e-6
@@ -324,7 +330,7 @@ def test_run_sampler_aborts_on_nonfinite():
 
     op = linops.Identity((2, 2, 1))
     with pytest.raises(SamplerError, match="t=5"):
-        run_sampler(op, np.zeros((2, 2, 1)), BadDenoiser(),
+        run_sampler(op, np.zeros((2, 2, 1)), BadDenoiser(op.input_shape),
                     SamplerConfig(T=10, seed=0))
 
 
@@ -461,13 +467,13 @@ def test_run_sampler_leaves_no_thread_behind():
     y = np.zeros(op.output_shape)
     cfg = SamplerConfig(T=40, seed=0, travel=TravelPlan(5, 2))
     before = threading.active_count()
-    within(lambda: run_sampler(op, y, ZeroDenoiser(), cfg))
+    within(lambda: run_sampler(op, y, ZeroDenoiser(op.input_shape), cfg))
     assert threading.active_count() == before
     with pytest.raises(SamplerError, match="t=5"):
-        within(lambda: run_sampler(op, y, BadDenoiser(), cfg))
+        within(lambda: run_sampler(op, y, BadDenoiser(op.input_shape), cfg))
     assert threading.active_count() == before
     with pytest.raises(KeyError, match="hook"):
-        within(lambda: run_sampler(op, y, ZeroDenoiser(), cfg,
+        within(lambda: run_sampler(op, y, ZeroDenoiser(op.input_shape), cfg,
                                    hooks=ConstraintHooks(post=[late_hook])))
     assert threading.active_count() == before
 
@@ -488,7 +494,8 @@ def test_run_sampler_stops_its_thread_at_any_step_under_switching():
         cfg = SamplerConfig(T=6, seed=stop_at, travel=TravelPlan(2, 2))
         for _ in range(15):
             try:
-                run_sampler(op, np.zeros(op.output_shape), ZeroDenoiser(), cfg,
+                run_sampler(op, np.zeros(op.output_shape),
+                            ZeroDenoiser(op.input_shape), cfg,
                             hooks=ConstraintHooks(post=[hook]))
                 outcomes.append(None)
             except Exception as exc:
@@ -558,7 +565,8 @@ def test_run_sampler_calls_back_on_the_calling_thread():
         return x0
 
     op = linops.AvgPool((4, 4, 1), 2)
-    run_sampler(op, np.zeros(op.output_shape), RecordingDenoiser(),
+    run_sampler(op, np.zeros(op.output_shape),
+                RecordingDenoiser(op.input_shape),
                 SamplerConfig(T=12, seed=1, travel=TravelPlan(4, 2)),
                 hooks=ConstraintHooks(pre=[hook], post=[hook]))
     assert len(idents) == 3 * 24
