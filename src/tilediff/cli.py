@@ -194,6 +194,15 @@ def validate_job(job: JobSpec):
         raise JobError("hir-factor must be 0 (off) or >= 2")
     if job.steps < 1:
         raise JobError("steps must be >= 1")
+    if not 0.0 <= job.eta <= 1.0:
+        raise JobError(f"eta must be in [0, 1], got {job.eta}")
+    if not job.sigma_y >= 0.0:
+        raise JobError(f"sigma-y must be >= 0, got {job.sigma_y}")
+    if job.travel_l < 1 or job.travel_r < 1:
+        raise JobError(f"travel-l and travel-r must be >= 1, got "
+                       f"{job.travel_l} and {job.travel_r}")
+    if job.seed < 0:
+        raise JobError(f"seed must be >= 0, got {job.seed}")
     if job.task == "generate":
         _check_hir_canvas(job, job.height, job.width)
 

@@ -30,7 +30,10 @@ def _lowfreq_hook(sr: AvgPool, ref: np.ndarray):
     base = sr.pinv(ref)
 
     def hook(x0t, t):
-        return base + x0t - sr.range_project(x0t)
+        # (base + x0t) + pinv(-A x0t) is bitwise (base + x0t) - pinv(A x0t):
+        # IEEE defines a - b as a + (-b)
+        out = base + x0t
+        return sr.add_pinv(out, np.negative(sr.forward(x0t)), out=out)
 
     return hook
 

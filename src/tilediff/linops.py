@@ -39,6 +39,18 @@ class LinearOperator:
         """Apply the range projector pinv(A) A."""
         return self.pinv(self.forward(x))
 
+    def add_pinv(self, x: np.ndarray, r: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+        """x + pinv(r), written into out when given (out may be x)."""
+        return np.add(x, self.pinv(r), out=out)
+
+    def project(self, y: np.ndarray, x0t: np.ndarray) -> np.ndarray:
+        """pinv(A) y + (I - pinv(A) A) x0t, the measurement-consistent
+        point nearest x0t."""
+        # grouped so that where the projector keeps a pixel whole
+        # (Identity) the result is y exactly
+        return self.pinv(y) + (x0t - self.range_project(x0t))
+
 
 class AvgPool(LinearOperator):
     """p x p block mean per channel; pseudo-inverse is replication."""
@@ -73,6 +85,22 @@ class AvgPool(LinearOperator):
     def pinv(self, y):
         return np.repeat(np.repeat(y, self.p, axis=0), self.p, axis=1)
 
+    def add_pinv(self, x, r, out=None):
+        # Replicate r along the width only and let the add broadcast it over
+        # the p rows of each block: every element is the same x + r sum as
+        # with the full replication, without building it. Splitting the
+        # first axis is always a view, so out receives the result. A 5-D
+        # view broadcasting over both block axes is slower: its inner loop
+        # runs over only c elements.
+        h, w, c = self.input_shape
+        p = self.p
+        rows = x.reshape(h // p, p, w, c)
+        wide = np.repeat(r, p, axis=1)[:, None]
+        if out is None:
+            return np.add(rows, wide).reshape(h, w, c)
+        np.add(rows, wide, out=out.reshape(rows.shape))
+        return out
+
 
 class Mask(LinearOperator):
     """Selects known pixels; pseudo-inverse scatters, zeros elsewhere."""
@@ -104,6 +132,15 @@ class Mask(LinearOperator):
 
     def pinv(self, y):
         out = np.zeros(self.input_shape)
+        out[self.known] = y
+        return out
+
+    def project(self, y, x0t):
+        # One scatter of y over a copy of x0t. The grouped base form can
+        # differ only in the sign of a zero: it turns a -0.0 in y, or in
+        # x0t at an unknown pixel, into +0.0. It also makes a non-finite
+        # x0t at a known pixel NaN, where this writes y.
+        out = x0t.copy()
         out[self.known] = y
         return out
 

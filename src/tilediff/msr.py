@@ -78,19 +78,43 @@ def tile_seed(global_seed: int, row: int, col: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _freeze_hook(fixed: np.ndarray, known: np.ndarray):
-    """x0 -> x0 with the known (H, W) pixels of `fixed` written over it.
+def _overlap_rects(windows, idx: int) -> list[tuple[slice, slice]]:
+    """The already-restored part of windows[idx] as (row, col) slices of
+    the tile: its intersections with the earlier windows of the plan,
+    less any that lies inside another (two distinct windows never cut the
+    same rectangle)."""
+    win = windows[idx]
+    rects = []
+    for prev in windows[:idx]:
+        top = max(win.top, prev.top) - win.top
+        left = max(win.left, prev.left) - win.left
+        bottom = min(win.top + win.height, prev.top + prev.height) - win.top
+        right = min(win.left + win.width, prev.left + prev.width) - win.left
+        if top < bottom and left < right:
+            rects.append((top, bottom, left, right))
 
-    Bitwise equal to np.where(known[..., None], fixed, x0); the flat indices
-    and frozen values are gathered once per tile, and the copy keeps x0,
-    which the projection may hand back unchanged, intact.
+    def inside(a, b):
+        return b[0] <= a[0] and a[1] <= b[1] and b[2] <= a[2] and a[3] <= b[3]
+
+    return [(slice(a[0], a[1]), slice(a[2], a[3])) for a in rects
+            if not any(b is not a and inside(a, b) for b in rects)]
+
+
+def _overlap_hook(fixed: np.ndarray, rects):
+    """x0 -> x0 with each rectangle of `fixed` written over it.
+
+    Bitwise equal to np.where(known[..., None], fixed, x0) with known the
+    union of rects. Overlapping rectangles carry the same values, so their
+    order does not matter. The values are copied once per tile, and the
+    copy of x0 keeps x0, which the projection may hand back unchanged,
+    intact.
     """
-    idx = np.flatnonzero(np.broadcast_to(known[:, :, None], fixed.shape))
-    vals = fixed.reshape(-1)[idx]
+    frozen = [(ys, xs, fixed[ys, xs].copy()) for ys, xs in rects]
 
     def hook(x0, t):
         out = x0.copy()
-        out.reshape(-1)[idx] = vals
+        for ys, xs, vals in frozen:
+            out[ys, xs] = vals
         return out
 
     return hook
@@ -114,16 +138,15 @@ def msr_restore(task: Task, plan: TilePlan, denoiser, cfg: SamplerConfig,
             f"plan {plan.height}x{plan.width} does not match task "
             f"shape {task.shape}")
     image = np.zeros(task.shape)
-    known = np.zeros(task.shape[:2], dtype=bool)
     for idx, win in enumerate(plan.windows):
         row, col = plan.grid_index(idx)
         op, y = task.tile_problem(win)
         ys, xs = win.slices()
         post = []
         if use_mask_hook:
-            frozen = known[ys, xs]
-            if frozen.any():
-                post.append(_freeze_hook(image[ys, xs, :], frozen))
+            rects = _overlap_rects(plan.windows, idx)
+            if rects:
+                post.append(_overlap_hook(image[ys, xs, :], rects))
         pre = []
         if pre_hook_factory is not None:
             pre.append(pre_hook_factory(win))
@@ -132,5 +155,4 @@ def msr_restore(task: Task, plan: TilePlan, denoiser, cfg: SamplerConfig,
         result = run_sampler(op, y, denoiser, tile_cfg,
                              hooks=ConstraintHooks(pre=pre, post=post))
         image[ys, xs, :] = result
-        known[ys, xs] = True
     return image

@@ -72,8 +72,7 @@ def ddnm_project(op: LinearOperator, y: np.ndarray,
     if y.size == 0:
         # nothing is measured (generation): the projection is the identity
         return x0t
-    # grouping keeps mask-style projectors bitwise exact on known pixels
-    return op.pinv(y) + (x0t - op.range_project(x0t))
+    return op.project(y, x0t)
 
 
 def compute_lambda_gamma(s: float, t: int, sched: Schedule, eta: float,
@@ -126,7 +125,7 @@ def ddnm_plus_project(op: LinearOperator, y: np.ndarray, x0t: np.ndarray,
                                     cfg.sigma_y)
     residual = y - op.forward(x0t)
     residual *= lam
-    return x0t + op.pinv(residual), gam
+    return op.add_pinv(x0t, residual), gam
 
 
 def sample_prev(x0hat: np.ndarray, eps_t: np.ndarray, t: int,
@@ -139,16 +138,23 @@ def sample_prev(x0hat: np.ndarray, eps_t: np.ndarray, t: int,
     eps on the measured modes (those of op's range projector) to gamma;
     null modes always keep eta. The result is built in noise's buffer,
     which the call overwrites.
+
+    The measured-mode correction k A eps is scaled at measurement size and
+    added through op.add_pinv, with the same sums as pinv(A eps) * k added
+    at full size except where pinv fills a zero (Mask's unknown pixels):
+    there +0.0 is added where 0 * k would be -0.0 for k < 0. That can flip
+    only a -0.0 in out, which needs sigma_{t-1} = 0, and the a_{t-1} x0hat
+    term then sets the result unless x0hat is zero there too.
     """
     if t < 1:
         raise ValueError("sampling requires t >= 1")
     sig = sched.sigma[t - 1]
     out = noise
     if gamma != cfg.eta:
-        # not in place: Identity's range projector returns its input
-        pr = op.range_project(out) * (sig * (gamma - cfg.eta))
+        # not in place: Identity.forward returns its input
+        pooled = op.forward(out) * (sig * (gamma - cfg.eta))
         out *= sig * cfg.eta
-        out += pr
+        op.add_pinv(out, pooled, out=out)
     else:
         out *= sig * cfg.eta
     out += (sig * math.sqrt(1.0 - cfg.eta**2)) * eps_t

@@ -2,11 +2,13 @@
 
 No run of the package needs these: the textbook Gaussian and mixture
 posterior means, the forward process, an operator's dense matrix, a
-zero-noise denoiser and a plain re-derivation of the mask-shift tiling
+zero-noise denoiser, the constraint kernels in the form that builds every
+full-size operand, and a plain re-derivation of the mask-shift tiling
 loop.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -75,6 +77,40 @@ def forward_diffuse(x0, t: int, noise, sched):
     return sched.a[t] * x0 + sched.sigma[t] * noise
 
 
+def add_pinv(op, x, r):
+    """x + pinv(r) with the replicated (or zero-filled) pinv(r) built."""
+    return x + op.pinv(r)
+
+
+def clean_project(op, y, x0t):
+    """pinv(A) y + (I - pinv(A) A) x0t, grouped so that a mask projector
+    is exact on known pixels."""
+    return op.pinv(y) + (x0t - op.range_project(x0t))
+
+
+def sample_prev_mix(x0hat, eps_t, t, sched, cfg, noise, op, gamma):
+    """sample_prev with the measured-mode correction replicated first and
+    then scaled: pinv(A eps) * k. Leaves noise intact."""
+    sig = sched.sigma[t - 1]
+    out = noise.copy()
+    if gamma != cfg.eta:
+        pr = op.range_project(out) * (sig * (gamma - cfg.eta))
+        out *= sig * cfg.eta
+        out += pr
+    else:
+        out *= sig * cfg.eta
+    out += (sig * math.sqrt(1.0 - cfg.eta**2)) * eps_t
+    out += sched.a[t - 1] * x0hat
+    return out
+
+
+def lowfreq_hook(sr, ref):
+    """x0t -> pinv(A_sr) ref + x0t - pinv(A_sr) A_sr x0t, added left to
+    right."""
+    base = sr.pinv(ref)
+    return lambda x0t, t: base + x0t - sr.range_project(x0t)
+
+
 class ZeroDenoiser(Denoiser):
     """All-zero noise prediction for states of the given shape; implies
     x0|t = x_t / a_t."""
@@ -86,9 +122,11 @@ class ZeroDenoiser(Denoiser):
         return np.zeros_like(x_t)
 
 
-def replay_msr(task, plan, den, cfg):
+def replay_msr(task, plan, den, cfg, pre_hook_factory=None):
     """Independent re-derivation of the tiling loop; asserts each committed
-    tile leaves already-known canvas pixels bitwise unchanged."""
+    tile leaves already-known canvas pixels bitwise unchanged.
+    pre_hook_factory(window) -> hook adds a leading x0|t constraint per
+    tile."""
     image = np.zeros(task.shape)
     known = np.zeros(task.shape[:2], dtype=bool)
     for idx, win in enumerate(plan.windows):
@@ -101,11 +139,12 @@ def replay_msr(task, plan, den, cfg):
             fixed = image[ys, xs, :].copy()
             post.append(lambda x0, t, k=frozen[:, :, None], f=fixed:
                         np.where(k, f, x0))
+        pre = [] if pre_hook_factory is None else [pre_hook_factory(win)]
         out = run_sampler(op, y, den,
                           dataclasses.replace(cfg,
                                               seed=tile_seed(cfg.seed, row,
                                                              col)),
-                          hooks=ConstraintHooks(post=post))
+                          hooks=ConstraintHooks(pre=pre, post=post))
         if frozen.any():
             assert np.array_equal(out[frozen], image[ys, xs, :][frozen])
         image[ys, xs, :] = out

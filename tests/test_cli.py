@@ -249,6 +249,36 @@ def test_main_rejects_a_negative_factor(tmp_path, prior_dir, capsys, argv,
     assert not (tmp_path / "metrics.txt").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--eta", "1.5"], "error: eta must be in [0, 1], got 1.5"),
+    (["--eta", "nan"], "error: eta must be in [0, 1], got nan"),
+    (["--sigma-y", "-0.1"], "error: sigma-y must be >= 0, got -0.1"),
+    (["--sigma-y", "nan"], "error: sigma-y must be >= 0, got nan"),
+    (["--travel-l", "0"],
+     "error: travel-l and travel-r must be >= 1, got 0 and 3"),
+    (["--travel-r", "0"],
+     "error: travel-l and travel-r must be >= 1, got 10 and 0"),
+    (["--seed", "-1"], "error: seed must be >= 0, got -1")],
+    ids=["eta", "eta-nan", "sigma-y", "sigma-y-nan", "travel-l", "travel-r",
+         "seed"])
+def test_main_rejects_out_of_range_sampler_options(tmp_path, prior_dir,
+                                                   capsys, argv, message):
+    # rejected before the prior loads: status 2 and no metrics.txt
+    assert cli.main(["generate", "--width", "64", "--height", "64"] + argv +
+                    ["--prior", str(prior_dir),
+                     "--out", str(tmp_path / "o.ppm")]) == 2
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert not (tmp_path / "metrics.txt").exists()
+
+
+def test_config_file_out_of_range_eta_is_a_job_error(tmp_path, prior_dir):
+    cfgfile = tmp_path / "job.cfg"
+    cfgfile.write_text(f"eta = -0.5\nprior = {prior_dir}\n")
+    with pytest.raises(JobError, match=r"eta must be in \[0, 1\]"):
+        parse_job(["generate", "--config", str(cfgfile), "--width", "64",
+                   "--height", "64", "--out", str(tmp_path / "g.ppm")])
+
+
 def test_config_file_negative_hir_factor_is_a_job_error(tmp_path, prior_dir):
     cfgfile = tmp_path / "job.cfg"
     cfgfile.write_text(f"hir_factor = -2\nprior = {prior_dir}\n")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tilediff.denoise import GmmDenoiser
 from tilediff.hir import hir_restore
@@ -9,6 +11,7 @@ from tilediff.sampler import SamplerConfig
 from tilediff.tasks import (ColorizeTask, DenoiseTask, GenerateTask,
                             InpaintTask, SuperResolutionTask)
 
+import oracles
 from conftest import lowfreq_residuals, smooth_means
 
 PATCH, OVERLAP = 64, 32
@@ -157,3 +160,66 @@ def test_hir_rejects_misaligned_plan2(rng):
     cfg = SamplerConfig(T=5, seed=0)
     with pytest.raises(ValueError):
         hir_restore(task, 2, plan2, den, cfg)
+
+
+@st.composite
+def hir_cases(draw):
+    """(kind, factor, sr scale, height, width, patch, overlap): a 4-16 px
+    patch whose plan and coarse plan both fit, with up to two strides past
+    the smallest canvas per side, so a last tile may be clamped."""
+    kind = draw(st.sampled_from(["generate", "sr", "inpaint"]))
+    f = draw(st.sampled_from([2, 4]))
+    scale = f * draw(st.sampled_from([1, 2])) if kind == "sr" else 1
+    block = max(f, scale)
+    patch = block * draw(st.integers(2, max(2, 8 // block)))
+    overlap = block * draw(st.integers(1, patch // block - 1))
+    height, width = (f * patch + block * draw(
+        st.integers(0, 2 * (patch - overlap) // block)) for _ in range(2))
+    return kind, f, scale, height, width, patch, overlap
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(hir_cases(), st.integers(0, 2**32 - 1))
+@example(("generate", 2, 1, 16, 16, 8, 4), 0)   # coarse canvas = patch
+@example(("inpaint", 2, 1, 16, 16, 8, 4), 1)    # coarse canvas = patch
+@example(("sr", 2, 4, 16, 16, 8, 4), 2)         # coarse canvas = patch
+@example(("inpaint", 2, 1, 22, 16, 8, 4), 3)    # clamped last row
+@example(("sr", 2, 2, 16, 22, 8, 4), 4)         # clamped last column
+def test_hir_equals_a_two_phase_replay_bitwise(case, seed):
+    kind, f, scale, height, width, patch, overlap = case
+    rng = np.random.default_rng(seed)
+    if kind == "generate":
+        task = GenerateTask(height, width, 3)
+    elif kind == "sr":
+        task = SuperResolutionTask(rng.uniform(
+            -1, 1, size=(height // scale, width // scale, 3)), scale)
+    else:
+        # whole f x f blocks known or missing, so the coarse phase sees
+        # every known pixel and the residual below stays at rounding level
+        coarse_known = rng.random((height // f, width // f)) < 0.5
+        coarse_known[0, 0] = True
+        known = coarse_known.repeat(f, axis=0).repeat(f, axis=1)
+        task = InpaintTask(rng.uniform(-1, 1, size=(height, width, 3)),
+                           known)
+    plan2 = plan_tiles(height, width, patch, overlap, block=max(f, scale))
+    den = GmmDenoiser(smooth_means(2, patch, patch, seed=seed % 1000),
+                      [0.5, 0.5], 0.05)
+    cfg = SamplerConfig(T=4, seed=seed)
+    result = hir_restore(task, f, plan2, den, cfg)
+
+    reduced = task.reduce(f)
+    coarse = oracles.replay_msr(
+        reduced, plan_tiles(height // f, width // f, patch, overlap,
+                            block=reduced.block), den, cfg)
+    sr = AvgPool((patch, patch, 3), f)
+
+    def hook_factory(win):
+        return oracles.lowfreq_hook(sr, coarse[
+            win.top // f:(win.top + patch) // f,
+            win.left // f:(win.left + patch) // f, :])
+
+    image = oracles.replay_msr(task, plan2, den, cfg,
+                               pre_hook_factory=hook_factory)
+    assert np.array_equal(result.coarse, coarse)
+    assert np.array_equal(result.image, image)
+    assert result.lowfreq_residual <= 1e-10

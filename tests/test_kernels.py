@@ -9,18 +9,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from tilediff import linops
+from tilediff import hir, linops
 from tilediff.denoise import GmmDenoiser
 from tilediff.imagecore import Window
-from tilediff.msr import _freeze_hook
+from tilediff.msr import _overlap_hook, _overlap_rects, plan_tiles
 from tilediff.sampler import (SamplerConfig, compute_lambda_gamma,
                               ddnm_plus_project, ddnm_project, sample_prev)
 from tilediff.schedule import build_schedule
 from tilediff.tasks import GenerateTask
 
+import oracles
 from conftest import smooth_means
 from oracles import eps_from_x0, gmm_posterior_x0
+from test_msr import small_geometries
+from test_sampler import small_operators
 
 EPS = np.finfo(np.float64).eps
 
@@ -155,12 +160,125 @@ def test_sample_prev_matches_reference_mix(rng):
                 assert np.abs(got - want).max() <= 16 * EPS
 
 
-def test_freeze_hook_matches_where(rng):
-    fixed = rng.standard_normal((16, 16, 3))
-    known = rng.random((16, 16)) < 0.3
-    hook = _freeze_hook(fixed, known)
-    x0 = rng.standard_normal((16, 16, 3))
-    before = x0.copy()
-    out = hook(x0, 7)
-    assert np.array_equal(out, np.where(known[:, :, None], fixed, x0))
-    assert np.array_equal(x0, before) and out is not x0
+def same_bits(a, b):
+    """Equal shape, dtype and bytes: unlike np.array_equal, tells -0.0
+    from +0.0."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and \
+        a.tobytes() == b.tobytes()
+
+
+def zero_free(rng, shape):
+    """Magnitudes in [0.5, 2) with random signs: no zero of either sign."""
+    return rng.uniform(0.5, 2.0, size=shape) * rng.choice([-1.0, 1.0],
+                                                          size=shape)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(op=small_operators(), seed=st.integers(0, 2**32 - 1))
+def test_add_pinv_matches_the_replicated_add(op, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(op.input_shape)
+    r = rng.standard_normal(op.output_shape)
+    want = oracles.add_pinv(op, x, r)
+    before = x.copy()
+    assert same_bits(op.add_pinv(x, r), want)
+    assert same_bits(x, before)
+    out = np.full(op.input_shape, np.nan)
+    assert op.add_pinv(x, r, out=out) is out
+    assert same_bits(out, want)
+    # a strided destination: every other row of a taller buffer
+    big = np.full((2 * op.input_shape[0],) + op.input_shape[1:], np.nan)
+    op.add_pinv(x, r, out=big[::2])
+    assert same_bits(big[::2], want) and np.isnan(big[1::2]).all()
+    assert op.add_pinv(x, r, out=x) is x
+    assert same_bits(x, want)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(op=small_operators(), t=st.integers(1, 20),
+       sigma_y=st.sampled_from([0.0, 0.01, 0.1, 0.5, 2.0]),
+       eta=st.floats(0.0, 1.0), free_gamma=st.none() | st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_sample_prev_matches_the_replicate_then_scale_mix(
+        op, t, sigma_y, eta, free_gamma, seed):
+    sched = build_schedule(20)
+    cfg = SamplerConfig(T=20, eta=eta, sigma_y=sigma_y)
+    gamma = free_gamma if free_gamma is not None else compute_lambda_gamma(
+        op.sing_value, t, sched, eta, sigma_y)[1]
+    rng = np.random.default_rng(seed)
+    x0hat = rng.standard_normal(op.input_shape)
+    eps_t = rng.standard_normal(op.input_shape)
+    noise = rng.standard_normal(op.input_shape)
+    want = oracles.sample_prev_mix(x0hat, eps_t, t, sched, cfg, noise, op,
+                                   gamma)
+    got = sample_prev(x0hat, eps_t, t, sched, cfg, noise, op=op,
+                      gamma=gamma)
+    assert got is noise
+    assert same_bits(got, want)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(p=st.integers(1, 4), rows=st.integers(1, 4), cols=st.integers(1, 4),
+       c=st.sampled_from([1, 3]), seed=st.integers(0, 2**32 - 1))
+def test_lowfreq_hook_matches_the_range_projection_form(p, rows, cols, c,
+                                                         seed):
+    sr = linops.AvgPool((p * rows, p * cols, c), p)
+    rng = np.random.default_rng(seed)
+    ref = rng.standard_normal(sr.output_shape)
+    x0t = rng.standard_normal(sr.input_shape)
+    before = x0t.copy()
+    got = hir._lowfreq_hook(sr, ref)(x0t, 3)
+    assert same_bits(got, oracles.lowfreq_hook(sr, ref)(x0t, 3))
+    assert same_bits(x0t, before)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(op=small_operators(), seed=st.integers(0, 2**32 - 1))
+def test_clean_projection_matches_the_grouped_formula(op, seed):
+    # the forms differ only in the sign of a zero, so the inputs have none
+    rng = np.random.default_rng(seed)
+    y = zero_free(rng, op.output_shape)
+    x0t = zero_free(rng, op.input_shape)
+    before = x0t.copy()
+    got = op.project(y, x0t)
+    assert same_bits(got, oracles.clean_project(op, y, x0t))
+    assert same_bits(x0t, before) and got is not x0t
+
+
+def test_mask_projection_keeps_the_sign_of_a_zero():
+    known = np.array([[True, False]])
+    op = linops.Mask(known, channels=1)
+    got = op.project(np.array([-0.0]), np.array([[[5.0], [-0.0]]]))
+    assert same_bits(got, np.array([[[-0.0], [-0.0]]]))
+    # the grouped formula turns both into +0.0
+    old = oracles.clean_project(op, np.array([-0.0]),
+                                np.array([[[5.0], [-0.0]]]))
+    assert same_bits(old, np.array([[[0.0], [0.0]]]))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(small_geometries(), st.integers(0, 2**32 - 1))
+@example((8, 8, 8, 4, 2), 0)        # canvas equal to the patch
+@example((14, 14, 8, 4, 2), 1)      # clamped last row and column
+@example((13, 13, 6, 2, 1), 2)      # block 1, clamped
+@example((24, 24, 12, 4, 4), 3)     # block 4, clamped
+def test_overlap_hook_matches_where_on_random_plans(geometry, seed):
+    height, width, patch, overlap, block = geometry
+    plan = plan_tiles(height, width, patch, overlap, block=block)
+    rng = np.random.default_rng(seed)
+    canvas = rng.standard_normal((height, width, 3))
+    known = np.zeros((height, width), dtype=bool)
+    for idx, win in enumerate(plan.windows):
+        ys, xs = win.slices()
+        frozen = known[ys, xs]
+        rects = _overlap_rects(plan.windows, idx)
+        assert bool(rects) == frozen.any()
+        if rects:
+            fixed = canvas[ys, xs, :]
+            x0 = rng.standard_normal(fixed.shape)
+            before = x0.copy()
+            out = _overlap_hook(fixed, rects)(x0, 7)
+            assert same_bits(out, np.where(frozen[:, :, None], fixed, x0))
+            assert same_bits(x0, before) and out is not x0
+        known[ys, xs] = True
