@@ -14,7 +14,8 @@ import dataclasses
 import numpy as np
 
 from .imagecore import Window
-from .sampler import ConstraintHooks, SamplerConfig, run_sampler
+from .sampler import (ConstraintHooks, NoiseProducer, SamplerConfig,
+                      noise_draws, run_sampler)
 from .tasks import Task
 
 
@@ -138,21 +139,27 @@ def msr_restore(task: Task, plan: TilePlan, denoiser, cfg: SamplerConfig,
             f"plan {plan.height}x{plan.width} does not match task "
             f"shape {task.shape}")
     image = np.zeros(task.shape)
-    for idx, win in enumerate(plan.windows):
-        row, col = plan.grid_index(idx)
-        op, y = task.tile_problem(win)
-        ys, xs = win.slices()
-        post = []
-        if use_mask_hook:
-            rects = _overlap_rects(plan.windows, idx)
-            if rects:
-                post.append(_overlap_hook(image[ys, xs, :], rects))
-        pre = []
-        if pre_hook_factory is not None:
-            pre.append(pre_hook_factory(win))
-        tile_cfg = dataclasses.replace(
-            cfg, seed=tile_seed(cfg.seed, row, col))
-        result = run_sampler(op, y, denoiser, tile_cfg,
-                             hooks=ConstraintHooks(pre=pre, post=post))
-        image[ys, xs, :] = result
+    # every tile's noise, in raster order, from one producer
+    draws = noise_draws(cfg)
+    noise = NoiseProducer(
+        [(tile_seed(cfg.seed, *plan.grid_index(idx)), draws)
+         for idx in range(len(plan.windows))],
+        (plan.patch, plan.patch, task.shape[2]))
+    try:
+        for idx, win in enumerate(plan.windows):
+            op, y = task.tile_problem(win)
+            ys, xs = win.slices()
+            post = []
+            if use_mask_hook:
+                rects = _overlap_rects(plan.windows, idx)
+                if rects:
+                    post.append(_overlap_hook(image[ys, xs, :], rects))
+            pre = []
+            if pre_hook_factory is not None:
+                pre.append(pre_hook_factory(win))
+            image[ys, xs, :] = run_sampler(
+                op, y, denoiser, cfg,
+                hooks=ConstraintHooks(pre=pre, post=post), noise=noise)
+    finally:
+        noise.close()
     return image

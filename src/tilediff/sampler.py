@@ -136,8 +136,8 @@ def sample_prev(x0hat: np.ndarray, eps_t: np.ndarray, t: int,
     noise is the step's fresh standard-normal draw eps. The noise mix is
     eta * eps + sqrt(1 - eta^2) * eps_t. A gamma other than eta rescales
     eps on the measured modes (those of op's range projector) to gamma;
-    null modes always keep eta. The result is built in noise's buffer,
-    which the call overwrites.
+    null modes always keep eta. noise is only read: the result is a new
+    array, so the draw's buffer can be refilled once the call returns.
 
     The measured-mode correction k A eps is scaled at measurement size and
     added through op.add_pinv, with the same sums as pinv(A eps) * k added
@@ -149,92 +149,126 @@ def sample_prev(x0hat: np.ndarray, eps_t: np.ndarray, t: int,
     if t < 1:
         raise ValueError("sampling requires t >= 1")
     sig = sched.sigma[t - 1]
-    out = noise
+    out = noise * (sig * cfg.eta)
     if gamma != cfg.eta:
         # not in place: Identity.forward returns its input
-        pooled = op.forward(out) * (sig * (gamma - cfg.eta))
-        out *= sig * cfg.eta
+        pooled = op.forward(noise) * (sig * (gamma - cfg.eta))
         op.add_pinv(out, pooled, out=out)
-    else:
-        out *= sig * cfg.eta
     out += (sig * math.sqrt(1.0 - cfg.eta**2)) * eps_t
     out += sched.a[t - 1] * x0hat
     return out
 
 
-class _NoiseAhead:
-    """The first `count` standard-normal draws of default_rng(seed), each of
-    the given shape, made in order on a background thread.
+def noise_draws(cfg: SamplerConfig) -> int:
+    """Standard-normal draws one run_sampler call takes: x_T, one per step,
+    one per re-noising jump."""
+    r = cfg.travel.r
+    return 1 + r * cfg.T + (r - 1) * len(travel_blocks(cfg.T, cfg.travel.l))
 
-    The thread is the Generator's only user and runs numpy alone, so the
-    draws are the serial sequence bit for bit (one call for n draws fills
-    the same numbers as n calls) while the caller computes the steps
-    before. Each call makes the fewest whole draws that hold BATCH
-    numbers, one at the 64x64x3 patch: every time the thread takes the
-    interpreter lock back it stalls the caller, which small draws would
-    pay on every step. At most two finished batches wait in the queue. An
-    error in the thread is raised by the next take(); close() stops and
-    joins the thread.
+
+class NoiseProducer:
+    """Draws of the given shape from an ordered list of (seed, count)
+    streams, made on a background thread: the first `count` draws of
+    default_rng(seed) for each stream in turn, handed out by take().
+
+    The ring is two chunks of C draws each, allocated here; C is the
+    number of whole draws that fit in CHUNK numbers (eight at the 64x64x3
+    patch), at least one and at most the total. The thread fills a free
+    chunk in place, with one standard_normal(out=) call per stream segment
+    in it, so a chunk may end one stream and start the next. The thread
+    is each Generator's only user and runs numpy alone, so every stream is
+    the serial sequence bit for bit (one call for n draws fills the same
+    numbers as n calls). Handing over C draws at a time, rather than one
+    per step, keeps the two threads from stalling each other on the
+    interpreter lock at every step.
+
+    A draw is a view into the ring and is valid until the next take() that
+    starts a new chunk, which hands the old chunk back to the thread: a
+    caller uses each draw before it takes the next. An error in the thread
+    is raised by the next take(); close() stops and joins the thread,
+    also one that is waiting for a free chunk.
     """
 
-    BATCH = 1 << 13
+    CHUNK = 8 * 64 * 64 * 3
 
-    def __init__(self, seed: int, shape: tuple, count: int):
-        self._queue = queue.Queue(maxsize=2)
+    def __init__(self, streams: Sequence[tuple[int, int]], shape: tuple):
+        self.shape = tuple(shape)
+        total = sum(count for _, count in streams)
+        per_chunk = max(1, min(total, self.CHUNK // math.prod(self.shape)))
+        self._ring = np.empty((2, per_chunk, *self.shape))
+        self._free = threading.Semaphore(2)
+        self._ready = queue.SimpleQueue()
         self._stop = threading.Event()
-        self._batch = iter(())
-        self._ended = False
+        self._chunk, self._pos, self._len = None, 0, 0
         self._thread = threading.Thread(
-            target=self._fill, args=(seed, shape, count),
+            target=self._fill, args=(list(streams), total),
             name="tilediff-noise", daemon=True)
         self._thread.start()
 
-    def _fill(self, seed, shape, count):
+    def _fill(self, streams, total):
+        ring = self._ring
+        per_chunk = len(ring[0])
         try:
-            rng = np.random.default_rng(seed)
-            per_call = math.ceil(self.BATCH / math.prod(shape))
-            made = 0
-            while made < count and not self._stop.is_set():
-                n = min(per_call, count - made)
-                self._queue.put(rng.standard_normal((n, *shape)))
-                made += n
-            end = RuntimeError(f"noise stream has only {count} draws")
+            h = i = 0
+            for seed, count in streams:
+                rng = np.random.default_rng(seed)
+                while count:
+                    if i == 0:
+                        self._free.acquire()
+                        if self._stop.is_set():
+                            return
+                    n = min(count, per_chunk - i)
+                    rng.standard_normal(out=ring[h, i:i + n])
+                    count -= n
+                    i += n
+                    if i == per_chunk:
+                        self._ready.put((h, i))
+                        h, i = 1 - h, 0
+            if i:
+                self._ready.put((h, i))
+            end = RuntimeError(f"noise streams hold only {total} draws")
         except Exception as exc:  # re-raised on the calling thread
             end = exc
         # the last item is always an exception, so a take() past the end
-        # raises and close() knows when the thread is done putting
-        self._queue.put(end)
+        # raises
+        self._ready.put(end)
 
     def take(self) -> np.ndarray:
-        draw = next(self._batch, None)
-        if draw is None:
-            batch = self._queue.get()
-            if isinstance(batch, Exception):
-                self._ended = True
-                raise batch
-            self._batch = iter(batch)
-            draw = next(self._batch)
+        if self._pos == self._len:
+            if self._chunk is not None:
+                # every draw of the old chunk has been used
+                self._free.release()
+            item = self._ready.get()
+            if isinstance(item, Exception):
+                self._chunk = None
+                self._ready.put(item)  # so a further take() raises too
+                raise item
+            self._chunk, self._len = item
+            self._pos = 0
+        draw = self._ring[self._chunk, self._pos]
+        self._pos += 1
         return draw
 
     def close(self):
         self._stop.set()
-        while not self._ended:
-            self._ended = isinstance(self._queue.get(), Exception)
+        self._free.release()
         self._thread.join()
 
 
 def run_sampler(op: LinearOperator, y: np.ndarray, denoiser,
-                cfg: SamplerConfig,
-                hooks: ConstraintHooks | None = None) -> np.ndarray:
+                cfg: SamplerConfig, hooks: ConstraintHooks | None = None,
+                noise: NoiseProducer | None = None) -> np.ndarray:
     """Run the full reverse process and return x_0.
 
     Per step: predict eps, estimate x0|t, apply pre hooks, project onto
     the measurement subspace (relaxed by lambda when cfg.sigma_y > 0),
     apply post hooks, sample x_{t-1}. Time-travel blocks re-noise the
-    block start and re-traverse it cfg.travel.r times. The fresh noise is
-    drawn ahead on a background thread, in the order a serial loop over
-    default_rng(cfg.seed) would draw it; the denoiser and the hooks run on
-    the calling thread.
+    block start and re-traverse it cfg.travel.r times. The run takes its
+    noise_draws(cfg) fresh draws from `noise`, whose next stream they must
+    be; without it, a producer of the single stream default_rng(cfg.seed)
+    is made and closed here. Either way the draws come in the order a
+    serial loop over the stream's Generator would make them, and the
+    denoiser and the hooks run on the calling thread.
     """
     hooks = hooks or ConstraintHooks()
     sched = build_schedule(cfg.T)
@@ -242,14 +276,17 @@ def run_sampler(op: LinearOperator, y: np.ndarray, denoiser,
         raise ValueError(
             f"denoiser shape {denoiser.input_shape} != operator input "
             f"{op.input_shape}")
-    blocks = travel_blocks(cfg.T, cfg.travel.l)
+    own = noise is None
+    if own:
+        noise = NoiseProducer([(cfg.seed, noise_draws(cfg))], op.input_shape)
+    elif noise.shape != tuple(op.input_shape):
+        raise ValueError(
+            f"noise shape {noise.shape} != operator input {op.input_shape}")
     r = cfg.travel.r
-    # x_T, one draw per step, one per re-noising jump
-    noise = _NoiseAhead(cfg.seed, tuple(op.input_shape),
-                        1 + r * cfg.T + (r - 1) * len(blocks))
     try:
-        x = noise.take()
-        for t_hi, t_lo in blocks:
+        # a draw is used before the next take(), which may recycle it
+        x = noise.take().copy()
+        for t_hi, t_lo in travel_blocks(cfg.T, cfg.travel.l):
             for rep in range(r):
                 for t in range(t_hi, t_lo - 1, -1):
                     eps_t = denoiser.predict_eps(x, t, sched)
@@ -269,5 +306,6 @@ def run_sampler(op: LinearOperator, y: np.ndarray, denoiser,
                     jump = t_hi - (t_lo - 1)
                     x = renoise_jump(x, t_lo - 1, jump, noise.take(), sched)
     finally:
-        noise.close()
+        if own:
+            noise.close()
     return x

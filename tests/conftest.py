@@ -1,4 +1,5 @@
 import contextlib
+import threading
 
 import numpy as np
 import pytest
@@ -62,6 +63,45 @@ def lowfreq_residuals():
         yield trace
     finally:
         hir._lowfreq_hook = real
+
+
+@contextlib.contextmanager
+def noise_thread_starts():
+    """A list that gets the name of every tilediff-noise thread started
+    inside the block."""
+    names = []
+    real = threading.Thread.start
+
+    def start(self):
+        if self.name == "tilediff-noise":
+            names.append(self.name)
+        return real(self)
+
+    threading.Thread.start = start
+    try:
+        yield names
+    finally:
+        threading.Thread.start = real
+
+
+def within(fn, seconds=10.0):
+    """fn()'s result, computed on a helper thread so that a call that never
+    returns fails the test instead of hanging it; fn's error is re-raised."""
+    out = {}
+
+    def target():
+        try:
+            out["result"] = fn()
+        except Exception as exc:
+            out["error"] = exc
+
+    th = threading.Thread(target=target, daemon=True)
+    th.start()
+    th.join(seconds)
+    assert not th.is_alive(), "the call did not return"
+    if "error" in out:
+        raise out["error"]
+    return out["result"]
 
 
 @pytest.fixture

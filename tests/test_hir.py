@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tilediff.denoise import GmmDenoiser
+from tilediff import msr
 from tilediff.hir import hir_restore
 from tilediff.linops import AvgPool
 from tilediff.msr import msr_restore, plan_tiles
@@ -12,7 +13,8 @@ from tilediff.tasks import (ColorizeTask, DenoiseTask, GenerateTask,
                             InpaintTask, SuperResolutionTask)
 
 import oracles
-from conftest import lowfreq_residuals, smooth_means
+from conftest import (lowfreq_residuals, noise_thread_starts, smooth_means,
+                      within)
 
 PATCH, OVERLAP = 64, 32
 
@@ -160,6 +162,35 @@ def test_hir_rejects_misaligned_plan2(rng):
     cfg = SamplerConfig(T=5, seed=0)
     with pytest.raises(ValueError):
         hir_restore(task, 2, plan2, den, cfg)
+
+
+def test_hir_starts_one_noise_thread_per_phase(rng):
+    den, task = make_inpaint_setup(rng)
+    plan2 = plan_tiles(128, 192, PATCH, OVERLAP, block=2)
+    with noise_thread_starts() as names:
+        within(lambda: hir_restore(task, 2, plan2, den,
+                                   SamplerConfig(T=2, seed=4)))
+    assert len(names) == 2
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 1: both HiR phases seed tile (r, c) with "
+    "tile_seed(seed, r, c), so they draw the same noise"))
+def test_hir_tile_seeds_are_distinct_across_phases(rng, monkeypatch):
+    seeds = []
+
+    class Recording(msr.NoiseProducer):
+        def __init__(self, streams, shape):
+            seeds.extend(seed for seed, _ in streams)
+            super().__init__(streams, shape)
+
+    monkeypatch.setattr(msr, "NoiseProducer", Recording)
+    den, task = make_inpaint_setup(rng)
+    plan2 = plan_tiles(128, 192, PATCH, OVERLAP, block=2)
+    hir_restore(task, 2, plan2, den, SamplerConfig(T=1, seed=0))
+    if len(seeds) != 2 + len(plan2.windows):  # not the xfail's assertion
+        pytest.fail(f"{len(seeds)} streams for 2 + {len(plan2.windows)} tiles")
+    assert len(set(seeds)) == len(seeds)
 
 
 @st.composite

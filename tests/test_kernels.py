@@ -210,11 +210,14 @@ def test_sample_prev_matches_the_replicate_then_scale_mix(
     x0hat = rng.standard_normal(op.input_shape)
     eps_t = rng.standard_normal(op.input_shape)
     noise = rng.standard_normal(op.input_shape)
+    before = noise.copy()
     want = oracles.sample_prev_mix(x0hat, eps_t, t, sched, cfg, noise, op,
                                    gamma)
     got = sample_prev(x0hat, eps_t, t, sched, cfg, noise, op=op,
                       gamma=gamma)
-    assert got is noise
+    # the draw is read only: its ring slot is refilled after the step
+    assert not np.shares_memory(got, noise)
+    assert same_bits(noise, before)
     assert same_bits(got, want)
 
 

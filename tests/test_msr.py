@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -7,10 +9,12 @@ from hypothesis import strategies as st
 
 from tilediff.denoise import GmmDenoiser
 from tilediff.msr import msr_restore, plan_tiles, tile_seed
-from tilediff.sampler import ConstraintHooks, SamplerConfig, run_sampler
+from tilediff.sampler import (ConstraintHooks, NoiseProducer, SamplerConfig,
+                              SamplerError, noise_draws, run_sampler)
+from tilediff.schedule import TravelPlan
 from tilediff.tasks import GenerateTask, InpaintTask, SuperResolutionTask
 
-from conftest import smooth_means
+from conftest import noise_thread_starts, smooth_means, within
 from oracles import replay_msr
 
 PATCH, OVERLAP = 64, 32
@@ -271,3 +275,62 @@ def test_msr_naive_mode_breaks_seams_msr_does_not():
     # with seed 12 the two naive tiles settle on different components
     assert naive_jump > 0.5
     assert msr_jump < 0.1
+
+
+def test_a_tiling_pass_starts_one_noise_thread():
+    task = GenerateTask(96, 96, 3)
+    plan = plan_tiles(96, 96, PATCH, OVERLAP)
+    with noise_thread_starts() as names:
+        within(lambda: msr_restore(task, plan, make_denoiser(),
+                                   SamplerConfig(T=3, seed=1)))
+    assert len(plan.windows) == 4 and len(names) == 1
+
+
+# 64x64x3 draws: eight to a ring chunk. T=5 with travel (2, 2) takes 14
+# draws per tile, more than a chunk; T=6 takes 7, fewer
+@pytest.mark.parametrize("kind, cfg", [
+    ("generate", SamplerConfig(T=5, seed=21, travel=TravelPlan(2, 2))),
+    ("sr", SamplerConfig(T=6, seed=22, sigma_y=0.05)),
+], ids=["14-draws", "7-draws"])
+def test_msr_equals_the_replay_when_chunks_straddle_tiles(rng, kind, cfg):
+    per_chunk = NoiseProducer.CHUNK // (PATCH * PATCH * 3)
+    assert noise_draws(cfg) % per_chunk != 0
+    if kind == "generate":
+        task = GenerateTask(96, 128, 3)
+    else:
+        task = SuperResolutionTask(rng.uniform(-1, 1, size=(24, 32, 3)), 4)
+    plan = plan_tiles(96, 128, PATCH, OVERLAP, block=task.block)
+    den = make_denoiser(seed=5)
+    # switching threads as often as the interpreter can makes a ring slot
+    # refilled while its draw is still in use show in the output
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = within(lambda: msr_restore(task, plan, den, cfg), 60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got, replay_msr(task, plan, den, cfg))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_a_failing_tile_stops_the_pass_and_the_next_job_is_clean():
+    class NanAfter(GmmDenoiser):
+        """make_denoiser(), but eps is NaN after `fail_at` calls."""
+
+        def predict_eps(self, x_t, t, sched):
+            eps = super().predict_eps(x_t, t, sched)
+            return eps * np.nan if self.calls > self.fail_at else eps
+
+    good = make_denoiser(seed=7)
+    bad = NanAfter(good.means, good.weights, good.tau)
+    task = GenerateTask(96, 128, 3)
+    plan = plan_tiles(96, 128, PATCH, OVERLAP)
+    cfg = SamplerConfig(T=5, seed=8, travel=TravelPlan(2, 2))
+    bad.fail_at = 2 * cfg.T + 3  # inside tile 1 of 6
+    fresh = within(lambda: msr_restore(task, plan, good, cfg))
+    before = threading.active_count()
+    with pytest.raises(SamplerError):
+        within(lambda: msr_restore(task, plan, bad, cfg))
+    assert threading.active_count() == before
+    assert np.array_equal(within(lambda: msr_restore(task, plan, good, cfg)),
+                          fresh)

@@ -20,6 +20,7 @@ from tilediff.schedule import (Schedule, TravelPlan, build_schedule,
                                renoise_jump, travel_blocks)
 from tilediff.tasks import GenerateTask
 
+from conftest import within
 from oracles import ZeroDenoiser, dense_matrix, forward_diffuse
 
 
@@ -386,26 +387,6 @@ def serial_sampler(op, y, denoiser, cfg):
     return x
 
 
-def within(fn, seconds=10.0):
-    """fn()'s result, computed on a helper thread so that a call that never
-    returns fails the test instead of hanging it; fn's error is re-raised."""
-    out = {}
-
-    def target():
-        try:
-            out["result"] = fn()
-        except Exception as exc:
-            out["error"] = exc
-
-    th = threading.Thread(target=target, daemon=True)
-    th.start()
-    th.join(seconds)
-    assert not th.is_alive(), "run_sampler did not return"
-    if "error" in out:
-        raise out["error"]
-    return out["result"]
-
-
 def _replay_problem(kind, seed=0):
     rng = np.random.default_rng(seed)
     if kind == "generate":
@@ -457,12 +438,12 @@ def test_run_sampler_leaves_no_thread_behind():
                 np.zeros_like(x_t)
 
     def late_hook(x0, t):
-        # the look-ahead queue is full by now, so the producer is blocked
+        # both ring chunks are full by now, so the producer is blocked
         time.sleep(0.05)
         raise KeyError("hook")
 
-    # patch-size draws, one per call, so the thread can block on a full
-    # queue when the run stops
+    # patch-size draws, 8 to a chunk, so the 88 draws outnumber the ring
+    # and the thread can block waiting for a free chunk when the run stops
     op = linops.Identity((64, 64, 3))
     y = np.zeros(op.output_shape)
     cfg = SamplerConfig(T=40, seed=0, travel=TravelPlan(5, 2))
@@ -526,28 +507,31 @@ def test_run_sampler_raises_the_producers_error(monkeypatch):
         pass
 
     class FailingGenerator:
-        """Draws like default_rng(seed) until its fourth call raises."""
+        """Draws like default_rng(seed) until a call that would make draw
+        9 (counting from 0) raises."""
 
         def __init__(self, seed):
             self.rng = real_default_rng(seed)
-            self.calls = 0
+            self.made = 0
 
-        def standard_normal(self, shape):
-            self.calls += 1
-            if self.calls == 4:
-                raise DrawError("call 4")
-            return self.rng.standard_normal(shape)
+        def standard_normal(self, size=None, out=None):
+            n = 1 if out is None else len(out)
+            if self.made <= 9 < self.made + n:
+                raise DrawError("draw 9")
+            self.made += n
+            return self.rng.standard_normal(size, out=out)
 
     real_default_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", FailingGenerator)
-    # at the 64x64x3 patch the thread makes one draw per call
+    # T=10 takes 11 patch draws; at 64x64x3 a chunk holds 8, so the first
+    # chunk (x_T and 7 steps) is handed over before the second one fails
     op = linops.Identity((64, 64, 3))
     den = GmmDenoiser([np.zeros(op.input_shape)], [1.0], 1.0)
     before = threading.active_count()
-    with pytest.raises(DrawError, match="call 4"):
+    with pytest.raises(DrawError, match="draw 9"):
         within(lambda: run_sampler(op, np.zeros(op.output_shape), den,
                                    SamplerConfig(T=10, seed=0)))
-    # the draws made before the failing call were used, then the run ended
+    # the draws made before the failing chunk were used, then the run ended
     assert 1 <= den.calls < 10
     assert threading.active_count() == before
 
