@@ -22,7 +22,7 @@ import numpy as np
 
 from . import denoise, linops, tasks
 from .hir import hir_restore
-from .imagecore import Image, load_image, save_image
+from .imagecore import Image, Window, load_image, row_bands, save_image
 from .msr import TilePlan, msr_restore, plan_tiles
 from .sampler import SamplerConfig, SamplerError
 from .schedule import TravelPlan, build_schedule
@@ -245,8 +245,12 @@ def seam_metric(img: np.ndarray, plan: TilePlan):
     """Per-seam excess of the boundary first-difference over interior
     texture. For each internal tile boundary line: max |first difference|
     across the line, minus the median |first difference| in a 5-pixel
-    interior band next to it; clamped at 0. Returns a list of
-    (axis, position, value).
+    interior band next to it (after the line, or before it when the canvas
+    ends first; an empty band has median 0); clamped at 0. Returns a list
+    of (axis, position, value).
+
+    Only the differences it reads are taken, one line and one band per
+    seam, never a full-size difference image.
     """
     results = []
     xs = sorted({w.left for w in plan.windows})
@@ -261,26 +265,42 @@ def seam_metric(img: np.ndarray, plan: TilePlan):
                 lines.add(prev_end)
         return sorted(lines)
 
-    def evaluate(diffs, c, extent):
-        # diffs[k] = |line k+1 - line k|; seam difference is diffs[c-1]
-        d_seam = diffs[c - 1].max()
+    def evaluate(lines, c, extent):
+        # lines[k] is line k of the image; difference k is
+        # |lines[k+1] - lines[k]|, and the seam's is difference c-1
+        d_seam = np.abs(lines[c] - lines[c - 1]).max()
         lo = c + 1
         hi = min(lo + 5, extent - 1)
         if hi - lo < 5:
-            hi = c - 2
+            hi = max(c - 2, 0)
             lo = max(hi - 5, 0)
-        band = diffs[lo:hi]
+        band = np.abs(lines[lo + 1:hi + 1] - lines[lo:hi])
         med = float(np.median(band)) if band.size else 0.0
         return max(float(d_seam) - med, 0.0)
 
-    col_diffs = np.abs(np.diff(img, axis=1))
     for c in seam_lines(xs, plan.width):
-        results.append(("col", c, evaluate(col_diffs.swapaxes(0, 1), c,
+        results.append(("col", c, evaluate(img.swapaxes(0, 1), c,
                                            plan.width)))
-    row_diffs = np.abs(np.diff(img, axis=0))
     for r in seam_lines(ys, plan.height):
-        results.append(("row", r, evaluate(row_diffs, r, plan.height)))
+        results.append(("row", r, evaluate(img, r, plan.height)))
     return results
+
+
+def consistency(task: tasks.Task, img: np.ndarray) -> float:
+    """max |A img - y| of the task's measurement, 0.0 when it has none.
+
+    Reduced over full-width row bands whose heights are multiples of
+    task.block, each with the band's own (operator, measurement): every
+    residual element is the one the full-size operator gives, so the
+    maximum is the same, without a full-size residual.
+    """
+    worst = 0.0
+    for ys in row_bands(task.shape[0], task.block):
+        op, y = task.tile_problem(
+            Window(ys.start, 0, ys.stop - ys.start, task.shape[1]))
+        worst = max(worst, float(
+            np.abs(op.forward(img[ys]) - y).max(initial=0.0)))
+    return worst
 
 
 def run_job(job: JobSpec) -> int:
@@ -317,12 +337,9 @@ def run_job(job: JobSpec) -> int:
         else:
             img = msr_restore(task, plan, denoiser, cfg,
                               use_mask_hook=not job.naive)
-        full = task.full_problem()
-        if full is not None:
-            op, y = full
-            metrics["consistency"] = float(np.abs(op.forward(img) - y).max())
-        else:
-            metrics["consistency"] = 0.0
+        # frozen, so that Image keeps it instead of a copy
+        img.flags.writeable = False
+        metrics["consistency"] = consistency(task, img)
         seams = seam_metric(img, plan)
         metrics["seam_max"] = max((v for _, _, v in seams), default=0.0)
         for axis, pos, v in seams:

@@ -10,7 +10,7 @@ import dataclasses
 
 import numpy as np
 
-from .imagecore import Window
+from .imagecore import Window, row_bands
 from .linops import AvgPool
 from .msr import TilePlan, msr_restore, plan_tiles
 from .sampler import SamplerConfig
@@ -68,6 +68,12 @@ def hir_restore(task: Task, factor: int, plan2: TilePlan, denoiser,
 
     image = msr_restore(task, plan2, denoiser, cfg,
                         pre_hook_factory=hook_factory)
-    full_sr = AvgPool(task.shape, f)
-    residual = float(np.abs(full_sr.forward(image) - coarse).max())
+    # max |A_sr image - coarse| over row bands of whole blocks: the same
+    # block means as at full size, without a full-size residual
+    residual = 0.0
+    for ys in row_bands(task.shape[0], f):
+        band = image[ys]
+        residual = max(residual, float(np.abs(
+            AvgPool(band.shape, f).forward(band)
+            - coarse[ys.start // f:ys.stop // f]).max()))
     return HirResult(image=image, coarse=coarse, lowfreq_residual=residual)

@@ -4,6 +4,10 @@ Pixel data is float64 of shape (height, width, channels) with channels 1 or 3.
 Files are binary PGM (P5) for single-channel and PPM (P6) for 3-channel
 images, maxval 255. The 8-bit code k maps to the model value 2k/255 - 1, so
 a save/load cycle is exactly the quantizer and nothing else.
+
+Work over a whole canvas goes in row bands of at least BAND_ROWS rows
+(`row_bands`), so that it builds no second full-size float array: the
+quantizer here, and the run's residual metrics in `cli` and `hir`.
 """
 
 from __future__ import annotations
@@ -14,8 +18,20 @@ import os
 import numpy as np
 
 
+BAND_ROWS = 16
+
+
 class CodecError(ValueError):
     """Malformed or unsupported PPM/PGM data."""
+
+
+def row_bands(height: int, block: int = 1):
+    """Slices of consecutive row bands covering range(height), each the
+    smallest multiple of block that holds BAND_ROWS rows (the last may be
+    shorter; it is still a multiple of block when height is)."""
+    step = block * -(-BAND_ROWS // block)
+    for top in range(0, height, step):
+        yield slice(top, min(top + step, height))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -40,7 +56,12 @@ class Window:
 
 @dataclasses.dataclass(frozen=True)
 class Image:
-    """Immutable raster; data is read-only float64 (H, W, C), C in {1, 3}."""
+    """Immutable raster; data is read-only float64 (H, W, C), C in {1, 3}.
+
+    An (H, W, C) float64 array that owns its data and is already read-only
+    is kept as it is, so a frozen canvas is saved without a copy; any other
+    input is copied and the copy frozen.
+    """
 
     data: np.ndarray
 
@@ -54,8 +75,9 @@ class Image:
             raise ValueError(f"channels must be 1 or 3, got {arr.shape[2]}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("image data contains NaN or Inf")
-        arr = arr.copy()
-        arr.flags.writeable = False
+        if arr.flags.writeable or not arr.flags.owndata:
+            arr = arr.copy()
+            arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
     @property
@@ -72,13 +94,29 @@ class Image:
 
 
 def quantize(img: Image) -> np.ndarray:
-    """Clamp to [-1, 1] and map to 8-bit codes; only the codec clamps."""
-    v = np.clip(img.data, -1.0, 1.0)
-    return np.rint((v + 1.0) * (255.0 / 2.0)).astype(np.uint8)
+    """Clamp to [-1, 1] and map to 8-bit codes; only the codec clamps.
+
+    Each row band is clipped, shifted, scaled and rounded in one band-sized
+    buffer and written into the code array: the same operations in the same
+    order as on the whole image, so the same codes.
+    """
+    codes = np.empty(img.data.shape, dtype=np.uint8)
+    for ys in row_bands(img.height):
+        v = np.clip(img.data[ys], -1.0, 1.0)
+        v += 1.0
+        v *= 255.0 / 2.0
+        codes[ys] = np.rint(v, out=v)
+    return codes
 
 
 def dequantize(codes: np.ndarray) -> Image:
-    return Image(codes.astype(np.float64) * (2.0 / 255.0) - 1.0)
+    """Codes to model values, scaled and shifted in place in the one float
+    array the Image then keeps."""
+    data = codes.astype(np.float64)
+    data *= 2.0 / 255.0
+    data -= 1.0
+    data.flags.writeable = False
+    return Image(data)
 
 
 def save_image(path: str | os.PathLike, img: Image) -> None:
@@ -87,7 +125,7 @@ def save_image(path: str | os.PathLike, img: Image) -> None:
     magic = b"P5" if img.channels == 1 else b"P6"
     with open(path, "wb") as f:
         f.write(magic + b"\n%d %d\n255\n" % (img.width, img.height))
-        f.write(codes.tobytes())
+        f.write(codes.data)
 
 
 def _read_number(f) -> int:

@@ -3,8 +3,8 @@
 No run of the package needs these: the textbook Gaussian and mixture
 posterior means, the forward process, an operator's dense matrix, a
 zero-noise denoiser, the constraint kernels in the form that builds every
-full-size operand, and a plain re-derivation of the mask-shift tiling
-loop.
+full-size operand, a plain re-derivation of the mask-shift tiling loop,
+and the run's finish (seam metric, quantizer) over the whole image.
 """
 
 import dataclasses
@@ -150,3 +150,46 @@ def replay_msr(task, plan, den, cfg, pre_hook_factory=None):
         image[ys, xs, :] = out
         known[ys, xs] = True
     return image
+
+
+def seam_metric(img, plan):
+    """cli.seam_metric from full-size first-difference images, with the
+    band below a seam clamped at line 0 (an empty band has median 0)."""
+    results = []
+    xs = sorted({w.left for w in plan.windows})
+    ys = sorted({w.top for w in plan.windows})
+
+    def seam_lines(starts, extent):
+        lines = set()
+        for i in range(1, len(starts)):
+            lines.add(starts[i])
+            if starts[i - 1] + plan.patch < extent:
+                lines.add(starts[i - 1] + plan.patch)
+        return sorted(lines)
+
+    def evaluate(diffs, c, extent):
+        # diffs[k] = |line k+1 - line k|; the seam's difference is diffs[c-1]
+        d_seam = diffs[c - 1].max()
+        lo = c + 1
+        hi = min(lo + 5, extent - 1)
+        if hi - lo < 5:
+            hi = max(c - 2, 0)
+            lo = max(hi - 5, 0)
+        band = diffs[lo:hi]
+        med = float(np.median(band)) if band.size else 0.0
+        return max(float(d_seam) - med, 0.0)
+
+    col_diffs = np.abs(np.diff(img, axis=1))
+    for c in seam_lines(xs, plan.width):
+        results.append(("col", c, evaluate(col_diffs.swapaxes(0, 1), c,
+                                           plan.width)))
+    row_diffs = np.abs(np.diff(img, axis=0))
+    for r in seam_lines(ys, plan.height):
+        results.append(("row", r, evaluate(row_diffs, r, plan.height)))
+    return results
+
+
+def quantize(data):
+    """8-bit codes of the whole image at once: clip, shift, scale, round."""
+    v = np.clip(data, -1.0, 1.0)
+    return np.rint((v + 1.0) * (255.0 / 2.0)).astype(np.uint8)

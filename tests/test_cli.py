@@ -1,17 +1,22 @@
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from tilediff import cli, imagecore
+from tilediff import cli, imagecore, tasks
 from tilediff.cli import JobError, parse_job, run_job, seam_metric
 from tilediff.denoise import Denoiser
 from tilediff.msr import plan_tiles
 from tilediff.sampler import SamplerError
 
+import oracles
 from conftest import smooth_means
 from test_denoise import write_prior
+from test_msr import accepted_geometries
 
 PATCH, OVERLAP = 64, 32
 
@@ -205,6 +210,22 @@ def test_run_inpaint_with_hir(tmp_path, prior_dir, rng):
     assert float(metrics["consistency"]) <= 2 / 255 + 1e-9  # quantized I/O
 
 
+def test_inpaint_job_with_no_known_pixel_has_consistency_zero(tmp_path,
+                                                             prior_dir, rng):
+    # the measurement is empty, as for generation; its maximum residual
+    # is 0.0, not a reduction error after the whole canvas was sampled
+    imagecore.save_image(tmp_path / "obs.ppm", imagecore.Image(
+        rng.uniform(-1, 1, size=(64, 96, 3))))
+    imagecore.save_image(tmp_path / "mask.pgm",
+                         imagecore.Image(np.full((64, 96, 1), -1.0)))
+    _, job = parse_job([
+        "restore", "--task", "inpaint", "--in", str(tmp_path / "obs.ppm"),
+        "--mask", str(tmp_path / "mask.pgm"), "--out", str(tmp_path / "o.ppm"),
+        "--prior", str(prior_dir), "--steps", "5", "--travel-r", "1"])
+    assert run_job(job) == 0
+    assert read_metrics(tmp_path / "metrics.txt")["consistency"] == "0.0"
+
+
 def test_seam_metric_constant_image_is_zero():
     plan = plan_tiles(64, 96, PATCH, OVERLAP)
     img = np.full((64, 96, 3), 0.25)
@@ -218,6 +239,103 @@ def test_seam_metric_detects_synthetic_step():
     vals = {(axis, pos): v for axis, pos, v in seam_metric(img, plan)}
     assert vals[("col", 32)] >= 0.2  # interior band is flat, median 0
     assert vals[("col", 64)] == 0.0
+
+
+def test_seam_band_does_not_wrap_below_the_first_line():
+    # the col-1 seam has no room for a band on either side; a band that
+    # wrapped to the far edge took in the seam's own difference (0.5)
+    plan = plan_tiles(4, 4, 2, 1)
+    img = np.zeros((4, 4, 3))
+    img[:, 1:, :] = 1.0
+    vals = {(axis, pos): v for axis, pos, v in seam_metric(img, plan)}
+    assert vals[("col", 1)] == 1.0
+    assert vals == {(a, p): v for a, p, v in oracles.seam_metric(img, plan)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(accepted_geometries(), st.integers(1, 8), st.integers(0, 2**32 - 1))
+@example((8, 8, 8, 4, 1), 4, 0)      # canvas equal to the patch: no seams
+@example((11, 13, 4, 2, 1), 2, 1)    # clamped last row and column
+@example((4, 4, 2, 1, 1), 1, 2)      # seams at lines 1 and 2
+def test_seam_metric_equals_the_full_difference_oracle(geometry, levels,
+                                                       seed):
+    height, width, patch, overlap, block = geometry
+    plan = plan_tiles(height, width, patch, overlap, block=block)
+    # few levels, so that medians fall on ties and between equal values
+    img = np.random.default_rng(seed).integers(
+        -levels, levels + 1, size=(height, width, 3)) / levels
+    assert seam_metric(img, plan) == oracles.seam_metric(img, plan)
+
+
+def _tasks_of_every_kind(rng, height, width):
+    """One task of each kind on a height x width canvas; SR at scale 3,
+    so the bands must be multiples of 3 rows."""
+    known = rng.random((height, width)) < 0.5
+    return [
+        tasks.SuperResolutionTask(
+            rng.uniform(-1, 1, size=(height // 3, width // 3, 3)), 3),
+        tasks.InpaintTask(rng.uniform(-1, 1, size=(height, width, 3)),
+                          known),
+        tasks.InpaintTask(rng.uniform(-1, 1, size=(height, width, 3)),
+                          np.zeros_like(known)),
+        tasks.ColorizeTask(rng.uniform(-1, 1, size=(height, width, 1))),
+        tasks.DenoiseTask(rng.uniform(-1, 1, size=(height, width, 3))),
+        tasks.GenerateTask(height, width, 3)]
+
+
+@pytest.mark.parametrize("height", [3, 15, 18, 51])
+def test_consistency_equals_the_full_size_residual(rng, height):
+    # heights below, at and past a band, and not a multiple of one
+    for task in _tasks_of_every_kind(rng, height, 12):
+        img = rng.uniform(-1, 1, size=task.shape)
+        full = task.full_problem()
+        want = 0.0
+        if full is not None and full[1].size:
+            op, y = full
+            want = float(np.abs(op.forward(img) - y).max())
+        assert cli.consistency(task, img) == want
+
+
+def _heap_peak_canvases(tmp_path, prior_dir, argv, height, width):
+    """tracemalloc's heap peak during the job `argv(height, width)`, in
+    float64 canvases; one small job of the same kind runs first, so that
+    numpy's lazily imported modules are not counted."""
+    common = ["--prior", str(prior_dir), "--overlap", "16", "--steps", "1",
+              "--travel-r", "1", "--out", str(tmp_path / "o.ppm")]
+    assert run_job(parse_job(argv(64, 128) + common)[1]) == 0
+    _, job = parse_job(argv(height, width) + common)
+    tracemalloc.start()
+    try:
+        assert run_job(job) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / (height * width * 3 * 8)
+
+
+def test_generate_job_heap_peak_is_below_one_and_a_half_canvases(
+        tmp_path, prior_dir):
+    # 100 tiles' area: the output canvas is the one full-size array, and
+    # the finish (residuals, seams, quantizing, saving) builds no other
+    def argv(h, w):
+        return ["generate", "--width", str(w), "--height", str(h)]
+
+    assert _heap_peak_canvases(tmp_path, prior_dir, argv, 640, 640) < 1.5
+
+
+def test_inpaint_job_heap_peak_is_its_canvases_plus_a_half(
+        tmp_path, prior_dir, rng):
+    # it needs two float canvases: the observed input and the output
+    def argv(h, w):
+        imagecore.save_image(tmp_path / "obs.ppm", imagecore.Image(
+            rng.uniform(-1, 1, size=(h, w, 3))))
+        imagecore.save_image(tmp_path / "mask.pgm", imagecore.Image(
+            np.where(rng.random((h, w, 1)) < 0.5, 1.0, -1.0)))
+        return ["restore", "--task", "inpaint",
+                "--in", str(tmp_path / "obs.ppm"),
+                "--mask", str(tmp_path / "mask.pgm")]
+
+    assert _heap_peak_canvases(tmp_path, prior_dir, argv, 640, 640) < 2.5
 
 
 def test_selftest_and_plan_commands(capsys):

@@ -254,3 +254,6 @@ def test_hir_equals_a_two_phase_replay_bitwise(case, seed):
     assert np.array_equal(result.coarse, coarse)
     assert np.array_equal(result.image, image)
     assert result.lowfreq_residual <= 1e-10
+    # reduced over row bands, it equals the full-size residual exactly
+    assert result.lowfreq_residual == float(np.abs(
+        AvgPool(task.shape, f).forward(image) - coarse).max())

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis.extra.numpy import arrays
 
 from tilediff import imagecore
 from tilediff.imagecore import CodecError, Image, load_image, save_image
+
+import oracles
 
 
 def test_range_endpoints():
@@ -35,6 +38,70 @@ def test_two_cycle_files_byte_identical(tmp_path, rng):
     save_image(p2, load_image(p1))
     h = lambda p: hashlib.sha256(p.read_bytes()).hexdigest()
     assert h(p1) == h(p2)
+
+
+def _half_code_ties():
+    """Values v in [-1, 1] whose scaled (v + 1) * 127.5 is exactly k + 1/2,
+    where rint rounds to the even code."""
+    v = (np.arange(255) + 0.5) / 127.5 - 1.0
+    return v[(v + 1.0) * (255.0 / 2.0) == np.arange(255) + 0.5]
+
+
+def test_there_are_half_code_ties():
+    assert len(_half_code_ties()) > 100
+
+
+_codec_values = st.one_of(
+    st.floats(-3.0, 3.0), st.sampled_from(list(_half_code_ties())),
+    st.sampled_from([-1.0, 1.0, -0.0, 0.0, 1e300, -1e300]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3 * imagecore.BAND_ROWS + 5), st.integers(1, 5),
+       st.sampled_from([1, 3]), st.data())
+def test_banded_codes_equal_the_whole_image_quantizer(height, width,
+                                                      channels, data):
+    # heights below, at and past a band, mostly not a multiple of one
+    shape = (height, width, channels)
+    values = data.draw(arrays(np.float64, shape, elements=_codec_values))
+    codes = imagecore.quantize(Image(values))
+    assert codes.dtype == np.uint8
+    assert codes.tobytes() == oracles.quantize(values).tobytes()
+
+
+def test_dequantize_is_the_scale_and_shift_of_the_codes():
+    codes = np.arange(256, dtype=np.uint8).reshape(16, 16, 1)
+    want = codes.astype(np.float64) * (2.0 / 255.0) - 1.0
+    assert imagecore.dequantize(codes).data.tobytes() == want.tobytes()
+
+
+def test_load_image_holds_one_float_canvas(tmp_path, rng):
+    # the float image, plus the file's bytes and the finiteness check's
+    # booleans at an eighth of it each
+    p = tmp_path / "a.ppm"
+    save_image(p, Image(rng.uniform(-1, 1, size=(256, 256, 3))))
+    load_image(p)
+    tracemalloc.start()
+    try:
+        img = load_image(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / img.data.nbytes < 1.3
+
+
+def test_image_keeps_a_frozen_array_and_copies_any_other():
+    frozen = np.zeros((2, 3, 3))
+    frozen.flags.writeable = False
+    assert Image(frozen).data is frozen
+    writable = np.zeros((2, 3, 3))
+    img = Image(writable)
+    assert not np.shares_memory(img.data, writable)
+    assert not img.data.flags.writeable
+    # a read-only view can still change through its base
+    view = writable[:, :2]
+    view.flags.writeable = False
+    assert not np.shares_memory(Image(view).data, writable)
 
 
 def test_codec_errors(tmp_path):
