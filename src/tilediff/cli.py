@@ -1,8 +1,10 @@
 """Command-line orchestration: job parsing, task construction, metrics.
 
 Subcommands: generate, restore, plan (print the tile plan without running),
-selftest (quick invariant checks plus a determinism probe). Options can come
-from a `key = value` config file (# comments); command-line flags win.
+selftest (quick invariant checks plus a determinism probe). Each job option
+is a JobSpec field, whose metadata gives its flag; options can also come
+from a `key = value` config file (# comments) keyed by field name, and
+command-line flags win.
 Every run writes the output image and a metrics.txt with the consistency
 error, per-seam statistics, wall clock, and step count.
 """
@@ -23,7 +25,7 @@ import numpy as np
 from . import denoise, linops, tasks
 from .hir import hir_restore
 from .imagecore import Image, Window, load_image, row_bands, save_image
-from .msr import TilePlan, msr_restore, plan_tiles
+from .msr import TilePlan, check_geometry, msr_restore, plan_tiles
 from .sampler import SamplerConfig, SamplerError
 from .schedule import TravelPlan, build_schedule
 
@@ -37,26 +39,45 @@ class JobError(ValueError):
     """Invalid or inconsistent job specification."""
 
 
+def _option(default=None, commands=("restore", "generate"), **meta):
+    """A JobSpec field and its flag: `commands` are the subcommands that
+    take it; `flag` (default --name-with-dashes), `help` and `choices` go
+    to add_argument. The flag's type is the field's annotation."""
+    return dataclasses.field(default=default,
+                             metadata=dict(meta, commands=commands))
+
+
 @dataclasses.dataclass
 class JobSpec:
-    task: str | None = None
-    scale: int | None = None
-    mask: str | None = None
-    sigma_y: float = 0.0
-    width: int | None = None
-    height: int | None = None
-    patch: int = 64
-    overlap: int = 32
-    steps: int = 100
-    eta: float = 0.85
-    travel_l: int = 10
-    travel_r: int = 3
-    hir_factor: int = 0
-    seed: int = 0
-    prior: str | None = None
-    input: str | None = None
-    output: str | None = None
-    naive: bool = False
+    task: str | None = _option(commands=("restore",), choices=[
+        t for t in TASK_NAMES if t != "generate"])
+    scale: int | None = _option(commands=("restore",), help="SR factor")
+    mask: str | None = _option(commands=("restore",),
+                               help="PGM mask, 0=missing 255=known")
+    sigma_y: float = _option(0.0)
+    width: int | None = _option(commands=("generate",))
+    height: int | None = _option(commands=("generate",))
+    patch: int = _option(64)
+    overlap: int = _option(32)
+    steps: int = _option(100, help="diffusion steps T")
+    eta: float = _option(0.85)
+    travel_l: int = _option(10)
+    travel_r: int = _option(3)
+    hir_factor: int = _option(
+        0, help="coarse-phase downsample factor >= 2, 0 = off")
+    seed: int = _option(0)
+    prior: str | None = _option(help="prior directory with prior.txt")
+    input: str | None = _option(commands=("restore",), flag="--in")
+    output: str | None = _option(flag="--out")
+    naive: bool = _option(False, help="solve tiles independently (no "
+                          "overlap constraint); baseline for comparison")
+
+    def sampler_config(self) -> SamplerConfig:
+        """The sampler settings; SamplerConfig and TravelPlan check their
+        ranges."""
+        return SamplerConfig(T=self.steps, eta=self.eta,
+                             travel=TravelPlan(self.travel_l, self.travel_r),
+                             seed=self.seed, sigma_y=self.sigma_y)
 
 
 def _option_type(hint):
@@ -104,36 +125,22 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Tiled diffusion restoration and generation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    jobs = {"restore": sub.add_parser("restore",
+                                      help="solve an inverse problem"),
+            "generate": sub.add_parser("generate",
+                                       help="sample an image from the prior")}
+    for command, p in jobs.items():
         p.add_argument("--config", help="key = value option file")
-        p.add_argument("--patch", type=int)
-        p.add_argument("--overlap", type=int)
-        p.add_argument("--steps", type=int, help="diffusion steps T")
-        p.add_argument("--eta", type=float)
-        p.add_argument("--travel-l", type=int, dest="travel_l")
-        p.add_argument("--travel-r", type=int, dest="travel_r")
-        p.add_argument("--hir-factor", type=int, dest="hir_factor",
-                       help="coarse-phase downsample factor >= 2, 0 = off")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--sigma-y", type=float, dest="sigma_y")
-        p.add_argument("--prior", help="prior directory with prior.txt")
-        p.add_argument("--out", dest="output")
-        p.add_argument("--naive", action="store_const", const=True,
-                       help="solve tiles independently (no overlap "
-                            "constraint); baseline for comparison")
-
-    p_restore = sub.add_parser("restore", help="solve an inverse problem")
-    p_restore.add_argument("--task", choices=[t for t in TASK_NAMES
-                                              if t != "generate"])
-    p_restore.add_argument("--scale", type=int, help="SR factor")
-    p_restore.add_argument("--mask", help="PGM mask, 0=missing 255=known")
-    p_restore.add_argument("--in", dest="input")
-    add_common(p_restore)
-
-    p_gen = sub.add_parser("generate", help="sample an image from the prior")
-    p_gen.add_argument("--width", type=int)
-    p_gen.add_argument("--height", type=int)
-    add_common(p_gen)
+        for field in dataclasses.fields(JobSpec):
+            meta = dict(field.metadata)
+            if command not in meta.pop("commands"):
+                continue
+            flag = meta.pop("flag", "--" + field.name.replace("_", "-"))
+            if _TYPES[field.name] is bool:
+                meta.update(action="store_const", const=True)
+            else:
+                meta.update(type=_TYPES[field.name])
+            p.add_argument(flag, dest=field.name, **meta)
 
     p_plan = sub.add_parser("plan", help="print the tile plan and exit")
     p_plan.add_argument("--width", type=int, required=True)
@@ -164,6 +171,9 @@ def parse_job(argv) -> tuple[str, JobSpec | argparse.Namespace]:
 
 
 def validate_job(job: JobSpec):
+    """Check what no library object checks for the job; the sampler
+    settings and the tile geometry are checked by SamplerConfig and
+    check_geometry."""
     if job.task not in TASK_NAMES:
         raise JobError(f"task must be one of {TASK_NAMES}, got {job.task!r}")
     if job.prior is None:
@@ -176,33 +186,19 @@ def validate_job(job: JobSpec):
     else:
         if job.input is None:
             raise JobError(f"task {job.task} requires an input image")
-    if job.task == "sr" and not job.scale:
+    if job.task == "sr" and job.scale is None:
         raise JobError("sr requires scale")
     if job.task == "sr" and job.scale < 1:
         raise JobError(f"scale must be >= 1, got {job.scale}")
     if job.task == "inpaint" and not job.mask:
         raise JobError("inpaint requires mask")
-    if not 0 < job.overlap < job.patch:
-        raise JobError(
-            f"need 0 < overlap < patch, got {job.overlap}/{job.patch}")
-    block = _job_block(job)
-    if job.patch % block or job.overlap % block:
-        raise JobError(
-            f"patch {job.patch} and overlap {job.overlap} must be "
-            f"multiples of {block} (operator block x hierarchy factor)")
     if job.hir_factor < 0 or job.hir_factor == 1:
         raise JobError("hir-factor must be 0 (off) or >= 2")
-    if job.steps < 1:
-        raise JobError("steps must be >= 1")
-    if not 0.0 <= job.eta <= 1.0:
-        raise JobError(f"eta must be in [0, 1], got {job.eta}")
-    if not job.sigma_y >= 0.0:
-        raise JobError(f"sigma-y must be >= 0, got {job.sigma_y}")
-    if job.travel_l < 1 or job.travel_r < 1:
-        raise JobError(f"travel-l and travel-r must be >= 1, got "
-                       f"{job.travel_l} and {job.travel_r}")
-    if job.seed < 0:
-        raise JobError(f"seed must be >= 0, got {job.seed}")
+    try:
+        job.sampler_config()
+        check_geometry(job.patch, job.overlap, _job_block(job))
+    except ValueError as e:
+        raise JobError(str(e)) from None
     if job.task == "generate":
         _check_hir_canvas(job, job.height, job.width)
 
@@ -308,7 +304,9 @@ def run_job(job: JobSpec) -> int:
 
     A bad job or file gives status 1. A diverged sampler (SamplerError) is
     recorded in metrics.txt too, then re-raised so that library callers can
-    tell it from a rejected job; `main` reports it as status 1.
+    tell it from a rejected job. An output directory that cannot be made
+    raises its OSError before anything is written. `main` reports either
+    as status 1.
     """
     start = time.monotonic()
     metrics: dict[str, object] = {}
@@ -327,9 +325,7 @@ def run_job(job: JobSpec) -> int:
         block = _job_block(job)
         plan = plan_tiles(task.shape[0], task.shape[1], job.patch,
                           job.overlap, block=block)
-        cfg = SamplerConfig(T=job.steps, eta=job.eta,
-                            travel=TravelPlan(job.travel_l, job.travel_r),
-                            seed=job.seed, sigma_y=job.sigma_y)
+        cfg = job.sampler_config()
         if job.hir_factor >= 2:
             result = hir_restore(task, job.hir_factor, plan, denoiser, cfg)
             img = result.image
@@ -437,7 +433,7 @@ def main(argv=None) -> int:
         return run_selftest()
     try:
         return run_job(job)
-    except SamplerError as e:
+    except (SamplerError, OSError) as e:  # divergence, or no output directory
         print(f"error: {e}", file=sys.stderr)
         return 1
 

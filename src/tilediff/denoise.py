@@ -102,9 +102,10 @@ def load_gmm_prior(directory) -> GmmDenoiser:
     manifest = os.path.join(directory, "prior.txt")
     with open(manifest, "r", encoding="utf-8") as f:
         lines = [ln.strip() for ln in f if ln.strip()]
-    if not lines or not lines[0].startswith("tau"):
+    head = lines[0].split() if lines else []
+    if len(head) != 2 or head[0] != "tau":
         raise ValueError("prior.txt must start with a `tau <float>` line")
-    tau = float(lines[0].split()[1])
+    tau = float(head[1])
     means, weights = [], []
     for ln in lines[1:]:
         parts = ln.split()

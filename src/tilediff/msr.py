@@ -53,9 +53,9 @@ def _axis_positions(size: int, patch: int, overlap: int, block: int):
     return positions
 
 
-def plan_tiles(height: int, width: int, patch: int, overlap: int,
-               block: int = 1) -> TilePlan:
-    """Positions at 0, stride, 2*stride, ..., last clamped to the edge."""
+def check_geometry(patch: int, overlap: int, block: int):
+    """The tile rules that hold on any canvas: 0 < overlap < patch, and
+    patch and overlap multiples of a block >= 1."""
     if not 0 < overlap < patch:
         raise ValueError(f"need 0 < overlap < patch, got {overlap}/{patch}")
     if block < 1:
@@ -64,6 +64,12 @@ def plan_tiles(height: int, width: int, patch: int, overlap: int,
         raise ValueError(
             f"patch {patch} and overlap {overlap} must be multiples of "
             f"block {block}")
+
+
+def plan_tiles(height: int, width: int, patch: int, overlap: int,
+               block: int = 1) -> TilePlan:
+    """Positions at 0, stride, 2*stride, ..., last clamped to the edge."""
+    check_geometry(patch, overlap, block)
     ys = _axis_positions(height, patch, overlap, block)
     xs = _axis_positions(width, patch, overlap, block)
     windows = tuple(Window(top=y, left=x, height=patch, width=patch)

@@ -35,10 +35,14 @@ class SamplerConfig:
     sigma_y: float = 0.0
 
     def __post_init__(self):
+        if self.T < 1:
+            raise ValueError(f"steps T must be >= 1, got {self.T}")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must be in [0, 1], got {self.eta}")
-        if self.sigma_y < 0.0:
-            raise ValueError(f"sigma_y must be >= 0, got {self.sigma_y}")
+        if not self.sigma_y >= 0.0:  # NaN fails too
+            raise ValueError(f"sigma-y must be >= 0, got {self.sigma_y}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 Hook = Callable[[np.ndarray, int], np.ndarray]
@@ -171,9 +175,8 @@ class NoiseProducer:
     streams, made on a background thread: the first `count` draws of
     default_rng(seed) for each stream in turn, handed out by take().
 
-    The ring is two chunks of C draws each, allocated here; C is the
-    number of whole draws that fit in CHUNK numbers (eight at the 64x64x3
-    patch), at least one and at most the total. The thread fills a free
+    The ring is two chunks of C draws each, allocated here; C is CHUNK
+    draws, or the total when that is fewer. The thread fills a free
     chunk in place, with one standard_normal(out=) call per stream segment
     in it, so a chunk may end one stream and start the next. The thread
     is each Generator's only user and runs numpy alone, so every stream is
@@ -189,12 +192,12 @@ class NoiseProducer:
     also one that is waiting for a free chunk.
     """
 
-    CHUNK = 8 * 64 * 64 * 3
+    CHUNK = 8
 
     def __init__(self, streams: Sequence[tuple[int, int]], shape: tuple):
         self.shape = tuple(shape)
         total = sum(count for _, count in streams)
-        per_chunk = max(1, min(total, self.CHUNK // math.prod(self.shape)))
+        per_chunk = min(total, self.CHUNK)
         self._ring = np.empty((2, per_chunk, *self.shape))
         self._free = threading.Semaphore(2)
         self._ready = queue.SimpleQueue()

@@ -25,10 +25,6 @@ class Task:
         """Return (operator, measurement) for the given window."""
         raise NotImplementedError
 
-    def full_problem(self):
-        """(operator, measurement) at full size, or None for generation."""
-        return None
-
     def reduce(self, f: int) -> "Task":
         """The same task at 1/f size (f >= 2), for the coarse phase."""
         raise NotImplementedError
@@ -63,9 +59,6 @@ class SuperResolutionTask(Task):
                    win.left // p:(win.left + win.width) // p, :]
         return op, y
 
-    def full_problem(self):
-        return linops.AvgPool(self.shape, self.scale), self.y
-
     def reduce(self, f: int) -> Task:
         self._check_divisible(f)
         if self.scale % f:
@@ -90,10 +83,6 @@ class InpaintTask(Task):
         op = linops.Mask(self.known[ys, xs], channels=self.shape[2])
         y = op.forward(self.observed[ys, xs, :])
         return op, y
-
-    def full_problem(self):
-        op = linops.Mask(self.known, channels=self.shape[2])
-        return op, op.forward(self.observed)
 
     def reduce(self, f: int) -> Task:
         self._check_divisible(f)
@@ -125,9 +114,6 @@ class ColorizeTask(Task):
         op = linops.Gray((win.height, win.width, 3))
         return op, self.gray[ys, xs, :]
 
-    def full_problem(self):
-        return linops.Gray(self.shape), self.gray
-
     def reduce(self, f: int) -> Task:
         self._check_divisible(f)
         h, w, _ = self.gray.shape
@@ -146,9 +132,6 @@ class DenoiseTask(Task):
         ys, xs = win.slices()
         op = linops.Identity((win.height, win.width, self.shape[2]))
         return op, self.observed[ys, xs, :]
-
-    def full_problem(self):
-        return linops.Identity(self.shape), self.observed
 
     def reduce(self, f: int) -> Task:
         self._check_divisible(f)

@@ -4,7 +4,8 @@ No run of the package needs these: the textbook Gaussian and mixture
 posterior means, the forward process, an operator's dense matrix, a
 zero-noise denoiser, the constraint kernels in the form that builds every
 full-size operand, a plain re-derivation of the mask-shift tiling loop,
-and the run's finish (seam metric, quantizer) over the whole image.
+each task's full-size inverse problem, and the run's finish (seam metric,
+quantizer) over the whole image.
 """
 
 import dataclasses
@@ -12,6 +13,7 @@ import math
 
 import numpy as np
 
+from tilediff import linops, tasks
 from tilediff.denoise import Denoiser
 from tilediff.msr import tile_seed
 from tilediff.sampler import ConstraintHooks, run_sampler
@@ -150,6 +152,22 @@ def replay_msr(task, plan, den, cfg, pre_hook_factory=None):
         image[ys, xs, :] = out
         known[ys, xs] = True
     return image
+
+
+def full_problem(task):
+    """(operator, measurement) of the task at full size, or None for
+    generation: the reference that cli.consistency and the tiled
+    assemblies are checked against."""
+    if isinstance(task, tasks.SuperResolutionTask):
+        return linops.AvgPool(task.shape, task.scale), task.y
+    if isinstance(task, tasks.InpaintTask):
+        op = linops.Mask(task.known, channels=task.shape[2])
+        return op, op.forward(task.observed)
+    if isinstance(task, tasks.ColorizeTask):
+        return linops.Gray(task.shape), task.gray
+    if isinstance(task, tasks.DenoiseTask):
+        return linops.Identity(task.shape), task.observed
+    return None
 
 
 def seam_metric(img, plan):

@@ -36,7 +36,7 @@ from tilediff.tasks import (ColorizeTask, GenerateTask, InpaintTask,
                             SuperResolutionTask)
 
 from conftest import lowfreq_residuals, smooth_means
-from oracles import replay_msr
+from oracles import full_problem, replay_msr
 from test_denoise import write_prior
 from test_linops import dense_pinv_scaled
 
@@ -114,7 +114,7 @@ def test_criterion_2_exact_consistency():
         ColorizeTask(truth.mean(axis=2, keepdims=True)),
     ]
     for task in tasks:
-        op, y = task.full_problem()
+        op, y = full_problem(task)
         xhat = run_sampler(op, y, den, cfg)
         assert np.abs(op.forward(xhat) - y).max() <= 1e-6
 
@@ -182,7 +182,7 @@ def test_criterion_4_msr_seams():
         sr = SuperResolutionTask(y, 4)
         img = replay_msr(sr, plan, den, cfg)
         assert np.array_equal(img, msr_restore(sr, plan, den, cfg))
-        op, yy = sr.full_problem()
+        op, yy = full_problem(sr)
         assert np.abs(op.forward(img) - yy).max() <= 1e-6
 
     # seam excess indistinguishable from an interior null band, 20 seeds

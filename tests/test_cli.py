@@ -288,7 +288,7 @@ def test_consistency_equals_the_full_size_residual(rng, height):
     # heights below, at and past a band, and not a multiple of one
     for task in _tasks_of_every_kind(rng, height, 12):
         img = rng.uniform(-1, 1, size=task.shape)
-        full = task.full_problem()
+        full = oracles.full_problem(task)
         want = 0.0
         if full is not None and full[1].size:
             op, y = full
@@ -348,6 +348,52 @@ def test_selftest_and_plan_commands(capsys):
     assert "left=36" in out
 
 
+def _help_options(command, capsys):
+    """{flag and metavar: help text} of `tilediff command --help`."""
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    lines = capsys.readouterr().out.splitlines()
+    # the options follow the first unindented heading, e.g. "options:"
+    start = next(i for i, ln in enumerate(lines)
+                 if ln.endswith(":") and not ln.startswith(" "))
+    entries = []
+    for ln in lines[start + 1:]:
+        if ln.startswith("  -"):
+            entries.append(ln.strip())
+        elif ln.strip():
+            entries[-1] += "  " + ln.strip()
+    return dict((e.split("  ", 1) + [""])[:2] for e in entries)
+
+
+_JOB_OPTIONS = {
+    "-h, --help": "show this help message and exit",
+    "--config CONFIG": "key = value option file",
+    "--patch PATCH": "", "--overlap OVERLAP": "",
+    "--steps STEPS": "diffusion steps T", "--eta ETA": "",
+    "--travel-l TRAVEL_L": "", "--travel-r TRAVEL_R": "",
+    "--hir-factor HIR_FACTOR":
+        "coarse-phase downsample factor >= 2, 0 = off",
+    "--seed SEED": "", "--sigma-y SIGMA_Y": "",
+    "--prior PRIOR": "prior directory with prior.txt",
+    "--out OUTPUT": "",
+    "--naive": "solve tiles independently (no overlap constraint); "
+               "baseline for comparison"}
+
+
+@pytest.mark.parametrize("command, own", [
+    ("restore", {"--task {sr,inpaint,colorize,denoise}": "",
+                 "--scale SCALE": "SR factor",
+                 "--mask MASK": "PGM mask, 0=missing 255=known",
+                 "--in INPUT": ""}),
+    ("generate", {"--width WIDTH": "", "--height HEIGHT": ""})])
+def test_job_help_lists_each_flag_metavar_and_help(monkeypatch, capsys,
+                                                   command, own):
+    monkeypatch.setenv("COLUMNS", "200")
+    got = {k: " ".join(v.split()) for k, v in
+           _help_options(command, capsys).items()}
+    assert got == {**_JOB_OPTIONS, **own}
+
+
 def test_main_reports_job_errors(capsys):
     assert cli.main(["restore", "--task", "sr", "--in", "x.ppm",
                      "--out", "y.ppm", "--prior", "p/"]) == 2
@@ -358,7 +404,10 @@ def test_main_reports_job_errors(capsys):
     (["generate", "--width", "128", "--height", "128", "--hir-factor", "-2"],
      "error: hir-factor must be 0 (off) or >= 2"),
     (["restore", "--task", "sr", "--scale", "-2", "--in", "x.ppm"],
-     "error: scale must be >= 1, got -2")], ids=["hir-factor", "scale"])
+     "error: scale must be >= 1, got -2"),
+    (["restore", "--task", "sr", "--scale", "0", "--in", "x.ppm"],
+     "error: scale must be >= 1, got 0")],
+    ids=["hir-factor", "scale", "scale-0"])
 def test_main_rejects_a_negative_factor(tmp_path, prior_dir, capsys, argv,
                                         message):
     assert cli.main(argv + ["--prior", str(prior_dir),
@@ -372,10 +421,10 @@ def test_main_rejects_a_negative_factor(tmp_path, prior_dir, capsys, argv,
     (["--eta", "nan"], "error: eta must be in [0, 1], got nan"),
     (["--sigma-y", "-0.1"], "error: sigma-y must be >= 0, got -0.1"),
     (["--sigma-y", "nan"], "error: sigma-y must be >= 0, got nan"),
-    (["--travel-l", "0"],
-     "error: travel-l and travel-r must be >= 1, got 0 and 3"),
-    (["--travel-r", "0"],
-     "error: travel-l and travel-r must be >= 1, got 10 and 0"),
+    (["--travel-l", "0"], "error: travel plan needs l >= 1 and r >= 1, "
+                          "got TravelPlan(l=0, r=3)"),
+    (["--travel-r", "0"], "error: travel plan needs l >= 1 and r >= 1, "
+                          "got TravelPlan(l=10, r=0)"),
     (["--seed", "-1"], "error: seed must be >= 0, got -1")],
     ids=["eta", "eta-nan", "sigma-y", "sigma-y-nan", "travel-l", "travel-r",
          "seed"])
@@ -430,6 +479,27 @@ def test_main_reports_an_impossible_input_image(tmp_path, prior_dir, capsys,
     assert len(err) == 1 and err[0].startswith("error: truncated payload")
     metrics = read_metrics(tmp_path / "metrics.txt")
     assert metrics["error"].startswith("truncated payload")
+
+
+def test_main_reports_an_output_directory_it_cannot_make(tmp_path, prior_dir,
+                                                        capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert cli.main(["generate", "--width", "64", "--height", "64",
+                     "--prior", str(prior_dir),
+                     "--out", str(afile / "o.ppm")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: [Errno")
+
+
+def test_main_reports_a_tau_line_without_a_value(tmp_path, prior_dir, capsys):
+    (prior_dir / "prior.txt").write_text("tau\ncomponent 1 mean_0.ppm\n")
+    assert cli.main(["generate", "--width", "64", "--height", "64",
+                     "--prior", str(prior_dir),
+                     "--out", str(tmp_path / "o.ppm")]) == 1
+    message = "prior.txt must start with a `tau <float>` line"
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert read_metrics(tmp_path / "metrics.txt")["error"] == message
 
 
 class NanDenoiser(Denoiser):

@@ -141,7 +141,7 @@ def test_hir_phase1_consistency_inherited(rng):
     cfg = SamplerConfig(T=15, seed=4)
     result = hir_restore(task, 2, plan2, den, cfg)
     red = task.reduce(2)
-    op, y = red.full_problem()
+    op, y = oracles.full_problem(red)
     assert np.abs(op.forward(result.coarse) - y).max() <= 1e-6
 
 

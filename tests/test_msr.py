@@ -15,7 +15,7 @@ from tilediff.schedule import TravelPlan
 from tilediff.tasks import GenerateTask, InpaintTask, SuperResolutionTask
 
 from conftest import noise_thread_starts, smooth_means, within
-from oracles import replay_msr
+from oracles import full_problem, replay_msr
 
 PATCH, OVERLAP = 64, 32
 
@@ -228,7 +228,7 @@ def test_msr_global_consistency_sr(rng):
     task = SuperResolutionTask(y_lr, 4)
     plan = plan_tiles(64, 96, PATCH, OVERLAP, block=4)
     out = msr_restore(task, plan, den, SamplerConfig(T=40, seed=8))
-    op, y = task.full_problem()
+    op, y = full_problem(task)
     assert np.abs(op.forward(out) - y).max() <= 1e-6
 
 
@@ -286,15 +286,14 @@ def test_a_tiling_pass_starts_one_noise_thread():
     assert len(plan.windows) == 4 and len(names) == 1
 
 
-# 64x64x3 draws: eight to a ring chunk. T=5 with travel (2, 2) takes 14
-# draws per tile, more than a chunk; T=6 takes 7, fewer
+# eight draws to a ring chunk. T=5 with travel (2, 2) takes 14 draws per
+# tile, more than a chunk; T=6 takes 7, fewer
 @pytest.mark.parametrize("kind, cfg", [
     ("generate", SamplerConfig(T=5, seed=21, travel=TravelPlan(2, 2))),
     ("sr", SamplerConfig(T=6, seed=22, sigma_y=0.05)),
 ], ids=["14-draws", "7-draws"])
 def test_msr_equals_the_replay_when_chunks_straddle_tiles(rng, kind, cfg):
-    per_chunk = NoiseProducer.CHUNK // (PATCH * PATCH * 3)
-    assert noise_draws(cfg) % per_chunk != 0
+    assert noise_draws(cfg) % NoiseProducer.CHUNK != 0
     if kind == "generate":
         task = GenerateTask(96, 128, 3)
     else:

@@ -363,6 +363,12 @@ def test_sampler_config_validation():
         SamplerConfig(eta=1.5)
     with pytest.raises(ValueError):
         SamplerConfig(sigma_y=-0.1)
+    with pytest.raises(ValueError, match="sigma-y must be >= 0, got nan"):
+        SamplerConfig(sigma_y=float("nan"))
+    with pytest.raises(ValueError, match="steps T must be >= 1, got 0"):
+        SamplerConfig(T=0)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        SamplerConfig(seed=-1)
 
 
 def serial_sampler(op, y, denoiser, cfg):
@@ -523,8 +529,8 @@ def test_run_sampler_raises_the_producers_error(monkeypatch):
 
     real_default_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", FailingGenerator)
-    # T=10 takes 11 patch draws; at 64x64x3 a chunk holds 8, so the first
-    # chunk (x_T and 7 steps) is handed over before the second one fails
+    # T=10 takes 11 draws and a chunk holds 8, so the first chunk (x_T and
+    # 7 steps) is handed over before the second one fails
     op = linops.Identity((64, 64, 3))
     den = GmmDenoiser([np.zeros(op.input_shape)], [1.0], 1.0)
     before = threading.active_count()
