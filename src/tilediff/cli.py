@@ -196,6 +196,8 @@ def validate_job(job: JobSpec):
         raise JobError("hir-factor must be 0 (off) or >= 2")
     try:
         job.sampler_config()
+        if job.task == "sr" and job.hir_factor >= 2:
+            tasks.check_sr_hierarchy(job.scale, job.hir_factor)
         check_geometry(job.patch, job.overlap, _job_block(job))
     except ValueError as e:
         raise JobError(str(e)) from None

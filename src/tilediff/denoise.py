@@ -19,7 +19,11 @@ from .schedule import Schedule
 
 
 class Denoiser:
-    """Interface: predict_eps(x_t, t, sched) for states of input_shape."""
+    """Interface: predict_eps(x_t, t, sched) for states of input_shape.
+
+    Each call returns a new array, which the caller owns and may
+    overwrite: run_sampler's step spends it as scratch.
+    """
 
     input_shape: tuple
 

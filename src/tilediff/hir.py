@@ -26,14 +26,17 @@ class HirResult:
 
 def _lowfreq_hook(sr: AvgPool, ref: np.ndarray):
     """x0t -> pinv(A_sr) ref + (I - pinv(A_sr) A_sr) x0t, whose f x f block
-    means are the coarse tile ref's pixels."""
+    means are the coarse tile ref's pixels; written over x0t."""
     base = sr.pinv(ref)
 
     def hook(x0t, t):
         # (base + x0t) + pinv(-A x0t) is bitwise (base + x0t) - pinv(A x0t):
-        # IEEE defines a - b as a + (-b)
-        out = base + x0t
-        return sr.add_pinv(out, np.negative(sr.forward(x0t)), out=out)
+        # IEEE defines a - b as a + (-b). A x0t, a new array, is taken
+        # before the sum overwrites x0t.
+        low = sr.forward(x0t)
+        np.negative(low, out=low)
+        np.add(base, x0t, out=x0t)
+        return sr.add_pinv(x0t, low, out=x0t)
 
     return hook
 

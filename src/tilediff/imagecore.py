@@ -6,8 +6,9 @@ images, maxval 255. The 8-bit code k maps to the model value 2k/255 - 1, so
 a save/load cycle is exactly the quantizer and nothing else.
 
 Work over a whole canvas goes in row bands of at least BAND_ROWS rows
-(`row_bands`), so that it builds no second full-size float array: the
-quantizer here, and the run's residual metrics in `cli` and `hir`.
+(`row_bands`), so that it builds no second full-size array: the
+quantizer and the finiteness check here, and the run's residual metrics in
+`cli` and `hir`.
 """
 
 from __future__ import annotations
@@ -73,7 +74,9 @@ class Image:
             raise ValueError(f"image data must be HxWxC, got shape {arr.shape}")
         if arr.shape[2] not in (1, 3):
             raise ValueError(f"channels must be 1 or 3, got {arr.shape[2]}")
-        if not np.all(np.isfinite(arr)):
+        # band by band, so the check builds no full-size boolean
+        if not all(np.isfinite(arr[ys]).all()
+                   for ys in row_bands(arr.shape[0])):
             raise ValueError("image data contains NaN or Inf")
         if arr.flags.writeable or not arr.flags.owndata:
             arr = arr.copy()

@@ -5,7 +5,8 @@ all measurement modes (null-space modes have s = 0). That makes the
 SVD-based rescaling V diag(f(s_i)) pinv(S) U^T reduce to f(s) * pinv(r),
 so the noisy-path coefficients are one scalar per step and no SVD is ever
 materialized.
-All apply methods are pure and the operators are immutable.
+The operators are immutable. forward, pinv and range_project are pure;
+add_pinv and project write into `out` when it is given, and only there.
 """
 
 from __future__ import annotations
@@ -44,12 +45,15 @@ class LinearOperator:
         """x + pinv(r), written into out when given (out may be x)."""
         return np.add(x, self.pinv(r), out=out)
 
-    def project(self, y: np.ndarray, x0t: np.ndarray) -> np.ndarray:
+    def project(self, y: np.ndarray, x0t: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
         """pinv(A) y + (I - pinv(A) A) x0t, the measurement-consistent
-        point nearest x0t."""
+        point nearest x0t; written into out when given (out may be x0t)."""
         # grouped so that where the projector keeps a pixel whole
-        # (Identity) the result is y exactly
-        return self.pinv(y) + (x0t - self.range_project(x0t))
+        # (Identity) the result is y exactly; A x0t is taken before out
+        # may overwrite x0t
+        diff = np.subtract(x0t, self.range_project(x0t), out=out)
+        return np.add(self.pinv(y), diff, out=diff)
 
 
 class AvgPool(LinearOperator):
@@ -135,12 +139,15 @@ class Mask(LinearOperator):
         out[self.known] = y
         return out
 
-    def project(self, y, x0t):
-        # One scatter of y over a copy of x0t. The grouped base form can
-        # differ only in the sign of a zero: it turns a -0.0 in y, or in
-        # x0t at an unknown pixel, into +0.0. It also makes a non-finite
-        # x0t at a known pixel NaN, where this writes y.
-        out = x0t.copy()
+    def project(self, y, x0t, out=None):
+        # One scatter of y over x0t, in place when out is x0t. The grouped
+        # base form can differ only in the sign of a zero: it turns a -0.0
+        # in y, or in x0t at an unknown pixel, into +0.0. It also makes a
+        # non-finite x0t at a known pixel NaN, where this writes y.
+        if out is None:
+            out = x0t.copy()
+        elif out is not x0t:
+            out[...] = x0t
         out[self.known] = y
         return out
 

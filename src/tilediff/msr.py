@@ -108,21 +108,19 @@ def _overlap_rects(windows, idx: int) -> list[tuple[slice, slice]]:
 
 
 def _overlap_hook(fixed: np.ndarray, rects):
-    """x0 -> x0 with each rectangle of `fixed` written over it.
+    """x0 -> x0 with each rectangle of `fixed` written over it, in place.
 
     Bitwise equal to np.where(known[..., None], fixed, x0) with known the
     union of rects. Overlapping rectangles carry the same values, so their
-    order does not matter. The values are copied once per tile, and the
-    copy of x0 keeps x0, which the projection may hand back unchanged,
-    intact.
+    order does not matter. The values are copied once per tile, so the
+    hook reads nothing of the canvas the tiles are written into.
     """
     frozen = [(ys, xs, fixed[ys, xs].copy()) for ys, xs in rects]
 
     def hook(x0, t):
-        out = x0.copy()
         for ys, xs, vals in frozen:
-            out[ys, xs] = vals
-        return out
+            x0[ys, xs] = vals
+        return x0
 
     return hook
 

@@ -6,6 +6,10 @@ onto the measurement-consistent affine subspace (x0hat = pinv(A) y +
 noisy), and samples the previous state. Constraint hooks run around the
 projection so the tiling and coarse-to-fine layers can edit x0|t without
 touching the engine.
+
+Each step function takes `out=` in the numpy sense, and run_sampler passes
+the buffers it allocates once per call, so a step's results go into those
+buffers rather than into new arrays.
 """
 
 from __future__ import annotations
@@ -50,33 +54,49 @@ Hook = Callable[[np.ndarray, int], np.ndarray]
 
 @dataclasses.dataclass(frozen=True)
 class ConstraintHooks:
-    """x0|t edits applied in order: pre hooks, projection, post hooks."""
+    """x0|t edits applied in order: pre hooks, projection, post hooks.
+
+    A hook h(x0, t) returns the edited x0. It may write into the x0 it is
+    given and return it, or return a new array and leave x0 as it is. The
+    x0 a hook gets is the sampler's buffer or the previous hook's result,
+    and is overwritten at the next step; a hook keeps no reference to it.
+    """
 
     pre: Sequence[Hook] = ()
     post: Sequence[Hook] = ()
 
 
 def estimate_x0(x_t: np.ndarray, eps_t: np.ndarray, t: int,
-                sched: Schedule) -> np.ndarray:
-    """Invert the forward process: x0|t = (x_t - sigma_t eps_t) / a_t."""
+                sched: Schedule, out: np.ndarray | None = None) -> np.ndarray:
+    """Invert the forward process: x0|t = (x_t - sigma_t eps_t) / a_t.
+
+    Written into out when given; out shares no memory with x_t.
+    """
     if t < 1:
         raise ValueError("x0 estimation requires t >= 1")
     # x_t + (-sigma eps_t) rounds exactly like x_t - sigma eps_t
-    out = eps_t * -sched.sigma[t]
+    out = np.multiply(eps_t, -float(sched.sigma[t]), out=out)
     out += x_t
-    out /= sched.a[t]
+    out /= float(sched.a[t])
     return out
 
 
-def ddnm_project(op: LinearOperator, y: np.ndarray,
-                 x0t: np.ndarray) -> np.ndarray:
-    """pinv(A) y + (I - pinv(A) A) x0t; output is measurement-consistent."""
+def ddnm_project(op: LinearOperator, y: np.ndarray, x0t: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """pinv(A) y + (I - pinv(A) A) x0t; output is measurement-consistent.
+
+    Written into out when given (out may be x0t). Without out, an operator
+    that measures nothing returns x0t itself.
+    """
     if y.shape != tuple(op.output_shape):
         raise ValueError(f"measurement shape {y.shape} != {op.output_shape}")
     if y.size == 0:
         # nothing is measured (generation): the projection is the identity
-        return x0t
-    return op.project(y, x0t)
+        if out is None or out is x0t:
+            return x0t
+        out[...] = x0t
+        return out
+    return op.project(y, x0t, out=out)
 
 
 def compute_lambda_gamma(s: float, t: int, sched: Schedule, eta: float,
@@ -96,8 +116,8 @@ def compute_lambda_gamma(s: float, t: int, sched: Schedule, eta: float,
         raise ValueError("coefficients require t >= 1")
     if s == 0.0 or sigma_y == 0.0:
         return 1.0, eta
-    sig = sched.sigma[t - 1]
-    a = sched.a[t - 1]
+    sig = float(sched.sigma[t - 1])
+    a = float(sched.a[t - 1])
     if sig == 0.0:
         return 0.0, 0.0
     if sig * eta >= a * sigma_y * s:
@@ -111,37 +131,46 @@ def compute_lambda_gamma(s: float, t: int, sched: Schedule, eta: float,
 
 
 def ddnm_plus_project(op: LinearOperator, y: np.ndarray, x0t: np.ndarray,
-                      t: int, sched: Schedule,
-                      cfg: SamplerConfig) -> tuple[np.ndarray, float]:
+                      t: int, sched: Schedule, cfg: SamplerConfig,
+                      out: np.ndarray | None = None
+                      ) -> tuple[np.ndarray, float]:
     """Noisy-path projection x0t + lambda pinv(y - A x0t).
 
     Every measured mode shares the singular value op.sing_value, so one
     (lambda, gamma) pair is exact. Also returns gamma, the fresh-noise
     scale of the measured modes for sample_prev (null modes take eta).
-    With sigma_y = 0 this is exactly ddnm_project and gamma = eta.
+    With sigma_y = 0 this is exactly ddnm_project and gamma = eta. The
+    projection is written into out when given (out may be x0t).
     """
     if y.shape != tuple(op.output_shape):
         raise ValueError(f"measurement shape {y.shape} != {op.output_shape}")
     if cfg.sigma_y == 0.0:
         # lambda = 1 on every mode; reduce bit-exactly to the clean path
-        return ddnm_project(op, y, x0t), cfg.eta
+        return ddnm_project(op, y, x0t, out=out), cfg.eta
     lam, gam = compute_lambda_gamma(op.sing_value, t, sched, cfg.eta,
                                     cfg.sigma_y)
     residual = y - op.forward(x0t)
     residual *= lam
-    return op.add_pinv(x0t, residual), gam
+    return op.add_pinv(x0t, residual, out=out), gam
 
 
 def sample_prev(x0hat: np.ndarray, eps_t: np.ndarray, t: int,
                 sched: Schedule, cfg: SamplerConfig, noise: np.ndarray,
-                op: LinearOperator, gamma: float) -> np.ndarray:
+                op: LinearOperator, gamma: float,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Sample x_{t-1} = a_{t-1} x0hat + sigma_{t-1} (noise mix).
 
     noise is the step's fresh standard-normal draw eps. The noise mix is
     eta * eps + sqrt(1 - eta^2) * eps_t. A gamma other than eta rescales
     eps on the measured modes (those of op's range projector) to gamma;
-    null modes always keep eta. noise is only read: the result is a new
-    array, so the draw's buffer can be refilled once the call returns.
+    null modes always keep eta. x0hat and noise are only read, so the
+    draw's buffer can be refilled once the call returns.
+
+    Without out, eps_t is only read too and the result is a new array.
+    With out, the result is written into it and eps_t, the step's own
+    prediction, holds the scaled terms before they are added, so it is
+    overwritten; out shares no memory with an input. Either way the terms
+    are the same and are added in the same order.
 
     The measured-mode correction k A eps is scaled at measurement size and
     added through op.add_pinv, with the same sums as pinv(A eps) * k added
@@ -152,14 +181,17 @@ def sample_prev(x0hat: np.ndarray, eps_t: np.ndarray, t: int,
     """
     if t < 1:
         raise ValueError("sampling requires t >= 1")
-    sig = sched.sigma[t - 1]
-    out = noise * (sig * cfg.eta)
+    sig = float(sched.sigma[t - 1])
+    a = float(sched.a[t - 1])
+    scratch = None if out is None else eps_t
+    out = np.multiply(noise, sig * cfg.eta, out=out)
     if gamma != cfg.eta:
         # not in place: Identity.forward returns its input
         pooled = op.forward(noise) * (sig * (gamma - cfg.eta))
         op.add_pinv(out, pooled, out=out)
-    out += (sig * math.sqrt(1.0 - cfg.eta**2)) * eps_t
-    out += sched.a[t - 1] * x0hat
+    out += np.multiply(eps_t, sig * math.sqrt(1.0 - cfg.eta**2),
+                       out=scratch)
+    out += np.multiply(x0hat, a, out=scratch)
     return out
 
 
@@ -272,6 +304,15 @@ def run_sampler(op: LinearOperator, y: np.ndarray, denoiser,
     is made and closed here. Either way the draws come in the order a
     serial loop over the stream's Generator would make them, and the
     denoiser and the hooks run on the calling thread.
+
+    Buffers: the call allocates the state x, an x0 buffer and a boolean
+    finiteness mask once, and every step writes into them. estimate_x0
+    and the projection write x0|t and x0hat into the x0 buffer, and
+    sample_prev and renoise_jump write the next state into x. The
+    denoiser's prediction is a new array each step, which the step then
+    owns: sample_prev overwrites it. The sampler writes into no other
+    array, so a hook's new array is read, never written. The returned x_0
+    is the state buffer, which the caller then owns.
     """
     hooks = hooks or ConstraintHooks()
     sched = build_schedule(cfg.T)
@@ -286,6 +327,8 @@ def run_sampler(op: LinearOperator, y: np.ndarray, denoiser,
         raise ValueError(
             f"noise shape {noise.shape} != operator input {op.input_shape}")
     r = cfg.travel.r
+    x0 = np.empty(op.input_shape)
+    finite = np.empty(op.input_shape, dtype=bool)
     try:
         # a draw is used before the next take(), which may recycle it
         x = noise.take().copy()
@@ -293,21 +336,22 @@ def run_sampler(op: LinearOperator, y: np.ndarray, denoiser,
             for rep in range(r):
                 for t in range(t_hi, t_lo - 1, -1):
                     eps_t = denoiser.predict_eps(x, t, sched)
-                    x0t = estimate_x0(x, eps_t, t, sched)
+                    x0t = estimate_x0(x, eps_t, t, sched, out=x0)
                     for h in hooks.pre:
                         x0t = h(x0t, t)
                     x0hat, gamma = ddnm_plus_project(op, y, x0t, t, sched,
-                                                     cfg)
+                                                     cfg, out=x0)
                     for h in hooks.post:
                         x0hat = h(x0hat, t)
                     x = sample_prev(x0hat, eps_t, t, sched, cfg,
-                                    noise.take(), op=op, gamma=gamma)
-                    if not np.all(np.isfinite(x)):
+                                    noise.take(), op=op, gamma=gamma, out=x)
+                    if not np.isfinite(x, out=finite).all():
                         raise SamplerError(
                             f"non-finite state at step t={t}")
                 if rep < r - 1:
                     jump = t_hi - (t_lo - 1)
-                    x = renoise_jump(x, t_lo - 1, jump, noise.take(), sched)
+                    x = renoise_jump(x, t_lo - 1, jump, noise.take(), sched,
+                                     out=x)
     finally:
         if own:
             noise.close()

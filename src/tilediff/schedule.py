@@ -67,19 +67,23 @@ def build_schedule(T: int) -> Schedule:
 
 
 def renoise_jump(x_t: np.ndarray, t: int, l: int, noise: np.ndarray,
-                 sched: Schedule) -> np.ndarray:
+                 sched: Schedule, out: np.ndarray | None = None
+                 ) -> np.ndarray:
     """Re-noise x_t forward by l steps preserving the marginal of x_{t+l}.
 
     Returns (a_{t+l}/a_t) x_t + sqrt(sigma_{t+l}^2 - (a_{t+l}/a_t)^2
-    sigma_t^2) eps. The value under the root is non-negative for any
-    variance-preserving schedule.
+    sigma_t^2) eps, written into out when given (out may be x_t). The
+    value under the root is non-negative for any variance-preserving
+    schedule.
     """
     if l < 0 or t + l > sched.T:
         raise ValueError(f"jump t={t}, l={l} leaves the grid 0..{sched.T}")
     ratio = sched.a[t + l] / sched.a[t]
     var = sched.sigma[t + l] ** 2 - ratio**2 * sched.sigma[t] ** 2
     assert var > -1e-12, f"negative jump variance {var} at t={t}, l={l}"
-    return ratio * x_t + np.sqrt(max(var, 0.0)) * noise
+    out = np.multiply(x_t, ratio, out=out)
+    out += np.sqrt(max(var, 0.0)) * noise
+    return out
 
 
 def travel_blocks(T: int, l: int):

@@ -17,6 +17,13 @@ from . import linops
 from .imagecore import Window
 
 
+def check_sr_hierarchy(scale: int, f: int):
+    """The coarse phase of SR at `scale` with hierarchy factor f is SR at
+    scale // f, so f must divide scale."""
+    if scale % f:
+        raise ValueError(f"hierarchy factor {f} must divide SR scale {scale}")
+
+
 class Task:
     shape: tuple  # (H, W, C) of the full result
     block: int = 1  # tile coordinates must be multiples of this
@@ -61,9 +68,7 @@ class SuperResolutionTask(Task):
 
     def reduce(self, f: int) -> Task:
         self._check_divisible(f)
-        if self.scale % f:
-            raise ValueError(
-                f"hierarchy factor {f} must divide SR scale {self.scale}")
+        check_sr_hierarchy(self.scale, f)
         return SuperResolutionTask(self.y, self.scale // f)
 
 

@@ -33,6 +33,14 @@ def smooth_means(k, height, width, channels=3, seed=0, amplitude=0.6,
     return means
 
 
+def same_bits(a, b):
+    """Equal shape, dtype and bytes: unlike np.array_equal, tells -0.0
+    from +0.0."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and \
+        a.tobytes() == b.tobytes()
+
+
 def constant_means(levels, height, width, channels=3):
     return [np.full((height, width, channels), float(v)) for v in levels]
 

@@ -3,9 +3,10 @@
 No run of the package needs these: the textbook Gaussian and mixture
 posterior means, the forward process, an operator's dense matrix, a
 zero-noise denoiser, the constraint kernels in the form that builds every
-full-size operand, a plain re-derivation of the mask-shift tiling loop,
-each task's full-size inverse problem, and the run's finish (seam metric,
-quantizer) over the whole image.
+full-size operand, the sampler's step loop with every step's arrays made
+anew, a plain re-derivation of the mask-shift tiling loop, each task's
+full-size inverse problem, and the run's finish (seam metric, quantizer)
+over the whole image.
 """
 
 import dataclasses
@@ -16,7 +17,9 @@ import numpy as np
 from tilediff import linops, tasks
 from tilediff.denoise import Denoiser
 from tilediff.msr import tile_seed
-from tilediff.sampler import ConstraintHooks, run_sampler
+from tilediff.sampler import (ConstraintHooks, ddnm_plus_project,
+                              estimate_x0, run_sampler, sample_prev)
+from tilediff.schedule import build_schedule, renoise_jump, travel_blocks
 
 
 def dense_matrix(op) -> np.ndarray:
@@ -122,6 +125,32 @@ class ZeroDenoiser(Denoiser):
 
     def predict_eps(self, x_t, t, sched):
         return np.zeros_like(x_t)
+
+
+def replay_sampler(op, y, denoiser, cfg, hooks=ConstraintHooks()):
+    """run_sampler as one serial loop whose step functions return new
+    arrays (no out=), taking every draw (x_T, one per step, one per
+    re-noising jump) from default_rng(cfg.seed) in order."""
+    sched = build_schedule(cfg.T)
+    rng = np.random.default_rng(cfg.seed)
+    x = rng.standard_normal(op.input_shape)
+    for t_hi, t_lo in travel_blocks(cfg.T, cfg.travel.l):
+        for rep in range(cfg.travel.r):
+            for t in range(t_hi, t_lo - 1, -1):
+                eps_t = denoiser.predict_eps(x, t, sched)
+                x0t = estimate_x0(x, eps_t, t, sched)
+                for h in hooks.pre:
+                    x0t = h(x0t, t)
+                x0hat, gamma = ddnm_plus_project(op, y, x0t, t, sched, cfg)
+                for h in hooks.post:
+                    x0hat = h(x0hat, t)
+                x = sample_prev(x0hat, eps_t, t, sched, cfg,
+                                rng.standard_normal(x.shape), op=op,
+                                gamma=gamma)
+            if rep < cfg.travel.r - 1:
+                x = renoise_jump(x, t_lo - 1, t_hi - t_lo + 1,
+                                 rng.standard_normal(x.shape), sched)
+    return x
 
 
 def replay_msr(task, plan, den, cfg, pre_hook_factory=None):

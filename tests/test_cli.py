@@ -406,8 +406,13 @@ def test_main_reports_job_errors(capsys):
     (["restore", "--task", "sr", "--scale", "-2", "--in", "x.ppm"],
      "error: scale must be >= 1, got -2"),
     (["restore", "--task", "sr", "--scale", "0", "--in", "x.ppm"],
-     "error: scale must be >= 1, got 0")],
-    ids=["hir-factor", "scale", "scale-0"])
+     "error: scale must be >= 1, got 0"),
+    # a tile geometry that fits block lcm(3, 2) = 6, so only the
+    # hierarchy rule fails, before the input is read
+    (["restore", "--task", "sr", "--scale", "3", "--hir-factor", "2",
+      "--patch", "12", "--overlap", "6", "--in", "x.ppm"],
+     "error: hierarchy factor 2 must divide SR scale 3")],
+    ids=["hir-factor", "scale", "scale-0", "hir-factor-not-dividing-scale"])
 def test_main_rejects_a_negative_factor(tmp_path, prior_dir, capsys, argv,
                                         message):
     assert cli.main(argv + ["--prior", str(prior_dir),

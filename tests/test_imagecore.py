@@ -76,8 +76,8 @@ def test_dequantize_is_the_scale_and_shift_of_the_codes():
 
 
 def test_load_image_holds_one_float_canvas(tmp_path, rng):
-    # the float image, plus the file's bytes and the finiteness check's
-    # booleans at an eighth of it each
+    # the float image, plus the file's bytes at an eighth of it and one
+    # row band of the finiteness check's booleans
     p = tmp_path / "a.ppm"
     save_image(p, Image(rng.uniform(-1, 1, size=(256, 256, 3))))
     load_image(p)
@@ -129,9 +129,28 @@ def test_save_clamps_out_of_range(tmp_path):
     assert back.data[0, 1, 0] == -1.0
 
 
+def test_wrapping_a_frozen_canvas_allocates_less_than_one_band():
+    canvas = np.zeros((640, 640, 3))
+    canvas.flags.writeable = False
+    band = imagecore.BAND_ROWS * canvas[0].nbytes
+    tracemalloc.start()
+    try:
+        img = Image(canvas)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert img.data is canvas
+    assert peak < band
+
+
 def test_image_rejects_nonfinite_and_bad_channels():
     with pytest.raises(ValueError):
         Image(np.full((2, 2, 1), np.nan))
+    # in the last of three row bands
+    late = np.zeros((2 * imagecore.BAND_ROWS + 1, 2, 3))
+    late[-1, 1, 2] = np.inf
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        Image(late)
     with pytest.raises(ValueError):
         Image(np.zeros((2, 2, 2)))
 

@@ -22,7 +22,7 @@ from tilediff.schedule import build_schedule
 from tilediff.tasks import GenerateTask
 
 import oracles
-from conftest import smooth_means
+from conftest import same_bits, smooth_means
 from oracles import eps_from_x0, gmm_posterior_x0
 from test_msr import small_geometries
 from test_sampler import small_operators
@@ -160,14 +160,6 @@ def test_sample_prev_matches_reference_mix(rng):
                 assert np.abs(got - want).max() <= 16 * EPS
 
 
-def same_bits(a, b):
-    """Equal shape, dtype and bytes: unlike np.array_equal, tells -0.0
-    from +0.0."""
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and \
-        a.tobytes() == b.tobytes()
-
-
 def zero_free(rng, shape):
     """Magnitudes in [0.5, 2) with random signs: no zero of either sign."""
     return rng.uniform(0.5, 2.0, size=shape) * rng.choice([-1.0, 1.0],
@@ -210,15 +202,21 @@ def test_sample_prev_matches_the_replicate_then_scale_mix(
     x0hat = rng.standard_normal(op.input_shape)
     eps_t = rng.standard_normal(op.input_shape)
     noise = rng.standard_normal(op.input_shape)
-    before = noise.copy()
+    before = noise.copy(), x0hat.copy(), eps_t.copy()
     want = oracles.sample_prev_mix(x0hat, eps_t, t, sched, cfg, noise, op,
                                    gamma)
     got = sample_prev(x0hat, eps_t, t, sched, cfg, noise, op=op,
                       gamma=gamma)
     # the draw is read only: its ring slot is refilled after the step
     assert not np.shares_memory(got, noise)
-    assert same_bits(noise, before)
     assert same_bits(got, want)
+    assert all(map(same_bits, (noise, x0hat, eps_t), before))
+    # with out, the result goes there and eps_t is spent as scratch
+    out = np.full(op.input_shape, np.nan)
+    assert sample_prev(x0hat, eps_t, t, sched, cfg, noise, op=op,
+                       gamma=gamma, out=out) is out
+    assert same_bits(out, want)
+    assert all(map(same_bits, (noise, x0hat), before))
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -230,10 +228,11 @@ def test_lowfreq_hook_matches_the_range_projection_form(p, rows, cols, c,
     rng = np.random.default_rng(seed)
     ref = rng.standard_normal(sr.output_shape)
     x0t = rng.standard_normal(sr.input_shape)
-    before = x0t.copy()
+    want = oracles.lowfreq_hook(sr, ref)(x0t.copy(), 3)
+    # the hook writes its result over the x0t it is given
     got = hir._lowfreq_hook(sr, ref)(x0t, 3)
-    assert same_bits(got, oracles.lowfreq_hook(sr, ref)(x0t, 3))
-    assert same_bits(x0t, before)
+    assert got is x0t
+    assert same_bits(got, want)
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -244,9 +243,16 @@ def test_clean_projection_matches_the_grouped_formula(op, seed):
     y = zero_free(rng, op.output_shape)
     x0t = zero_free(rng, op.input_shape)
     before = x0t.copy()
+    want = oracles.clean_project(op, y, x0t)
     got = op.project(y, x0t)
-    assert same_bits(got, oracles.clean_project(op, y, x0t))
+    assert same_bits(got, want)
     assert same_bits(x0t, before) and got is not x0t
+    out = np.full(op.input_shape, np.nan)
+    assert op.project(y, x0t, out=out) is out
+    assert same_bits(out, want) and same_bits(x0t, before)
+    # in place: the result is written into the given buffer
+    assert op.project(y, x0t, out=x0t) is x0t
+    assert same_bits(x0t, want)
 
 
 def test_mask_projection_keeps_the_sign_of_a_zero():
@@ -280,8 +286,9 @@ def test_overlap_hook_matches_where_on_random_plans(geometry, seed):
         if rects:
             fixed = canvas[ys, xs, :]
             x0 = rng.standard_normal(fixed.shape)
-            before = x0.copy()
+            want = np.where(frozen[:, :, None], fixed, x0)
+            # the hook writes the frozen values into the x0 it is given
             out = _overlap_hook(fixed, rects)(x0, 7)
-            assert same_bits(out, np.where(frozen[:, :, None], fixed, x0))
-            assert same_bits(x0, before) and out is not x0
+            assert out is x0
+            assert same_bits(out, want)
         known[ys, xs] = True

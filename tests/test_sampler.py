@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,19 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tilediff import linops
+from tilediff import hir, linops, msr
 from tilediff.denoise import GmmDenoiser
 from tilediff.imagecore import Window
-from tilediff.sampler import (ConstraintHooks, SamplerConfig, SamplerError,
-                              compute_lambda_gamma, ddnm_plus_project,
-                              ddnm_project, estimate_x0, run_sampler,
-                              sample_prev)
-from tilediff.schedule import (Schedule, TravelPlan, build_schedule,
-                               renoise_jump, travel_blocks)
+from tilediff.sampler import (ConstraintHooks, NoiseProducer, SamplerConfig,
+                              SamplerError, compute_lambda_gamma,
+                              ddnm_plus_project, ddnm_project, estimate_x0,
+                              noise_draws, run_sampler, sample_prev)
+from tilediff.schedule import Schedule, TravelPlan, build_schedule
 from tilediff.tasks import GenerateTask
 
-from conftest import within
-from oracles import ZeroDenoiser, dense_matrix, forward_diffuse
+import oracles
+from conftest import same_bits, within
+from oracles import (ZeroDenoiser, dense_matrix, forward_diffuse,
+                     replay_sampler)
 
 
 def make_vp_schedule(a_values):
@@ -371,30 +373,8 @@ def test_sampler_config_validation():
         SamplerConfig(seed=-1)
 
 
-def serial_sampler(op, y, denoiser, cfg):
-    """run_sampler without hooks, written as one loop that takes every draw
-    (x_T, one per step, one per re-noising jump) from default_rng(cfg.seed)
-    in order."""
-    sched = build_schedule(cfg.T)
-    rng = np.random.default_rng(cfg.seed)
-    x = rng.standard_normal(op.input_shape)
-    for t_hi, t_lo in travel_blocks(cfg.T, cfg.travel.l):
-        for rep in range(cfg.travel.r):
-            for t in range(t_hi, t_lo - 1, -1):
-                eps_t = denoiser.predict_eps(x, t, sched)
-                x0t = estimate_x0(x, eps_t, t, sched)
-                x0hat, gamma = ddnm_plus_project(op, y, x0t, t, sched, cfg)
-                x = sample_prev(x0hat, eps_t, t, sched, cfg,
-                                rng.standard_normal(x.shape), op=op,
-                                gamma=gamma)
-            if rep < cfg.travel.r - 1:
-                x = renoise_jump(x, t_lo - 1, t_hi - t_lo + 1,
-                                 rng.standard_normal(x.shape), sched)
-    return x
-
-
-def _replay_problem(kind, seed=0):
-    rng = np.random.default_rng(seed)
+def _replay_problem(kind):
+    rng = np.random.default_rng(0)
     if kind == "generate":
         return GenerateTask(8, 8, 3).tile_problem(Window(0, 0, 8, 8))
     op = linops.AvgPool((8, 8, 3), 2)
@@ -420,20 +400,134 @@ def test_run_sampler_replays_the_serial_loop(kind, cfg):
                                         cfg.sigma_y)[1] != cfg.eta
                    for t in range(2, cfg.T + 1))
     got = within(lambda: run_sampler(op, y, _REPLAY_DEN, cfg))
-    assert np.array_equal(got, serial_sampler(op, y, _REPLAY_DEN, cfg))
+    assert np.array_equal(got, replay_sampler(op, y, _REPLAY_DEN, cfg))
 
 
-@settings(max_examples=25, deadline=None)
-@given(T=st.integers(1, 12), l=st.integers(1, 6), r=st.integers(1, 3),
-       sigma_y=st.sampled_from([0.0, 0.1]), seed=st.integers(0, 2**32 - 1),
-       kind=st.sampled_from(["generate", "sr"]))
-def test_run_sampler_replays_the_serial_loop_for_any_travel_plan(
-        T, l, r, sigma_y, seed, kind):
-    op, y = _replay_problem(kind, seed)
-    cfg = SamplerConfig(T=T, seed=seed, travel=TravelPlan(l, r),
+_TILE = (8, 8, 3)
+
+
+@st.composite
+def tile_problems(draw):
+    """(op, y) on an 8x8x3 tile: AvgPool with block 1, 2 or 4; Mask with
+    some, all or no pixels known; Gray; Identity; generation's problem."""
+    kind = draw(st.sampled_from(["avgpool", "mask", "mask-known",
+                                 "mask-unknown", "gray", "identity",
+                                 "generate"]))
+    if kind == "generate":
+        return GenerateTask(*_TILE).tile_problem(Window(0, 0, 8, 8))
+    if kind == "avgpool":
+        op = linops.AvgPool(_TILE, draw(st.sampled_from([1, 2, 4])))
+    elif kind.startswith("mask"):
+        known = {"mask-known": np.ones(_TILE[:2], dtype=bool),
+                 "mask-unknown": np.zeros(_TILE[:2], dtype=bool)}.get(
+            kind, draw(arrays(bool, _TILE[:2])))
+        op = linops.Mask(known, channels=_TILE[2])
+    elif kind == "gray":
+        op = linops.Gray(_TILE)
+    else:
+        op = linops.Identity(_TILE)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return op, op.forward(rng.uniform(-1, 1, size=_TILE))
+
+
+def _new_array(hook, read_only):
+    """hook, with its new result made read-only if asked, so that a write
+    into it raises."""
+    def wrapped(x0, t):
+        out = hook(x0, t)
+        out.flags.writeable = not read_only
+        return out
+
+    return wrapped
+
+
+def _replay_hooks(pre, post, seed, read_only):
+    """ConstraintHooks of the production hooks, which write into the x0
+    they get, and of hooks that return a new array: pre and post each hold
+    an in-place hook, a new-array hook, both in that order, or neither.
+    The allocating loop gets writable new arrays: its identity projection
+    hands a pre hook's array on to the post hooks."""
+    rng = np.random.default_rng(seed)
+    sr = linops.AvgPool(_TILE, 2)
+    ref = rng.uniform(-1, 1, size=sr.output_shape)
+    fixed = rng.uniform(-1, 1, size=_TILE)
+    known = np.zeros(_TILE[:2], dtype=bool)
+    known[:3] = known[:, :2] = True
+    kinds = {
+        "in-place": (hir._lowfreq_hook(sr, ref),
+                     msr._overlap_hook(fixed, [(slice(0, 3), slice(None)),
+                                               (slice(None), slice(0, 2))])),
+        "new": (_new_array(oracles.lowfreq_hook(sr, ref), read_only),
+                _new_array(lambda x0, t: np.where(known[:, :, None], fixed,
+                                                  x0), read_only)),
+    }
+    return ConstraintHooks(pre=[kinds[k][0] for k in pre],
+                           post=[kinds[k][1] for k in post])
+
+
+_HOOK_LISTS = st.sampled_from([(), ("in-place",), ("new",),
+                               ("in-place", "new")])
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(problem=tile_problems(), T=st.integers(1, 12), l=st.integers(1, 6),
+       r=st.integers(1, 3), sigma_y=st.sampled_from([0.0, 0.1]),
+       eta=st.sampled_from([0.0, 0.5, 0.85, 1.0]), pre=_HOOK_LISTS,
+       post=_HOOK_LISTS, seed=st.integers(0, 2**32 - 1))
+def test_run_sampler_matches_the_allocating_loop_bitwise(
+        problem, T, l, r, sigma_y, eta, pre, post, seed):
+    op, y = problem
+    cfg = SamplerConfig(T=T, eta=eta, seed=seed, travel=TravelPlan(l, r),
                         sigma_y=sigma_y)
-    got = within(lambda: run_sampler(op, y, _REPLAY_DEN, cfg))
-    assert np.array_equal(got, serial_sampler(op, y, _REPLAY_DEN, cfg))
+    # run_sampler writes into no array a hook returns
+    hooks = _replay_hooks(pre, post, seed, read_only=True)
+    got = within(lambda: run_sampler(op, y, _REPLAY_DEN, cfg, hooks=hooks))
+    want = replay_sampler(op, y, _REPLAY_DEN, cfg,
+                          _replay_hooks(pre, post, seed, read_only=False))
+    assert same_bits(got, want)
+
+
+def test_run_sampler_heap_peak_does_not_grow_with_steps():
+    # a clean inpainting tile of the hierarchy's second phase: a partial
+    # Mask, the low-frequency hook before the projection and the overlap
+    # hook after it
+    shape = (64, 64, 3)
+    tile = np.empty(shape).nbytes
+    rng = np.random.default_rng(3)
+    den = GmmDenoiser([rng.uniform(-0.5, 0.5, size=shape) for _ in range(4)],
+                      [0.25] * 4, 0.3)
+    known = np.zeros(shape[:2], dtype=bool)
+    known[:20] = True
+    op = linops.Mask(known, channels=3)
+    y = op.forward(rng.uniform(-1, 1, size=shape))
+    sr = linops.AvgPool(shape, 2)
+    hooks = ConstraintHooks(
+        pre=[hir._lowfreq_hook(sr, rng.uniform(-1, 1, size=sr.output_shape))],
+        post=[msr._overlap_hook(rng.uniform(-1, 1, size=shape),
+                                [(slice(0, 32), slice(None))])])
+
+    def peak(T):
+        cfg = SamplerConfig(T=T, seed=1, travel=TravelPlan(10, 2))
+        # the noise ring is sized by the draw count, so it is made first
+        noise = NoiseProducer([(cfg.seed, noise_draws(cfg))], shape)
+        try:
+            tracemalloc.start()
+            try:
+                within(lambda: run_sampler(op, y, den, cfg, hooks=hooks,
+                                           noise=noise))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        finally:
+            noise.close()
+
+    short, long = peak(5), peak(60)
+    # the schedule's arrays hold T + 1 scalars each
+    assert long <= short + tile // 8
+    # the state, the x0 buffer, the finiteness mask and the step's
+    # prediction hold 3.2 tiles; the low-frequency hook's half-size
+    # temporaries set the peak at 4.6
+    assert long < 5 * tile
 
 
 @pytest.mark.filterwarnings("ignore:invalid value")
