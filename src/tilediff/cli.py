@@ -7,6 +7,13 @@ from a `key = value` config file (# comments) keyed by field name, and
 command-line flags win.
 Every run writes the output image and a metrics.txt with the consistency
 error, per-seam statistics, wall clock, and step count.
+
+A job's finish streams: `run_job` hands the tiling pass a sink that takes
+each finished row band, checks it is finite, adds it to the consistency
+and seam statistics, then quantizes it and appends its codes to the output
+file. The file is written under a part name and renamed into place only
+when the job succeeds. Canvas-size inputs stay 8-bit codes on disk
+(`imagecore.read_codes`), read one window at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +31,10 @@ import numpy as np
 
 from . import denoise, linops, tasks
 from .hir import hir_restore
-from .imagecore import Image, Window, load_image, row_bands, save_image
+# save_image stays bound here: the benchmark's tracer (bench/spans.py)
+# patches it by this name
+from .imagecore import (CodeReader, Window, load_image, pnm_writer,
+                        read_codes, save_image)
 from .msr import TilePlan, check_geometry, msr_restore, plan_tiles
 from .sampler import SamplerConfig, SamplerError
 from .schedule import TravelPlan, build_schedule
@@ -226,79 +236,158 @@ def _job_block(job: JobSpec) -> int:
 def _build_task(job: JobSpec) -> tasks.Task:
     if job.task == "generate":
         return tasks.GenerateTask(job.height, job.width, 3)
-    img = load_image(job.input)
     if job.task == "sr":
-        return tasks.SuperResolutionTask(img.data, job.scale)
+        return tasks.SuperResolutionTask(load_image(job.input).data,
+                                         job.scale)
+    # a canvas-size input: its codes, converted one window at a time
+    img = CodeReader(read_codes(job.input))
     if job.task == "inpaint":
-        known = linops.load_mask(job.mask)
-        return tasks.InpaintTask(img.data, known)
+        return tasks.InpaintTask(img, linops.load_mask(job.mask))
     if job.task == "colorize":
-        return tasks.ColorizeTask(img.data)
+        return tasks.ColorizeTask(img)
     if job.task == "denoise":
-        return tasks.DenoiseTask(img.data)
+        return tasks.DenoiseTask(img)
     raise JobError(f"unhandled task {job.task}")
 
 
-def seam_metric(img: np.ndarray, plan: TilePlan):
+def _seam_lines(starts, extent: int, patch: int) -> list[int]:
+    """The internal tile boundary lines of one axis, from the tile
+    starts."""
+    lines = set()
+    for i in range(1, len(starts)):
+        lines.add(starts[i])
+        if starts[i - 1] + patch < extent:
+            lines.add(starts[i - 1] + patch)
+    return sorted(lines)
+
+
+def _seam_band(c: int, extent: int) -> tuple[int, int]:
+    """Differences [lo, hi) of the interior band of the seam at line c,
+    difference k being |line k+1 - line k|: five after the line, or before
+    it when the canvas ends first (an empty band has median 0)."""
+    lo = c + 1
+    hi = min(lo + 5, extent - 1)
+    if hi - lo < 5:
+        hi = max(c - 2, 0)
+        lo = max(hi - 5, 0)
+    return lo, hi
+
+
+def _median(values: np.ndarray) -> float:
+    """np.median of finite values, 0.0 when there are none: the mean of
+    the two middle values of the sorted values (one, taken twice, when
+    their number is odd). np.median would import numpy.ma, 1.5 MB of
+    resident memory, in the middle of the first tiling pass."""
+    v = np.sort(values, axis=None)
+    if not v.size:
+        return 0.0
+    return float((v[(v.size - 1) // 2] + v[v.size // 2]) / 2)
+
+
+def _median_of_counts(counts: np.ndarray) -> float:
+    """np.median of the values 0, 1, ... repeated counts[v] times."""
+    n = int(counts.sum())
+    if n == 0:
+        return 0.0
+    low, high = np.searchsorted(np.cumsum(counts), [(n - 1) // 2, n // 2],
+                                side="right")
+    return (int(low) + int(high)) / 2
+
+
+class SeamMeter:
     """Per-seam excess of the boundary first-difference over interior
-    texture. For each internal tile boundary line: max |first difference|
-    across the line, minus the median |first difference| in a 5-pixel
-    interior band next to it (after the line, or before it when the canvas
-    ends first; an empty band has median 0); clamped at 0. Returns a list
-    of (axis, position, value).
+    texture, measured as the canvas passes by in row bands.
 
-    Only the differences it reads are taken, one line and one band per
-    seam, never a full-size difference image.
+    For each internal tile boundary line: max |first difference| across
+    the line, minus the median |first difference| in the line's interior
+    band (`_seam_band`); clamped at 0. `rows(top, values)` measures the row
+    seams on the float values; a row seam reads at most 8 consecutive
+    lines, so the meter keeps the last 8 rows it was given. Column seams
+    read whole columns, so `codes(values)` measures them on the 8-bit
+    codes written: per seam, the maximum difference and a count of each
+    band difference (0 to 255), which give the median exactly. A column
+    seam's excess, in codes, is scaled by 2/255, the step of one code in
+    model values.
     """
-    results = []
-    xs = sorted({w.left for w in plan.windows})
-    ys = sorted({w.top for w in plan.windows})
 
-    def seam_lines(starts, extent):
-        lines = set()
-        for i in range(1, len(starts)):
-            lines.add(starts[i])
-            prev_end = starts[i - 1] + plan.patch
-            if prev_end < extent:
-                lines.add(prev_end)
-        return sorted(lines)
+    _TAIL = 8
 
-    def evaluate(lines, c, extent):
-        # lines[k] is line k of the image; difference k is
-        # |lines[k+1] - lines[k]|, and the seam's is difference c-1
-        d_seam = np.abs(lines[c] - lines[c - 1]).max()
-        lo = c + 1
-        hi = min(lo + 5, extent - 1)
-        if hi - lo < 5:
-            hi = max(c - 2, 0)
-            lo = max(hi - 5, 0)
-        band = np.abs(lines[lo + 1:hi + 1] - lines[lo:hi])
-        med = float(np.median(band)) if band.size else 0.0
-        return max(float(d_seam) - med, 0.0)
+    def __init__(self, plan: TilePlan):
+        self.height = plan.height
+        self.width = plan.width
+        self._pending = _seam_lines(sorted({w.top for w in plan.windows}),
+                                    plan.height, plan.patch)
+        self._rows = {}
+        self._cols = _seam_lines(sorted({w.left for w in plan.windows}),
+                                 plan.width, plan.patch)
+        self._col_max = [0] * len(self._cols)
+        self._col_counts = np.zeros((len(self._cols), 256), dtype=np.int64)
+        self._tail = None
 
-    for c in seam_lines(xs, plan.width):
-        results.append(("col", c, evaluate(img.swapaxes(0, 1), c,
-                                           plan.width)))
-    for r in seam_lines(ys, plan.height):
-        results.append(("row", r, evaluate(img, r, plan.height)))
-    return results
+    def rows(self, top: int, values: np.ndarray):
+        lines = values if self._tail is None else np.concatenate(
+            [self._tail, values])
+        first = top + len(values) - len(lines)
+        for c in list(self._pending):
+            lo, hi = _seam_band(c, self.height)
+            if max(c, hi) >= top + len(values):
+                continue  # a line it reads is still to come
+            d_seam = np.abs(lines[c - first] - lines[c - 1 - first]).max()
+            band = np.abs(lines[lo + 1 - first:hi + 1 - first]
+                          - lines[lo - first:hi - first])
+            self._rows[c] = max(float(d_seam) - _median(band), 0.0)
+            self._pending.remove(c)
+        self._tail = lines[-self._TAIL:].copy()
+
+    def codes(self, codes: np.ndarray):
+        k = codes.astype(np.int16)
+        for i, c in enumerate(self._cols):
+            lo, hi = _seam_band(c, self.width)
+            self._col_max[i] = max(self._col_max[i], int(
+                np.abs(k[:, c] - k[:, c - 1]).max()))
+            self._col_counts[i] += np.bincount(np.abs(
+                k[:, lo + 1:hi + 1] - k[:, lo:hi]).ravel(), minlength=256)
+
+    def results(self) -> list[tuple[str, int, float]]:
+        """(axis, position, value) of every seam, columns then rows, each
+        in order of position, once every row has been measured."""
+        cols = [("col", c, max(float(m) - _median_of_counts(n), 0.0)
+                 * (2.0 / 255.0))
+                for c, m, n in zip(self._cols, self._col_max,
+                                   self._col_counts)]
+        return cols + [("row", r, self._rows[r]) for r in sorted(self._rows)]
 
 
-def consistency(task: tasks.Task, img: np.ndarray) -> float:
-    """max |A img - y| of the task's measurement, 0.0 when it has none.
+def consistency(task: tasks.Task, rows: np.ndarray, top: int = 0) -> float:
+    """max |A rows - y| of the task's measurement over the canvas rows
+    [top, top + len(rows)), 0.0 where nothing is measured there.
 
-    Reduced over full-width row bands whose heights are multiples of
-    task.block, each with the band's own (operator, measurement): every
-    residual element is the one the full-size operator gives, so the
-    maximum is the same, without a full-size residual.
+    The band's own (operator, measurement) is the window's tile problem;
+    top and the band's height are multiples of task.block, so every
+    residual element is the one the full-size operator gives.
     """
-    worst = 0.0
-    for ys in row_bands(task.shape[0], task.block):
-        op, y = task.tile_problem(
-            Window(ys.start, 0, ys.stop - ys.start, task.shape[1]))
-        worst = max(worst, float(
-            np.abs(op.forward(img[ys]) - y).max(initial=0.0)))
-    return worst
+    op, y = task.tile_problem(
+        Window(top, 0, len(rows), task.shape[1]))
+    return float(np.abs(op.forward(rows) - y).max(initial=0.0))
+
+
+class _Finish:
+    """run_job's sink: each finished row band is checked finite, measured
+    (consistency, seams) and written."""
+
+    def __init__(self, task: tasks.Task, plan: TilePlan, write):
+        self.task = task
+        self.write = write
+        self.consistency = 0.0
+        self.seams = SeamMeter(plan)
+
+    def __call__(self, top: int, rows: np.ndarray):
+        if not np.isfinite(rows).all():
+            raise ValueError("image data contains NaN or Inf")
+        self.consistency = max(self.consistency,
+                               consistency(self.task, rows, top))
+        self.seams.rows(top, rows)
+        self.seams.codes(self.write(rows))
 
 
 def run_job(job: JobSpec) -> int:
@@ -328,22 +417,21 @@ def run_job(job: JobSpec) -> int:
         plan = plan_tiles(task.shape[0], task.shape[1], job.patch,
                           job.overlap, block=block)
         cfg = job.sampler_config()
-        if job.hir_factor >= 2:
-            result = hir_restore(task, job.hir_factor, plan, denoiser, cfg)
-            img = result.image
-            metrics["lowfreq_residual"] = result.lowfreq_residual
-        else:
-            img = msr_restore(task, plan, denoiser, cfg,
-                              use_mask_hook=not job.naive)
-        # frozen, so that Image keeps it instead of a copy
-        img.flags.writeable = False
-        metrics["consistency"] = consistency(task, img)
-        seams = seam_metric(img, plan)
+        with pnm_writer(job.output, *task.shape) as write:
+            finish = _Finish(task, plan, write)
+            if job.hir_factor >= 2:
+                result = hir_restore(task, job.hir_factor, plan, denoiser,
+                                     cfg, sink=finish)
+                metrics["lowfreq_residual"] = result.lowfreq_residual
+            else:
+                msr_restore(task, plan, denoiser, cfg,
+                            use_mask_hook=not job.naive, sink=finish)
+        metrics["consistency"] = finish.consistency
+        seams = finish.seams.results()
         metrics["seam_max"] = max((v for _, _, v in seams), default=0.0)
         for axis, pos, v in seams:
             metrics[f"seam_{axis}_{pos}"] = v
         metrics["steps"] = denoiser.calls
-        save_image(job.output, Image(img))
         print(f"wrote {job.output}")
     except (JobError, ValueError, OSError) as e:
         metrics["error"] = str(e)

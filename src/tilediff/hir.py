@@ -2,6 +2,11 @@
 phase at full size whose every step is pinned to the coarse result's low
 frequencies via x0tilde = pinv(A_sr) x0coarse + (I - pinv(A_sr) A_sr) x0|t,
 with A_sr the f x f average-pooling downsampler.
+
+The coarse canvas (1/f^2 of the full size) is held whole, since every
+phase-2 tile reads its part of it. Phase 2 streams like any tiling pass:
+its row bands go to a sink as its tile rows finish (see `msr`), and the
+final low-frequency residual is taken on each band as it passes.
 """
 
 from __future__ import annotations
@@ -10,16 +15,16 @@ import dataclasses
 
 import numpy as np
 
-from .imagecore import Window, row_bands
+from .imagecore import Window
 from .linops import AvgPool
-from .msr import TilePlan, msr_restore, plan_tiles
+from .msr import TilePlan, assemble, msr_restore, plan_tiles
 from .sampler import SamplerConfig
 from .tasks import Task
 
 
 @dataclasses.dataclass(frozen=True)
 class HirResult:
-    image: np.ndarray
+    image: np.ndarray | None  # None when phase 2 went to a sink
     coarse: np.ndarray
     lowfreq_residual: float  # max |A_sr image - coarse|, logged, not bounded
 
@@ -42,11 +47,12 @@ def _lowfreq_hook(sr: AvgPool, ref: np.ndarray):
 
 
 def hir_restore(task: Task, factor: int, plan2: TilePlan, denoiser,
-                cfg: SamplerConfig) -> HirResult:
+                cfg: SamplerConfig, sink=None) -> HirResult:
     """Two-phase restoration with one sampler config for both phases;
     returns the full-size image, the coarse result, and the final
     low-frequency residual. The coarse phase tiles the 1/factor canvas
-    with plan2's patch and overlap.
+    with plan2's patch and overlap. A sink gets phase 2's bands as
+    msr_restore hands them over, and the result's image is then None.
     """
     f = factor
     reduced = task.reduce(f)  # rejects f < 2 before patch % f
@@ -69,14 +75,20 @@ def hir_restore(task: Task, factor: int, plan2: TilePlan, denoiser,
             win.top // f:(win.top + win.height) // f,
             win.left // f:(win.left + win.width) // f, :])
 
-    image = msr_restore(task, plan2, denoiser, cfg,
-                        pre_hook_factory=hook_factory)
-    # max |A_sr image - coarse| over row bands of whole blocks: the same
-    # block means as at full size, without a full-size residual
+    image = None
+    if sink is None:
+        image, sink = assemble(task.shape)
     residual = 0.0
-    for ys in row_bands(task.shape[0], f):
-        band = image[ys]
+
+    def measured(top: int, rows: np.ndarray):
+        # max |A_sr rows - coarse| over a band of whole f-row blocks: the
+        # same block means as at full size
+        nonlocal residual
+        low = AvgPool(rows.shape, f).forward(rows)
         residual = max(residual, float(np.abs(
-            AvgPool(band.shape, f).forward(band)
-            - coarse[ys.start // f:ys.stop // f]).max()))
+            low - coarse[top // f:(top + len(rows)) // f]).max()))
+        sink(top, rows)
+
+    msr_restore(task, plan2, denoiser, cfg, pre_hook_factory=hook_factory,
+                sink=measured)
     return HirResult(image=image, coarse=coarse, lowfreq_residual=residual)

@@ -5,14 +5,22 @@ Files are binary PGM (P5) for single-channel and PPM (P6) for 3-channel
 images, maxval 255. The 8-bit code k maps to the model value 2k/255 - 1, so
 a save/load cycle is exactly the quantizer and nothing else.
 
-Work over a whole canvas goes in row bands of at least BAND_ROWS rows
-(`row_bands`), so that it builds no second full-size array: the
-quantizer and the finiteness check here, and the run's residual metrics in
-`cli` and `hir`.
+Rows flow through in bands, so that no full-size float array is needed
+for a file. `pnm_writer` writes a file band by band: each band of model
+values is quantized and its codes appended after the header, into a part
+file renamed into place once the last row is written. `read_codes` maps a
+file's payload as uint8 codes (a memmap, one byte per sample and off the
+heap), and `CodeReader` converts only the window a caller indexes, so a
+canvas-size input is dequantized (or thresholded) one tile at a time. Work
+over a whole in-memory image goes in row bands of at least BAND_ROWS rows
+(`row_bands`): the quantizer and the finiteness check here, and the block
+means of a task's coarse phase. Every conversion is elementwise, so each
+value is bitwise the one the whole-array form gives.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
 
@@ -96,39 +104,107 @@ class Image:
         return self.data.shape[2]
 
 
+def _codes(rows: np.ndarray) -> np.ndarray:
+    """Clamp to [-1, 1] and map to 8-bit codes: clipped, shifted, scaled
+    and rounded in one float buffer of the rows' size."""
+    v = np.clip(rows, -1.0, 1.0)
+    v += 1.0
+    v *= 255.0 / 2.0
+    return np.rint(v, out=v).astype(np.uint8)
+
+
 def quantize(img: Image) -> np.ndarray:
     """Clamp to [-1, 1] and map to 8-bit codes; only the codec clamps.
 
-    Each row band is clipped, shifted, scaled and rounded in one band-sized
-    buffer and written into the code array: the same operations in the same
+    Each row band is quantized on its own: the same operations in the same
     order as on the whole image, so the same codes.
     """
     codes = np.empty(img.data.shape, dtype=np.uint8)
     for ys in row_bands(img.height):
-        v = np.clip(img.data[ys], -1.0, 1.0)
-        v += 1.0
-        v *= 255.0 / 2.0
-        codes[ys] = np.rint(v, out=v)
+        codes[ys] = _codes(img.data[ys])
     return codes
+
+
+def model_values(codes: np.ndarray) -> np.ndarray:
+    """Codes to model values 2k/255 - 1, as a new float64 array."""
+    data = codes.astype(np.float64)
+    data *= 2.0 / 255.0
+    data -= 1.0
+    return data
 
 
 def dequantize(codes: np.ndarray) -> Image:
     """Codes to model values, scaled and shifted in place in the one float
     array the Image then keeps."""
-    data = codes.astype(np.float64)
-    data *= 2.0 / 255.0
-    data -= 1.0
+    data = model_values(codes)
     data.flags.writeable = False
     return Image(data)
 
 
+class CodeReader:
+    """8-bit codes read through a conversion: reader[key] is
+    convert(codes[key]), by default `model_values`.
+
+    The conversion is elementwise, so any window's values are bitwise
+    those of converting the whole array, which np.asarray(reader) does.
+    codes may be a memmap of a file's payload (`read_codes`): a task then
+    holds a canvas-size input as one byte per sample and converts one
+    window at a time.
+    """
+
+    def __init__(self, codes: np.ndarray, convert=model_values):
+        self.codes = codes
+        self.shape = codes.shape
+        self.convert = convert
+
+    def __getitem__(self, key) -> np.ndarray:
+        return self.convert(self.codes[key])
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self[...], dtype=dtype)
+
+
+@contextlib.contextmanager
+def pnm_writer(path: str | os.PathLike, height: int, width: int,
+               channels: int):
+    """A binary PGM (1 channel) or PPM (3 channels) file, maxval 255,
+    written band by band.
+
+    The block gets write(rows), which quantizes a band of model values,
+    appends its codes after the header and returns them. The bytes go to
+    `path + ".part"`, renamed onto path when the block ends with every row
+    written; otherwise the part file is removed, so path never holds a
+    partial image.
+    """
+    part = os.fspath(path) + ".part"
+    left = height
+
+    def write(rows: np.ndarray) -> np.ndarray:
+        nonlocal left
+        codes = _codes(rows)
+        f.write(codes.data)
+        left -= len(rows)
+        return codes
+
+    try:
+        with open(part, "wb") as f:
+            f.write((b"P5" if channels == 1 else b"P6")
+                    + b"\n%d %d\n255\n" % (width, height))
+            yield write
+        if left:
+            raise ValueError(f"{left} rows short of the header")
+        os.replace(part, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(part)
+        raise
+
+
 def save_image(path: str | os.PathLike, img: Image) -> None:
     """Write binary PGM (1 channel) or PPM (3 channels), maxval 255."""
-    codes = quantize(img)
-    magic = b"P5" if img.channels == 1 else b"P6"
-    with open(path, "wb") as f:
-        f.write(magic + b"\n%d %d\n255\n" % (img.width, img.height))
-        f.write(codes.data)
+    with pnm_writer(path, img.height, img.width, img.channels) as write:
+        for ys in row_bands(img.height):
+            write(img.data[ys])
 
 
 def _read_number(f) -> int:
@@ -152,33 +228,50 @@ def _read_number(f) -> int:
         tok += c
 
 
+def _read_header(f) -> tuple[int, int, int]:
+    """(height, width, channels) from the header of an open binary PGM/PPM
+    file, leaving f at the payload, which the file is checked to hold."""
+    magic = f.read(2)
+    if magic == b"P5":
+        channels = 1
+    elif magic == b"P6":
+        channels = 3
+    else:
+        raise CodecError(f"unsupported magic {magic!r}")
+    width = _read_number(f)
+    height = _read_number(f)
+    maxval = _read_number(f)
+    if maxval != 255:
+        raise CodecError(f"unsupported maxval {maxval}, expected 255")
+    if width <= 0 or height <= 0:
+        raise CodecError(f"bad dimensions {width}x{height}")
+    n = width * height * channels
+    # a size the file cannot hold is never read or mapped
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if n > left:
+        raise CodecError(
+            f"truncated payload: expected {n} bytes, file has {left}")
+    return height, width, channels
+
+
+def read_codes(path: str | os.PathLike) -> np.ndarray:
+    """The payload of a binary PGM/PPM file (as save_image writes) as a
+    read-only (height, width, channels) uint8 array mapped from the file,
+    so that only the pages a caller reads are loaded."""
+    with open(path, "rb") as f:
+        shape = _read_header(f)
+        # a plain ndarray view of the map: slicing it makes no memmap
+        return np.memmap(f, dtype=np.uint8, mode="r", offset=f.tell(),
+                         shape=shape).view(np.ndarray)
+
+
 def load_image(path: str | os.PathLike) -> Image:
     """Read a binary PGM/PPM file written by save_image (or compatible)."""
     with open(path, "rb") as f:
-        magic = f.read(2)
-        if magic == b"P5":
-            channels = 1
-        elif magic == b"P6":
-            channels = 3
-        else:
-            raise CodecError(f"unsupported magic {magic!r}")
-        width = _read_number(f)
-        height = _read_number(f)
-        maxval = _read_number(f)
-        if maxval != 255:
-            raise CodecError(f"unsupported maxval {maxval}, expected 255")
-        if width <= 0 or height <= 0:
-            raise CodecError(f"bad dimensions {width}x{height}")
-        n = width * height * channels
-        # a size the file cannot hold is never passed to read()
-        left = os.fstat(f.fileno()).st_size - f.tell()
-        if n > left:
-            raise CodecError(
-                f"truncated payload: expected {n} bytes, file has {left}")
+        shape = _read_header(f)
+        n = shape[0] * shape[1] * shape[2]
         payload = f.read(n)
         if len(payload) != n:
             raise CodecError(
                 f"truncated payload: expected {n} bytes, got {len(payload)}")
-    codes = np.frombuffer(payload, dtype=np.uint8).reshape(
-        height, width, channels)
-    return dequantize(codes)
+    return dequantize(np.frombuffer(payload, dtype=np.uint8).reshape(shape))

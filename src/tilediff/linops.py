@@ -185,17 +185,25 @@ class Identity(LinearOperator):
         return y
 
 
-def load_mask(path) -> np.ndarray:
+def _known(codes: np.ndarray) -> np.ndarray:
+    return np.equal(codes, 255)
+
+
+def load_mask(path) -> imagecore.CodeReader:
     """Read a binary mask from PGM: 0 = missing, 255 = known.
 
-    Any intermediate gray level is an input error.
+    Any intermediate gray level is an input error; the codes are checked
+    band by band. The mask stays 8-bit codes on disk: the reader returned
+    gives the known booleans of whatever window is indexed, and
+    np.asarray of it the whole (H, W) boolean array.
     """
-    img = imagecore.load_image(path)
-    if img.channels != 1:
+    codes = imagecore.read_codes(path)
+    if codes.shape[2] != 1:
         raise ValueError("mask file must be single-channel PGM")
-    vals = img.data[:, :, 0]
-    known = vals >= 1.0
-    missing = vals <= -1.0
-    if not np.all(known | missing):
-        raise ValueError("mask contains intermediate values; only 0/255 allowed")
-    return known
+    codes = codes[:, :, 0]
+    for ys in imagecore.row_bands(codes.shape[0]):
+        band = codes[ys]
+        if not np.logical_or(band == 0, band == 255).all():
+            raise ValueError(
+                "mask contains intermediate values; only 0/255 allowed")
+    return imagecore.CodeReader(codes, _known)

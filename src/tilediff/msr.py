@@ -5,6 +5,13 @@ Tiles are solved in raster order. Every tile after the first overlaps
 already-restored canvas; that region is frozen by a per-step mask hook
 (x0bar = A_m xdot + (I - A_m) x0hat), so the committed tile agrees with the
 canvas bitwise on its known region and no seam can form.
+
+Rows flow through one tile row at a time. The tiles are written into a
+buffer one tile row high (patch x width); once a tile row is done, no
+later tile touches the rows above the next tile row's top, so that band
+goes to a sink and the rest of the buffer moves up to become the top of
+the next tile row. A pass holds O(patch x width) floats, whatever the
+canvas height. The default sink copies the bands into a full-size image.
 """
 
 from __future__ import annotations
@@ -85,14 +92,32 @@ def tile_seed(global_seed: int, row: int, col: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def assemble(shape) -> tuple[np.ndarray, object]:
+    """A new full-size image of `shape` and the sink that copies each band
+    into it."""
+    image = np.empty(shape)
+
+    def sink(top: int, rows: np.ndarray):
+        image[top:top + len(rows)] = rows
+
+    return image, sink
+
+
 def _overlap_rects(windows, idx: int) -> list[tuple[slice, slice]]:
     """The already-restored part of windows[idx] as (row, col) slices of
     the tile: its intersections with the earlier windows of the plan,
     less any that lies inside another (two distinct windows never cut the
     same rectangle)."""
     win = windows[idx]
+    # a plan's windows share one height and come in raster order, so the
+    # earlier ones that reach below this one's top end at idx: the scan
+    # stops at the first that does not, and a tile costs O(cols), not O(idx)
+    first = idx
+    while first and (windows[first - 1].top + windows[first - 1].height
+                     > win.top):
+        first -= 1
     rects = []
-    for prev in windows[:idx]:
+    for prev in windows[first:idx]:
         top = max(win.top, prev.top) - win.top
         left = max(win.left, prev.left) - win.left
         bottom = min(win.top + win.height, prev.top + prev.height) - win.top
@@ -126,14 +151,21 @@ def _overlap_hook(fixed: np.ndarray, rects):
 
 
 def msr_restore(task: Task, plan: TilePlan, denoiser, cfg: SamplerConfig,
-                use_mask_hook: bool = True,
-                pre_hook_factory=None) -> np.ndarray:
+                use_mask_hook: bool = True, pre_hook_factory=None,
+                sink=None) -> np.ndarray | None:
     """Solve each tile in raster order, freezing overlap with the canvas.
 
     use_mask_hook=False gives the naive independent-patch baseline (tiles
     still get distinct seeds, overlap is last-write-wins).
     pre_hook_factory(window) -> hook adds a leading x0|t constraint per tile
     (used by hierarchical restoration).
+
+    sink(top, rows) gets the finished canvas rows [top, top + len(rows)),
+    one band per tile row, in order: the bands cover the canvas once, and
+    each band's top and height are multiples of plan.block. rows is a view
+    of the tile-row buffer, valid until the call returns. Without a sink
+    the bands are copied into a new full-size image, which is returned;
+    with one, None is returned.
     """
     if plan.block % task.block:
         raise ValueError(
@@ -142,28 +174,42 @@ def msr_restore(task: Task, plan: TilePlan, denoiser, cfg: SamplerConfig,
         raise ValueError(
             f"plan {plan.height}x{plan.width} does not match task "
             f"shape {task.shape}")
-    image = np.zeros(task.shape)
+    image = None
+    if sink is None:
+        image, sink = assemble(task.shape)
+    patch = plan.patch
+    # canvas rows [tops[row], tops[row] + patch) while that tile row runs
+    strip = np.empty((patch, plan.width, task.shape[2]))
+    tops = [plan.windows[r * plan.cols].top for r in range(plan.rows)]
+    tops.append(plan.height)
     # every tile's noise, in raster order, from one producer
     draws = noise_draws(cfg)
     noise = NoiseProducer(
         [(tile_seed(cfg.seed, *plan.grid_index(idx)), draws)
          for idx in range(len(plan.windows))],
-        (plan.patch, plan.patch, task.shape[2]))
+        (patch, patch, task.shape[2]))
     try:
         for idx, win in enumerate(plan.windows):
             op, y = task.tile_problem(win)
-            ys, xs = win.slices()
+            xs = win.slices()[1]
             post = []
             if use_mask_hook:
                 rects = _overlap_rects(plan.windows, idx)
                 if rects:
-                    post.append(_overlap_hook(image[ys, xs, :], rects))
+                    post.append(_overlap_hook(strip[:, xs], rects))
             pre = []
             if pre_hook_factory is not None:
                 pre.append(pre_hook_factory(win))
-            image[ys, xs, :] = run_sampler(
+            strip[:, xs] = run_sampler(
                 op, y, denoiser, cfg,
                 hooks=ConstraintHooks(pre=pre, post=post), noise=noise)
+            row, col = plan.grid_index(idx)
+            if col == plan.cols - 1:
+                # rows above the next tile row are final; the rest, which
+                # the next tile row overlaps, move to the buffer's top
+                done = tops[row + 1] - tops[row]
+                sink(tops[row], strip[:done])
+                strip[:patch - done] = strip[done:]
     finally:
         noise.close()
     return image

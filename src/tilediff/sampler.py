@@ -345,6 +345,9 @@ def run_sampler(op: LinearOperator, y: np.ndarray, denoiser,
                         x0hat = h(x0hat, t)
                     x = sample_prev(x0hat, eps_t, t, sched, cfg,
                                     noise.take(), op=op, gamma=gamma, out=x)
+                    # spent as sample_prev's scratch; not kept alive while
+                    # predict_eps makes the next step's prediction
+                    del eps_t
                     if not np.isfinite(x, out=finite).all():
                         raise SamplerError(
                             f"non-finite state at step t={t}")

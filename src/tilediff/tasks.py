@@ -5,6 +5,11 @@ A task knows the full result shape, the alignment granularity its operator
 imposes on tile coordinates (block), and can build the per-tile inverse
 problem for any aligned window. Tile measurements are exact restrictions of
 the global measurement, so a tile-aligned assembly stays globally consistent.
+
+A canvas-size input (the observed image and mask of inpainting, the image
+of denoising and colorization) may be an `imagecore.CodeReader` over a
+file's codes: a task then reads one window at a time, and `reduce` pools
+it one row band at a time, so the input is never held as floats whole.
 """
 
 from __future__ import annotations
@@ -14,7 +19,23 @@ import warnings
 import numpy as np
 
 from . import linops
-from .imagecore import Window
+from .imagecore import CodeReader, Window, row_bands
+
+
+def _values(a, dtype=np.float64):
+    """a itself if it converts window by window (a CodeReader), else
+    np.asarray(a, dtype)."""
+    return a if isinstance(a, CodeReader) else np.asarray(a, dtype=dtype)
+
+
+def _pool(a, f: int, reduce) -> np.ndarray:
+    """reduce(., axis=(1, 3)) over the f x f blocks of a (H, W[, C]), one
+    row band of whole blocks at a time."""
+    w = a.shape[1]
+    return np.concatenate([
+        reduce(band.reshape(len(band) // f, f, w // f, f, *band.shape[2:]),
+               axis=(1, 3))
+        for band in (a[ys] for ys in row_bands(a.shape[0], f))])
 
 
 def check_sr_hierarchy(scale: int, f: int):
@@ -76,8 +97,8 @@ class InpaintTask(Task):
     """Fill missing pixels; observed carries valid data where known."""
 
     def __init__(self, observed: np.ndarray, known: np.ndarray):
-        self.observed = np.asarray(observed, dtype=np.float64)
-        known = np.asarray(known, dtype=bool)
+        self.observed = _values(observed)
+        known = _values(known, dtype=bool)
         if known.shape != self.observed.shape[:2]:
             raise ValueError("mask dims must match image dims")
         self.known = known
@@ -91,11 +112,9 @@ class InpaintTask(Task):
 
     def reduce(self, f: int) -> Task:
         self._check_divisible(f)
-        h, w, c = self.shape
         # a reduced pixel is known only if its whole f x f footprint is known
-        known_r = self.known.reshape(h // f, f, w // f, f).all(axis=(1, 3))
-        obs_r = self.observed.reshape(h // f, f, w // f, f, c).mean(
-            axis=(1, 3))
+        known_r = _pool(self.known, f, np.all)
+        obs_r = _pool(self.observed, f, np.mean)
         if not known_r.any():
             warnings.warn("reduced inpainting mask has no known pixels; "
                           "coarse phase degenerates to generation")
@@ -106,8 +125,8 @@ class ColorizeTask(Task):
     """Recover 3 channels from their per-pixel mean."""
 
     def __init__(self, gray: np.ndarray):
-        gray = np.asarray(gray, dtype=np.float64)
-        if gray.ndim == 2:
+        gray = _values(gray)
+        if len(gray.shape) == 2:
             gray = gray[:, :, None]
         if gray.shape[2] != 1:
             raise ValueError("colorization input must be single-channel")
@@ -121,16 +140,14 @@ class ColorizeTask(Task):
 
     def reduce(self, f: int) -> Task:
         self._check_divisible(f)
-        h, w, _ = self.gray.shape
-        gray_r = self.gray.reshape(h // f, f, w // f, f, 1).mean(axis=(1, 3))
-        return ColorizeTask(gray_r)
+        return ColorizeTask(_pool(self.gray, f, np.mean))
 
 
 class DenoiseTask(Task):
     """A = I; restoration is driven purely by the noisy measurement path."""
 
     def __init__(self, observed: np.ndarray):
-        self.observed = np.asarray(observed, dtype=np.float64)
+        self.observed = _values(observed)
         self.shape = self.observed.shape
 
     def tile_problem(self, win: Window):
@@ -140,10 +157,7 @@ class DenoiseTask(Task):
 
     def reduce(self, f: int) -> Task:
         self._check_divisible(f)
-        h, w, c = self.shape
-        obs_r = self.observed.reshape(h // f, f, w // f, f, c).mean(
-            axis=(1, 3))
-        return DenoiseTask(obs_r)
+        return DenoiseTask(_pool(self.observed, f, np.mean))
 
 
 class GenerateTask(Task):

@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from tilediff import hir
+from tilediff import cli, hir, imagecore
 
 
 def smooth_means(k, height, width, channels=3, seed=0, amplitude=0.6,
@@ -39,6 +39,18 @@ def same_bits(a, b):
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and \
         a.tobytes() == b.tobytes()
+
+
+def seam_metric(img, plan):
+    """cli.SeamMeter's (axis, position, value) list for a whole image, as
+    a job reports it: its rows given in the bands of the plan's tile rows,
+    as a tiling pass gives them, and its codes."""
+    meter = cli.SeamMeter(plan)
+    tops = sorted({w.top for w in plan.windows}) + [plan.height]
+    for top, end in zip(tops, tops[1:]):
+        meter.rows(top, img[top:end])
+    meter.codes(imagecore.quantize(imagecore.Image(img)))
+    return meter.results()
 
 
 def constant_means(levels, height, width, channels=3):

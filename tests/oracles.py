@@ -189,13 +189,14 @@ def full_problem(task):
     assemblies are checked against."""
     if isinstance(task, tasks.SuperResolutionTask):
         return linops.AvgPool(task.shape, task.scale), task.y
+    # [...] converts an input a task reads through a CodeReader whole
     if isinstance(task, tasks.InpaintTask):
-        op = linops.Mask(task.known, channels=task.shape[2])
-        return op, op.forward(task.observed)
+        op = linops.Mask(task.known[...], channels=task.shape[2])
+        return op, op.forward(task.observed[...])
     if isinstance(task, tasks.ColorizeTask):
-        return linops.Gray(task.shape), task.gray
+        return linops.Gray(task.shape), task.gray[...]
     if isinstance(task, tasks.DenoiseTask):
-        return linops.Identity(task.shape), task.observed
+        return linops.Identity(task.shape), task.observed[...]
     return None
 
 
@@ -234,6 +235,16 @@ def seam_metric(img, plan):
     for r in seam_lines(ys, plan.height):
         results.append(("row", r, evaluate(row_diffs, r, plan.height)))
     return results
+
+
+def written_seam_metric(img, plan):
+    """The seams a job reports: seam_metric of the values for the row
+    seams, and for the column seams seam_metric of the written 8-bit codes
+    (as numbers), whose excess in codes is scaled by 2/255."""
+    codes = quantize(img).astype(np.float64)
+    return ([("col", c, v * (2.0 / 255.0))
+             for axis, c, v in seam_metric(codes, plan) if axis == "col"]
+            + [s for s in seam_metric(img, plan) if s[0] == "row"])
 
 
 def quantize(data):

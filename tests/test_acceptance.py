@@ -35,7 +35,7 @@ from tilediff.schedule import TravelPlan, build_schedule, renoise_jump
 from tilediff.tasks import (ColorizeTask, GenerateTask, InpaintTask,
                             SuperResolutionTask)
 
-from conftest import lowfreq_residuals, smooth_means
+from conftest import lowfreq_residuals, seam_metric, smooth_means
 from oracles import full_problem, replay_msr
 from test_denoise import write_prior
 from test_linops import dense_pinv_scaled
@@ -223,7 +223,7 @@ def test_criterion_5_naive_contrast():
         cfg = SamplerConfig(T=30, seed=seed)
         for use_hook, acc in ((True, msr_vals), (False, naive_vals)):
             img = msr_restore(task, plan, den, cfg, use_mask_hook=use_hook)
-            acc.append(max(v for _, _, v in cli.seam_metric(img, plan)))
+            acc.append(max(v for _, _, v in seam_metric(img, plan)))
     naive_mean, msr_mean = np.mean(naive_vals), np.mean(msr_vals)
     assert naive_mean > 0.1  # the baseline does produce visible seams
     assert naive_mean > 10 * msr_mean

@@ -7,14 +7,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tilediff import cli, imagecore, tasks
-from tilediff.cli import JobError, parse_job, run_job, seam_metric
+from tilediff import cli, denoise, imagecore, linops, tasks
+from tilediff.cli import JobError, parse_job, run_job
 from tilediff.denoise import Denoiser
-from tilediff.msr import plan_tiles
+from tilediff.hir import hir_restore
+from tilediff.linops import AvgPool
+from tilediff.msr import msr_restore, plan_tiles
 from tilediff.sampler import SamplerError
 
 import oracles
-from conftest import smooth_means
+from conftest import seam_metric, smooth_means
 from test_denoise import write_prior
 from test_msr import accepted_geometries
 
@@ -237,19 +239,23 @@ def test_seam_metric_detects_synthetic_step():
     img = np.zeros((64, 96, 3))
     img[:, 32:, :] = 0.2  # visible step exactly at the second tile's start
     vals = {(axis, pos): v for axis, pos, v in seam_metric(img, plan)}
-    assert vals[("col", 32)] >= 0.2  # interior band is flat, median 0
+    # codes 128 and 153; the interior band is flat, median 0
+    assert vals[("col", 32)] == 25 * (2.0 / 255.0)
     assert vals[("col", 64)] == 0.0
 
 
 def test_seam_band_does_not_wrap_below_the_first_line():
-    # the col-1 seam has no room for a band on either side; a band that
+    # the line-1 seams have no room for a band on either side; a band that
     # wrapped to the far edge took in the seam's own difference (0.5)
     plan = plan_tiles(4, 4, 2, 1)
     img = np.zeros((4, 4, 3))
     img[:, 1:, :] = 1.0
+    img[1:, :, :] += 0.5
     vals = {(axis, pos): v for axis, pos, v in seam_metric(img, plan)}
-    assert vals[("col", 1)] == 1.0
-    assert vals == {(a, p): v for a, p, v in oracles.seam_metric(img, plan)}
+    assert vals[("row", 1)] == 0.5
+    assert vals[("col", 1)] == 127 * (2.0 / 255.0)  # codes 128 and 255
+    assert vals == {(a, p): v for a, p, v in
+                    oracles.written_seam_metric(img, plan)}
 
 
 @settings(max_examples=60, deadline=None)
@@ -264,7 +270,7 @@ def test_seam_metric_equals_the_full_difference_oracle(geometry, levels,
     # few levels, so that medians fall on ties and between equal values
     img = np.random.default_rng(seed).integers(
         -levels, levels + 1, size=(height, width, 3)) / levels
-    assert seam_metric(img, plan) == oracles.seam_metric(img, plan)
+    assert seam_metric(img, plan) == oracles.written_seam_metric(img, plan)
 
 
 def _tasks_of_every_kind(rng, height, width):
@@ -285,7 +291,8 @@ def _tasks_of_every_kind(rng, height, width):
 
 @pytest.mark.parametrize("height", [3, 15, 18, 51])
 def test_consistency_equals_the_full_size_residual(rng, height):
-    # heights below, at and past a band, and not a multiple of one
+    # the whole canvas as one band, and as two split at a block boundary,
+    # as a tiling pass hands them over
     for task in _tasks_of_every_kind(rng, height, 12):
         img = rng.uniform(-1, 1, size=task.shape)
         full = oracles.full_problem(task)
@@ -294,12 +301,16 @@ def test_consistency_equals_the_full_size_residual(rng, height):
             op, y = full
             want = float(np.abs(op.forward(img) - y).max())
         assert cli.consistency(task, img) == want
+        split = task.block * (height // task.block // 2)
+        if split:
+            assert max(cli.consistency(task, img[:split]),
+                       cli.consistency(task, img[split:], split)) == want
 
 
-def _heap_peak_canvases(tmp_path, prior_dir, argv, height, width):
-    """tracemalloc's heap peak during the job `argv(height, width)`, in
-    float64 canvases; one small job of the same kind runs first, so that
-    numpy's lazily imported modules are not counted."""
+def _heap_peak(tmp_path, prior_dir, argv, height, width):
+    """tracemalloc's heap peak, in bytes, during the job
+    `argv(height, width)`; one small job of the same kind runs first, so
+    that numpy's lazily imported modules are not counted."""
     common = ["--prior", str(prior_dir), "--overlap", "16", "--steps", "1",
               "--travel-r", "1", "--out", str(tmp_path / "o.ppm")]
     assert run_job(parse_job(argv(64, 128) + common)[1]) == 0
@@ -310,22 +321,20 @@ def _heap_peak_canvases(tmp_path, prior_dir, argv, height, width):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return peak / (height * width * 3 * 8)
+    return peak
 
 
-def test_generate_job_heap_peak_is_below_one_and_a_half_canvases(
-        tmp_path, prior_dir):
-    # 100 tiles' area: the output canvas is the one full-size array, and
-    # the finish (residuals, seams, quantizing, saving) builds no other
-    def argv(h, w):
-        return ["generate", "--width", str(w), "--height", str(h)]
-
-    assert _heap_peak_canvases(tmp_path, prior_dir, argv, 640, 640) < 1.5
+def _heap_peak_canvases(tmp_path, prior_dir, argv, height, width):
+    """The job's heap peak in float64 canvases."""
+    return _heap_peak(tmp_path, prior_dir, argv, height, width) / (
+        height * width * 3 * 8)
 
 
-def test_inpaint_job_heap_peak_is_its_canvases_plus_a_half(
-        tmp_path, prior_dir, rng):
-    # it needs two float canvases: the observed input and the output
+def _generate_argv(h, w):
+    return ["generate", "--width", str(w), "--height", str(h)]
+
+
+def _inpaint_argv(tmp_path, rng):
     def argv(h, w):
         imagecore.save_image(tmp_path / "obs.ppm", imagecore.Image(
             rng.uniform(-1, 1, size=(h, w, 3))))
@@ -335,7 +344,146 @@ def test_inpaint_job_heap_peak_is_its_canvases_plus_a_half(
                 "--in", str(tmp_path / "obs.ppm"),
                 "--mask", str(tmp_path / "mask.pgm")]
 
-    assert _heap_peak_canvases(tmp_path, prior_dir, argv, 640, 640) < 2.5
+    return argv
+
+
+def test_generate_job_heap_peak_is_below_one_and_a_half_canvases(
+        tmp_path, prior_dir):
+    # 100 tiles' area, and no full-size array: the tiling pass holds one
+    # tile row, and the finish (residuals, seams, quantizing, writing)
+    # one band of it at a time
+    assert _heap_peak_canvases(tmp_path, prior_dir, _generate_argv,
+                               640, 640) < 1.5
+
+
+def test_inpaint_job_heap_peak_is_its_canvases_plus_a_half(
+        tmp_path, prior_dir, rng):
+    # the observed input and the mask stay codes in their files, read a
+    # tile at a time, so the job holds no full-size array either
+    assert _heap_peak_canvases(tmp_path, prior_dir,
+                               _inpaint_argv(tmp_path, rng), 640, 640) < 2.5
+
+
+@pytest.mark.parametrize("kind", ["generate", "inpaint"])
+def test_job_heap_peak_does_not_grow_with_canvas_height(tmp_path, prior_dir,
+                                                        rng, kind):
+    # 4x the rows (53 tile rows against 13) at width 640: about 4.4 MB of
+    # heap at either height (noise ring, tile-row buffer, one band)
+    argv = _generate_argv if kind == "generate" else _inpaint_argv(tmp_path,
+                                                                   rng)
+    short = _heap_peak(tmp_path, prior_dir, argv, 640, 640)
+    tall = _heap_peak(tmp_path, prior_dir, argv, 2560, 640)
+    assert tall <= 1.1 * short
+
+
+SMALL = 16  # patch of the finish tests' prior
+
+
+@pytest.fixture
+def small_prior(tmp_path):
+    d = tmp_path / "small_prior"
+    d.mkdir()
+    write_prior(d, smooth_means(2, SMALL, SMALL, seed=4, period=8),
+                [0.5, 0.5], 0.05)
+    return d
+
+
+def _write_input(path, rng, shape):
+    imagecore.save_image(path, imagecore.Image(rng.uniform(-1, 1,
+                                                           size=shape)))
+
+
+# (subcommand and task flags, height, width, other flags); patch 16 and
+# overlap 8 unless given, so 40 rows and 52 columns end in a clamped tile
+_FINISH_JOBS = {
+    "generate": (["generate"], 40, 52, []),
+    "generate-naive": (["generate"], 40, 52, ["--naive"]),
+    "generate-hir": (["generate"], 36, 48, ["--hir-factor", "2"]),
+    "sr-noisy": (["restore", "--task", "sr", "--scale", "2"], 36, 44,
+                 ["--sigma-y", "0.05"]),
+    "sr-hir": (["restore", "--task", "sr", "--scale", "4"], 64, 64,
+               ["--hir-factor", "2", "--overlap", "4"]),
+    "inpaint": (["restore", "--task", "inpaint"], 38, 50, []),
+    "inpaint-hir": (["restore", "--task", "inpaint"], 40, 48,
+                    ["--hir-factor", "2"]),
+    "colorize": (["restore", "--task", "colorize"], 34, 40,
+                 ["--overlap", "6"]),
+    "denoise": (["restore", "--task", "denoise"], 34, 40,
+                ["--sigma-y", "0.1", "--overlap", "6"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FINISH_JOBS))
+def test_streamed_finish_equals_the_full_canvas_oracles(tmp_path, small_prior,
+                                                        rng, name):
+    head, height, width, flags = _FINISH_JOBS[name]
+    out = tmp_path / "out" / "o.ppm"
+    argv = head + ["--prior", str(small_prior), "--patch", str(SMALL),
+                   "--overlap", "8", "--steps", "3", "--travel-r", "2",
+                   "--travel-l", "2", "--seed", "6", "--out", str(out)]
+    if head[0] == "generate":
+        argv += ["--height", str(height), "--width", str(width)]
+    task_name = head[2] if head[0] == "restore" else "generate"
+    inp, mask = tmp_path / "in.ppm", tmp_path / "mask.pgm"
+    if task_name == "sr":
+        scale = int(head[4])
+        _write_input(inp, rng, (height // scale, width // scale, 3))
+    elif task_name == "colorize":
+        inp = tmp_path / "in.pgm"
+        _write_input(inp, rng, (height, width, 1))
+    elif task_name != "generate":
+        _write_input(inp, rng, (height, width, 3))
+    if task_name == "inpaint":
+        imagecore.save_image(mask, imagecore.Image(np.where(
+            rng.random((height, width, 1)) < 0.5, 1.0, -1.0)))
+        argv += ["--mask", str(mask)]
+    if task_name != "generate":
+        argv += ["--in", str(inp)]
+    _, job = parse_job(argv + flags)
+    assert run_job(job) == 0
+    got = read_metrics(out.parent / "metrics.txt")
+    del got["wall_clock_sec"]
+
+    # the same job through the library, assembled whole, from the inputs
+    # loaded as float arrays
+    if task_name == "generate":
+        task = tasks.GenerateTask(height, width, 3)
+    else:
+        data = imagecore.load_image(inp).data
+        task = {"sr": lambda: tasks.SuperResolutionTask(data, job.scale),
+                "inpaint": lambda: tasks.InpaintTask(
+                    data, np.asarray(linops.load_mask(mask))),
+                "colorize": lambda: tasks.ColorizeTask(data),
+                "denoise": lambda: tasks.DenoiseTask(data)}[task_name]()
+    plan = plan_tiles(height, width, job.patch, job.overlap,
+                      block=cli._job_block(job))
+    den = denoise.load_gmm_prior(str(small_prior))
+    want = {}
+    if job.hir_factor:
+        result = hir_restore(task, job.hir_factor, plan, den,
+                             job.sampler_config())
+        image = result.image
+        want["lowfreq_residual"] = float(np.abs(AvgPool(
+            task.shape, job.hir_factor).forward(image) - result.coarse).max())
+    else:
+        image = msr_restore(task, plan, den, job.sampler_config(),
+                            use_mask_hook=not job.naive)
+    full = oracles.full_problem(task)
+    want["consistency"] = 0.0
+    if full is not None and full[1].size:
+        want["consistency"] = float(np.abs(full[0].forward(image)
+                                           - full[1]).max())
+    seams = oracles.written_seam_metric(image, plan)
+    want["seam_max"] = max((v for _, _, v in seams), default=0.0)
+    want.update({f"seam_{axis}_{pos}": v for axis, pos, v in seams})
+    want["steps"] = den.calls
+    assert list(got) == list(want)
+    assert {k: float(v) for k, v in got.items()} == want
+    c = task.shape[2]
+    header = b"P%d\n%d %d\n255\n" % (5 if c == 1 else 6, width, height)
+    assert out.read_bytes() == header + oracles.quantize(image).tobytes()
+    assert sorted(p.name for p in out.parent.iterdir()) == ["metrics.txt",
+                                                             "o.ppm"]
 
 
 def test_selftest_and_plan_commands(capsys):
@@ -527,7 +675,9 @@ def test_main_reports_sampler_error(tmp_path, prior_dir, monkeypatch,
     metrics = read_metrics(tmp_path / "metrics.txt")
     assert metrics["error"] == "non-finite state at step t=5"
     assert "wall_clock_sec" in metrics
-    assert not (tmp_path / "g.ppm").exists()
+    # no output, and the part file the job wrote its header to is removed
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.txt",
+                                                          "prior"]
     # library callers still see the divergence as an exception
     _, job = parse_job(argv)
     with pytest.raises(SamplerError):

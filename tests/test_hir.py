@@ -257,3 +257,13 @@ def test_hir_equals_a_two_phase_replay_bitwise(case, seed):
     # reduced over row bands, it equals the full-size residual exactly
     assert result.lowfreq_residual == float(np.abs(
         AvgPool(task.shape, f).forward(image) - coarse).max())
+    # phase 2 to a sink: the same bands, whole f-row blocks, in order
+    bands = []
+    streamed = hir_restore(task, f, plan2, den, cfg, sink=lambda top, rows:
+                           bands.append((top, rows.copy())))
+    assert streamed.image is None
+    assert all(top % f == 0 and len(rows) % f == 0 for top, rows in bands)
+    assert [top for top, _ in bands] == [0] + list(np.cumsum(
+        [len(rows) for _, rows in bands])[:-1])
+    assert np.array_equal(np.concatenate([r for _, r in bands]), image)
+    assert streamed.lowfreq_residual == result.lowfreq_residual

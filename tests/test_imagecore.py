@@ -75,6 +75,28 @@ def test_dequantize_is_the_scale_and_shift_of_the_codes():
     assert imagecore.dequantize(codes).data.tobytes() == want.tobytes()
 
 
+def test_code_reader_windows_are_the_whole_images_values(tmp_path, rng):
+    p = tmp_path / "a.ppm"
+    save_image(p, Image(rng.uniform(-1, 1, size=(20, 12, 3))))
+    reader = imagecore.CodeReader(imagecore.read_codes(p))
+    whole = load_image(p).data
+    assert reader.shape == whole.shape
+    assert reader[3:17, 5:9].tobytes() == whole[3:17, 5:9].tobytes()
+    assert np.asarray(reader).tobytes() == whole.tobytes()
+
+
+def test_writer_renames_only_a_complete_file(tmp_path):
+    path = tmp_path / "a.ppm"
+    with pytest.raises(ValueError, match="1 rows short of the header"):
+        with imagecore.pnm_writer(path, 2, 3, 3) as write:
+            write(np.zeros((1, 3, 3)))
+    with pytest.raises(KeyError):
+        with imagecore.pnm_writer(path, 1, 3, 3) as write:
+            write(np.zeros((1, 3, 3)))
+            raise KeyError
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_load_image_holds_one_float_canvas(tmp_path, rng):
     # the float image, plus the file's bytes at an eighth of it and one
     # row band of the finiteness check's booleans

@@ -14,7 +14,7 @@ from tilediff.sampler import (ConstraintHooks, NoiseProducer, SamplerConfig,
 from tilediff.schedule import TravelPlan
 from tilediff.tasks import GenerateTask, InpaintTask, SuperResolutionTask
 
-from conftest import noise_thread_starts, smooth_means, within
+from conftest import noise_thread_starts, same_bits, smooth_means, within
 from oracles import full_problem, replay_msr
 
 PATCH, OVERLAP = 64, 32
@@ -168,6 +168,44 @@ def test_msr_equals_the_replay_bitwise_on_random_plans(geometry, kind, seed):
     cfg = SamplerConfig(T=4, seed=seed)
     assert np.array_equal(msr_restore(task, plan, den, cfg),
                           replay_msr(task, plan, den, cfg))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_geometries(), st.sampled_from(["generate", "sr", "inpaint"]),
+       st.integers(0, 2**32 - 1))
+@example((8, 8, 8, 4, 2), "generate", 0)     # canvas equal to the patch
+@example((14, 14, 8, 4, 2), "sr", 1)         # clamped last row and column
+@example((18, 10, 8, 4, 2), "inpaint", 2)    # clamped row overlaps two back
+def test_msr_sink_gets_each_band_once_in_order_block_aligned(geometry, kind,
+                                                             seed):
+    height, width, patch, overlap, block = geometry
+    plan = plan_tiles(height, width, patch, overlap, block=block)
+    rng = np.random.default_rng(seed)
+    sigma_y = 0.0
+    if kind == "generate":
+        task = GenerateTask(height, width, 3)
+    elif kind == "sr":
+        task = SuperResolutionTask(rng.uniform(
+            -1, 1, size=(height // block, width // block, 3)), block)
+        sigma_y = 0.05
+    else:
+        task = InpaintTask(rng.uniform(-1, 1, size=(height, width, 3)),
+                           rng.random((height, width)) < 0.5)
+    den = GmmDenoiser(smooth_means(2, patch, patch, seed=seed),
+                      [0.5, 0.5], 0.05)
+    cfg = SamplerConfig(T=4, seed=seed, sigma_y=sigma_y)
+    bands = []
+    assert msr_restore(task, plan, den, cfg, sink=lambda top, rows:
+                       bands.append((top, rows.copy()))) is None
+    # each band starts where the one before it ended, from 0 to the height
+    ends = [0] + [top + len(rows) for top, rows in bands]
+    assert [top for top, _ in bands] == ends[:-1] and ends[-1] == height
+    assert all(len(rows) and top % block == 0 and len(rows) % block == 0
+               for top, rows in bands)
+    assert len(bands) == plan.rows
+    want = replay_msr(task, plan, den, cfg)
+    assert same_bits(np.concatenate([rows for _, rows in bands]), want)
+    assert same_bits(msr_restore(task, plan, den, cfg), want)
 
 
 def test_tile_seed_stable_and_distinct():

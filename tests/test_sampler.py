@@ -506,7 +506,7 @@ def test_run_sampler_heap_peak_does_not_grow_with_steps():
         post=[msr._overlap_hook(rng.uniform(-1, 1, size=shape),
                                 [(slice(0, 32), slice(None))])])
 
-    def peak(T):
+    def peak(T, hooks=hooks):
         cfg = SamplerConfig(T=T, seed=1, travel=TravelPlan(10, 2))
         # the noise ring is sized by the draw count, so it is made first
         noise = NoiseProducer([(cfg.seed, noise_draws(cfg))], shape)
@@ -528,6 +528,10 @@ def test_run_sampler_heap_peak_does_not_grow_with_steps():
     # prediction hold 3.2 tiles; the low-frequency hook's half-size
     # temporaries set the peak at 4.6
     assert long < 5 * tile
+    # without that hook the peak is inside predict_eps, which makes the
+    # step's prediction while the previous one is already dropped: 3.2
+    # tiles, where holding both read 4.2
+    assert peak(60, ConstraintHooks(post=hooks.post)) < 3.5 * tile
 
 
 @pytest.mark.filterwarnings("ignore:invalid value")
