@@ -10,7 +10,8 @@ for a file. `pnm_writer` writes a file band by band: each band of model
 values is quantized and its codes appended after the header, into a part
 file renamed into place once the last row is written. `read_codes` maps a
 file's payload as uint8 codes (a memmap, one byte per sample and off the
-heap), and `CodeReader` converts only the window a caller indexes, so a
+heap; `load_image` is all of it dequantized), and `CodeReader` converts
+only the window a caller indexes, so a
 canvas-size input is dequantized (or thresholded) one tile at a time. Work
 over a whole in-memory image goes in row bands of at least BAND_ROWS rows
 (`row_bands`): the quantizer and the finiteness check here, and the block
@@ -267,11 +268,4 @@ def read_codes(path: str | os.PathLike) -> np.ndarray:
 
 def load_image(path: str | os.PathLike) -> Image:
     """Read a binary PGM/PPM file written by save_image (or compatible)."""
-    with open(path, "rb") as f:
-        shape = _read_header(f)
-        n = shape[0] * shape[1] * shape[2]
-        payload = f.read(n)
-        if len(payload) != n:
-            raise CodecError(
-                f"truncated payload: expected {n} bytes, got {len(payload)}")
-    return dequantize(np.frombuffer(payload, dtype=np.uint8).reshape(shape))
+    return dequantize(read_codes(path))

@@ -109,15 +109,8 @@ def _overlap_rects(windows, idx: int) -> list[tuple[slice, slice]]:
     less any that lies inside another (two distinct windows never cut the
     same rectangle)."""
     win = windows[idx]
-    # a plan's windows share one height and come in raster order, so the
-    # earlier ones that reach below this one's top end at idx: the scan
-    # stops at the first that does not, and a tile costs O(cols), not O(idx)
-    first = idx
-    while first and (windows[first - 1].top + windows[first - 1].height
-                     > win.top):
-        first -= 1
     rects = []
-    for prev in windows[first:idx]:
+    for prev in windows[:idx]:
         top = max(win.top, prev.top) - win.top
         left = max(win.left, prev.left) - win.left
         bottom = min(win.top + win.height, prev.top + prev.height) - win.top

@@ -183,7 +183,14 @@ def test_load_mask_roundtrip(tmp_path, rng):
     img = imagecore.Image(np.where(known, 1.0, -1.0)[:, :, None])
     path = tmp_path / "mask.pgm"
     imagecore.save_image(path, img)
-    assert np.array_equal(linops.load_mask(path), known)
+    mask = linops.load_mask(path)
+    # a reader: any window indexes to its known booleans, np.asarray
+    # gives the whole (H, W) array
+    assert mask.shape == known.shape
+    window = mask[1:4, 2:6]
+    assert window.dtype == bool and np.array_equal(window, known[1:4, 2:6])
+    whole = np.asarray(mask)
+    assert whole.dtype == bool and np.array_equal(whole, known)
 
 
 def test_load_mask_rejects_gray(tmp_path):
