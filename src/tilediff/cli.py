@@ -315,11 +315,9 @@ class SeamMeter:
     def __init__(self, plan: TilePlan):
         self.height = plan.height
         self.width = plan.width
-        self._pending = _seam_lines(sorted({w.top for w in plan.windows}),
-                                    plan.height, plan.patch)
+        self._pending = _seam_lines(plan.tops, plan.height, plan.patch)
         self._rows = {}
-        self._cols = _seam_lines(sorted({w.left for w in plan.windows}),
-                                 plan.width, plan.patch)
+        self._cols = _seam_lines(plan.lefts, plan.width, plan.patch)
         self._col_max = [0] * len(self._cols)
         self._col_counts = np.zeros((len(self._cols), 256), dtype=np.int64)
         self._tail = None
@@ -455,11 +453,10 @@ def run_plan(args) -> int:
                       block=args.block)
     print(f"{plan.rows} x {plan.cols} tiles, patch {plan.patch}, "
           f"overlap {plan.overlap}, stride {plan.stride}")
-    for idx, win in enumerate(plan.windows):
-        row, col = plan.grid_index(idx)
-        print(f"tile {idx} (row {row}, col {col}): "
-              f"top={win.top} left={win.left} "
-              f"{win.height}x{win.width}")
+    for row, top in enumerate(plan.tops):
+        for col, left in enumerate(plan.lefts):
+            print(f"tile {row * plan.cols + col} (row {row}, col {col}): "
+                  f"top={top} left={left} {plan.patch}x{plan.patch}")
     return 0
 
 

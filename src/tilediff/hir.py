@@ -17,7 +17,7 @@ import numpy as np
 
 from .imagecore import Window
 from .linops import AvgPool
-from .msr import TilePlan, assemble, msr_restore, plan_tiles
+from .msr import TilePlan, assemble, check_plan, msr_restore, plan_tiles
 from .sampler import SamplerConfig
 from .tasks import Task
 
@@ -59,9 +59,9 @@ def hir_restore(task: Task, factor: int, plan2: TilePlan, denoiser,
     patch = plan2.patch
     if patch % f:
         raise ValueError(f"patch {patch} must be divisible by factor {f}")
-    for win in plan2.windows:
-        if win.top % f or win.left % f:
-            raise ValueError(f"tile window {win} not aligned to factor {f}")
+    if any(pos % f for pos in plan2.tops + plan2.lefts):
+        raise ValueError(f"plan2 tile positions not aligned to factor {f}")
+    check_plan(task, plan2)  # before the coarse phase, not after it
 
     coarse_plan = plan_tiles(reduced.shape[0], reduced.shape[1],
                              patch, plan2.overlap, block=reduced.block)

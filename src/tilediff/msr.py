@@ -28,11 +28,10 @@ from .tasks import Task
 
 @dataclasses.dataclass(frozen=True)
 class TilePlan:
-    """Raster-ordered tile windows covering a height x width canvas."""
+    """Tiles at tops x lefts in raster order, on a height x width canvas."""
 
-    windows: tuple
-    rows: int
-    cols: int
+    tops: tuple
+    lefts: tuple
     patch: int
     overlap: int
     height: int
@@ -42,6 +41,20 @@ class TilePlan:
     @property
     def stride(self) -> int:
         return self.patch - self.overlap
+
+    @property
+    def rows(self) -> int:
+        return len(self.tops)
+
+    @property
+    def cols(self) -> int:
+        return len(self.lefts)
+
+    @property
+    def windows(self) -> tuple:
+        """Every tile's Window in raster order, made on each access."""
+        return tuple(Window(top=y, left=x, height=self.patch, width=self.patch)
+                     for y in self.tops for x in self.lefts)
 
     def grid_index(self, idx: int) -> tuple[int, int]:
         return divmod(idx, self.cols)
@@ -53,10 +66,10 @@ def _axis_positions(size: int, patch: int, overlap: int, block: int):
     if size % block:
         raise ValueError(f"canvas extent {size} not a multiple of block {block}")
     stride = patch - overlap
-    positions = list(range(0, size - patch + 1, stride))
+    positions = tuple(range(0, size - patch + 1, stride))
     if positions[-1] != size - patch:
         # clamp the last tile to end at the canvas edge (larger overlap)
-        positions.append(size - patch)
+        positions += (size - patch,)
     return positions
 
 
@@ -77,13 +90,21 @@ def plan_tiles(height: int, width: int, patch: int, overlap: int,
                block: int = 1) -> TilePlan:
     """Positions at 0, stride, 2*stride, ..., last clamped to the edge."""
     check_geometry(patch, overlap, block)
-    ys = _axis_positions(height, patch, overlap, block)
-    xs = _axis_positions(width, patch, overlap, block)
-    windows = tuple(Window(top=y, left=x, height=patch, width=patch)
-                    for y in ys for x in xs)
-    return TilePlan(windows=windows, rows=len(ys), cols=len(xs),
+    return TilePlan(tops=_axis_positions(height, patch, overlap, block),
+                    lefts=_axis_positions(width, patch, overlap, block),
                     patch=patch, overlap=overlap, height=height,
                     width=width, block=block)
+
+
+def check_plan(task: Task, plan: TilePlan):
+    """Reject a plan whose canvas or block does not fit the task."""
+    if plan.block % task.block:
+        raise ValueError(
+            f"plan block {plan.block} not aligned to task block {task.block}")
+    if (plan.height, plan.width) != task.shape[:2]:
+        raise ValueError(
+            f"plan {plan.height}x{plan.width} does not match task "
+            f"shape {task.shape}")
 
 
 def tile_seed(global_seed: int, row: int, col: int) -> int:
@@ -103,26 +124,20 @@ def assemble(shape) -> tuple[np.ndarray, object]:
     return image, sink
 
 
-def _overlap_rects(windows, idx: int) -> list[tuple[slice, slice]]:
-    """The already-restored part of windows[idx] as (row, col) slices of
-    the tile: its intersections with the earlier windows of the plan,
-    less any that lies inside another (two distinct windows never cut the
-    same rectangle)."""
-    win = windows[idx]
+def _overlap_rects(plan: TilePlan, row: int, col: int
+                   ) -> list[tuple[slice, slice]]:
+    """The already-restored part of tile (row, col) as (row, col) slices of
+    the tile: the rows the tile row above reaches, and the columns the tile
+    to the left reaches. Each earlier tile row spans the canvas, so these
+    two are the tile's intersection with all earlier windows."""
     rects = []
-    for prev in windows[:idx]:
-        top = max(win.top, prev.top) - win.top
-        left = max(win.left, prev.left) - win.left
-        bottom = min(win.top + win.height, prev.top + prev.height) - win.top
-        right = min(win.left + win.width, prev.left + prev.width) - win.left
-        if top < bottom and left < right:
-            rects.append((top, bottom, left, right))
-
-    def inside(a, b):
-        return b[0] <= a[0] and a[1] <= b[1] and b[2] <= a[2] and a[3] <= b[3]
-
-    return [(slice(a[0], a[1]), slice(a[2], a[3])) for a in rects
-            if not any(b is not a and inside(a, b) for b in rects)]
+    if row:
+        rects.append((slice(0, plan.tops[row - 1] + plan.patch
+                            - plan.tops[row]), slice(None)))
+    if col:
+        rects.append((slice(None), slice(0, plan.lefts[col - 1] + plan.patch
+                                         - plan.lefts[col])))
+    return rects
 
 
 def _overlap_hook(fixed: np.ndarray, rects):
@@ -160,49 +175,37 @@ def msr_restore(task: Task, plan: TilePlan, denoiser, cfg: SamplerConfig,
     the bands are copied into a new full-size image, which is returned;
     with one, None is returned.
     """
-    if plan.block % task.block:
-        raise ValueError(
-            f"plan block {plan.block} not aligned to task block {task.block}")
-    if (plan.height, plan.width) != task.shape[:2]:
-        raise ValueError(
-            f"plan {plan.height}x{plan.width} does not match task "
-            f"shape {task.shape}")
+    check_plan(task, plan)
     image = None
     if sink is None:
         image, sink = assemble(task.shape)
     patch = plan.patch
     # canvas rows [tops[row], tops[row] + patch) while that tile row runs
     strip = np.empty((patch, plan.width, task.shape[2]))
-    tops = [plan.windows[r * plan.cols].top for r in range(plan.rows)]
-    tops.append(plan.height)
+    ends = plan.tops[1:] + (plan.height,)
     # every tile's noise, in raster order, from one producer
     draws = noise_draws(cfg)
     noise = NoiseProducer(
-        [(tile_seed(cfg.seed, *plan.grid_index(idx)), draws)
-         for idx in range(len(plan.windows))],
+        [(tile_seed(cfg.seed, row, col), draws)
+         for row in range(plan.rows) for col in range(plan.cols)],
         (patch, patch, task.shape[2]))
     try:
-        for idx, win in enumerate(plan.windows):
-            op, y = task.tile_problem(win)
-            xs = win.slices()[1]
-            post = []
-            if use_mask_hook:
-                rects = _overlap_rects(plan.windows, idx)
-                if rects:
-                    post.append(_overlap_hook(strip[:, xs], rects))
-            pre = []
-            if pre_hook_factory is not None:
-                pre.append(pre_hook_factory(win))
-            strip[:, xs] = run_sampler(
-                op, y, denoiser, cfg,
-                hooks=ConstraintHooks(pre=pre, post=post), noise=noise)
-            row, col = plan.grid_index(idx)
-            if col == plan.cols - 1:
-                # rows above the next tile row are final; the rest, which
-                # the next tile row overlaps, move to the buffer's top
-                done = tops[row + 1] - tops[row]
-                sink(tops[row], strip[:done])
-                strip[:patch - done] = strip[done:]
+        for row, (top, end) in enumerate(zip(plan.tops, ends)):
+            for col, left in enumerate(plan.lefts):
+                win = Window(top=top, left=left, height=patch, width=patch)
+                op, y = task.tile_problem(win)
+                xs = slice(left, left + patch)
+                rects = _overlap_rects(plan, row, col) if use_mask_hook else []
+                post = [_overlap_hook(strip[:, xs], rects)] if rects else []
+                pre = ([] if pre_hook_factory is None
+                       else [pre_hook_factory(win)])
+                strip[:, xs] = run_sampler(
+                    op, y, denoiser, cfg,
+                    hooks=ConstraintHooks(pre=pre, post=post), noise=noise)
+            # rows above the next tile row are final; the rest, which the
+            # next tile row overlaps, move to the buffer's top
+            sink(top, strip[:end - top])
+            strip[:patch - (end - top)] = strip[end - top:]
     finally:
         noise.close()
     return image

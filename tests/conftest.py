@@ -46,7 +46,7 @@ def seam_metric(img, plan):
     a job reports it: its rows given in the bands of the plan's tile rows,
     as a tiling pass gives them, and its codes."""
     meter = cli.SeamMeter(plan)
-    tops = sorted({w.top for w in plan.windows}) + [plan.height]
+    tops = plan.tops + (plan.height,)
     for top, end in zip(tops, tops[1:]):
         meter.rows(top, img[top:end])
     meter.codes(imagecore.quantize(imagecore.Image(img)))

@@ -204,8 +204,7 @@ def seam_metric(img, plan):
     """cli.seam_metric from full-size first-difference images, with the
     band below a seam clamped at line 0 (an empty band has median 0)."""
     results = []
-    xs = sorted({w.left for w in plan.windows})
-    ys = sorted({w.top for w in plan.windows})
+    xs, ys = plan.lefts, plan.tops
 
     def seam_lines(starts, extent):
         lines = set()

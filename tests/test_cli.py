@@ -492,8 +492,11 @@ def test_selftest_and_plan_commands(capsys):
     assert "selftest: OK" in out
     assert cli.main(["plan", "--width", "100", "--height", "64",
                      "--patch", "64", "--overlap", "32", "--block", "4"]) == 0
-    out = capsys.readouterr().out
-    assert "left=36" in out
+    assert capsys.readouterr().out == (
+        "1 x 3 tiles, patch 64, overlap 32, stride 32\n"
+        "tile 0 (row 0, col 0): top=0 left=0 64x64\n"
+        "tile 1 (row 0, col 1): top=0 left=32 64x64\n"
+        "tile 2 (row 0, col 2): top=0 left=36 64x64\n")
 
 
 def _help_options(command, capsys):

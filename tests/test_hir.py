@@ -164,6 +164,14 @@ def test_hir_rejects_misaligned_plan2(rng):
         hir_restore(task, 2, plan2, den, cfg)
 
 
+def test_hir_rejects_a_plan2_of_another_size_before_phase_1(rng):
+    den, task = make_inpaint_setup(rng)  # a 128 x 192 canvas
+    plan2 = plan_tiles(128, 128, PATCH, OVERLAP, block=2)
+    with pytest.raises(ValueError, match="does not match task shape"):
+        hir_restore(task, 2, plan2, den, SamplerConfig(T=5, seed=0))
+    assert den.calls == 0
+
+
 def test_hir_starts_one_noise_thread_per_phase(rng):
     den, task = make_inpaint_setup(rng)
     plan2 = plan_tiles(128, 192, PATCH, OVERLAP, block=2)

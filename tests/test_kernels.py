@@ -281,7 +281,8 @@ def test_overlap_hook_matches_where_on_random_plans(geometry, seed):
     for idx, win in enumerate(plan.windows):
         ys, xs = win.slices()
         frozen = known[ys, xs]
-        rects = _overlap_rects(plan.windows, idx)
+        rects = _overlap_rects(plan, *plan.grid_index(idx))
+        assert len(rects) <= 2
         assert bool(rects) == frozen.any()
         if rects:
             fixed = canvas[ys, xs, :]

@@ -1,6 +1,7 @@
 import dataclasses
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tilediff.denoise import GmmDenoiser
+from tilediff.imagecore import Window
 from tilediff.msr import msr_restore, plan_tiles, tile_seed
 from tilediff.sampler import (ConstraintHooks, NoiseProducer, SamplerConfig,
                               SamplerError, noise_draws, run_sampler)
@@ -28,19 +30,19 @@ def make_denoiser(seed=0, tau=0.05, k=2, channels=3):
 
 def test_plan_exact_cover():
     plan = plan_tiles(64, 96, PATCH, OVERLAP)
-    assert [w.left for w in plan.windows] == [0, 32]
+    assert plan.tops == (0,) and plan.lefts == (0, 32)
     assert plan.rows == 1 and plan.cols == 2
 
 
 def test_plan_clamped_last_tile():
     plan = plan_tiles(64, 100, PATCH, OVERLAP, block=4)
-    assert [w.left for w in plan.windows] == [0, 32, 36]
+    assert plan.lefts == (0, 32, 36)
 
 
 def test_plan_single_tile_degenerate():
     plan = plan_tiles(64, 64, PATCH, OVERLAP)
-    assert len(plan.windows) == 1
-    assert plan.windows[0].top == 0 and plan.windows[0].left == 0
+    assert plan.tops == plan.lefts == (0,)
+    assert plan.windows == (Window(0, 0, PATCH, PATCH),)
 
 
 def test_plan_validation():
@@ -52,6 +54,18 @@ def test_plan_validation():
         plan_tiles(64, 98, PATCH, OVERLAP, block=4)  # alignment violation
     with pytest.raises(ValueError):
         plan_tiles(64, 96, 62, 30, block=4)
+
+
+def test_a_plan_holds_positions_not_tiles():
+    # 65 025 tiles: one Window object each would take about 7 MB of heap
+    tracemalloc.start()
+    try:
+        plan = plan_tiles(8192, 8192, 64, 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (plan.rows, plan.cols) == (255, 255)
+    assert peak < 0.1e6
 
 
 @st.composite
@@ -88,18 +102,13 @@ def _covers(plan):
 def test_plan_tiles_covers_the_canvas_in_raster_order(geometry):
     height, width, patch, overlap, block = geometry
     plan = plan_tiles(height, width, patch, overlap, block=block)
-    for w in plan.windows:
-        assert (w.height, w.width) == (patch, patch)
-        assert w.top + patch <= height and w.left + patch <= width
-        assert w.top % block == 0 and w.left % block == 0
-    tops = sorted({w.top for w in plan.windows})
-    lefts = sorted({w.left for w in plan.windows})
-    assert (plan.rows, plan.cols) == (len(tops), len(lefts))
-    assert [(w.top, w.left) for w in plan.windows] == [
-        (y, x) for y in tops for x in lefts]
+    assert all(p % block == 0 for p in plan.tops + plan.lefts)
+    assert (plan.rows, plan.cols) == (len(plan.tops), len(plan.lefts))
+    assert plan.windows == tuple(Window(y, x, patch, patch)
+                                 for y in plan.tops for x in plan.lefts)
     assert _covers(plan)
-    assert _axis_ok(tops, height, patch, plan.stride)
-    assert _axis_ok(lefts, width, patch, plan.stride)
+    assert _axis_ok(plan.tops, height, patch, plan.stride)
+    assert _axis_ok(plan.lefts, width, patch, plan.stride)
 
 
 @settings(max_examples=300, deadline=None)
@@ -307,7 +316,7 @@ def test_msr_naive_mode_breaks_seams_msr_does_not():
     cfg = SamplerConfig(T=30, seed=12)
     msr_img = msr_restore(task, plan, den, cfg)
     naive_img = msr_restore(task, plan, den, cfg, use_mask_hook=False)
-    seam = plan.windows[1].left + 0  # new tile starts here in naive mode
+    seam = plan.lefts[1]  # new tile starts here in naive mode
     msr_jump = np.abs(np.diff(msr_img, axis=1)).max()
     naive_jump = np.abs(naive_img[:, seam] - naive_img[:, seam - 1]).max()
     # with seed 12 the two naive tiles settle on different components
