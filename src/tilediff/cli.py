@@ -204,6 +204,8 @@ def validate_job(job: JobSpec):
         raise JobError("inpaint requires mask")
     if job.hir_factor < 0 or job.hir_factor == 1:
         raise JobError("hir-factor must be 0 (off) or >= 2")
+    if job.naive and job.hir_factor:
+        raise JobError("naive cannot be combined with hir-factor >= 2")
     try:
         job.sampler_config()
         if job.task == "sr" and job.hir_factor >= 2:
@@ -273,17 +275,6 @@ def _seam_band(c: int, extent: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _median(values: np.ndarray) -> float:
-    """np.median of finite values, 0.0 when there are none: the mean of
-    the two middle values of the sorted values (one, taken twice, when
-    their number is odd). np.median would import numpy.ma, 1.5 MB of
-    resident memory, in the middle of the first tiling pass."""
-    v = np.sort(values, axis=None)
-    if not v.size:
-        return 0.0
-    return float((v[(v.size - 1) // 2] + v[v.size // 2]) / 2)
-
-
 def _median_of_counts(counts: np.ndarray) -> float:
     """np.median of the values 0, 1, ... repeated counts[v] times."""
     n = int(counts.sum())
@@ -296,64 +287,60 @@ def _median_of_counts(counts: np.ndarray) -> float:
 
 class SeamMeter:
     """Per-seam excess of the boundary first-difference over interior
-    texture, measured as the canvas passes by in row bands.
+    texture, measured on the 8-bit codes written, band by band.
 
     For each internal tile boundary line: max |first difference| across
     the line, minus the median |first difference| in the line's interior
-    band (`_seam_band`); clamped at 0. `rows(top, values)` measures the row
-    seams on the float values; a row seam reads at most 8 consecutive
-    lines, so the meter keeps the last 8 rows it was given. Column seams
-    read whole columns, so `codes(values)` measures them on the 8-bit
-    codes written: per seam, the maximum difference and a count of each
-    band difference (0 to 255), which give the median exactly. A column
-    seam's excess, in codes, is scaled by 2/255, the step of one code in
-    model values.
+    band (`_seam_band`); clamped at 0. `add(codes)` takes each row band's
+    codes in order. Each seam keeps its maximum so far and a count of each
+    band difference (0 to 255), which give the median exactly. A row
+    difference across two bands reads the last row of the band before, the
+    one row the meter keeps. A seam's excess, in codes, is scaled by 2/255,
+    the step of one code in model values.
     """
 
-    _TAIL = 8
-
     def __init__(self, plan: TilePlan):
-        self.height = plan.height
-        self.width = plan.width
-        self._pending = _seam_lines(plan.tops, plan.height, plan.patch)
-        self._rows = {}
-        self._cols = _seam_lines(plan.lefts, plan.width, plan.patch)
-        self._col_max = [0] * len(self._cols)
-        self._col_counts = np.zeros((len(self._cols), 256), dtype=np.int64)
-        self._tail = None
+        self._seams = [(axis, c, _seam_band(c, extent))
+                       for axis, starts, extent in (
+                           ("col", plan.lefts, plan.width),
+                           ("row", plan.tops, plan.height))
+                       for c in _seam_lines(starts, extent, plan.patch)]
+        self._max = [0] * len(self._seams)
+        self._counts = np.zeros((len(self._seams), 256), dtype=np.int64)
+        self._top = 0  # canvas row of the next band
+        self._last = None  # the last code row given
 
-    def rows(self, top: int, values: np.ndarray):
-        lines = values if self._tail is None else np.concatenate(
-            [self._tail, values])
-        first = top + len(values) - len(lines)
-        for c in list(self._pending):
-            lo, hi = _seam_band(c, self.height)
-            if max(c, hi) >= top + len(values):
-                continue  # a line it reads is still to come
-            d_seam = np.abs(lines[c - first] - lines[c - 1 - first]).max()
-            band = np.abs(lines[lo + 1 - first:hi + 1 - first]
-                          - lines[lo - first:hi - first])
-            self._rows[c] = max(float(d_seam) - _median(band), 0.0)
-            self._pending.remove(c)
-        self._tail = lines[-self._TAIL:].copy()
-
-    def codes(self, codes: np.ndarray):
-        k = codes.astype(np.int16)
-        for i, c in enumerate(self._cols):
-            lo, hi = _seam_band(c, self.width)
-            self._col_max[i] = max(self._col_max[i], int(
-                np.abs(k[:, c] - k[:, c - 1]).max()))
-            self._col_counts[i] += np.bincount(np.abs(
-                k[:, lo + 1:hi + 1] - k[:, lo:hi]).ravel(), minlength=256)
+    def add(self, codes: np.ndarray):
+        lines = np.empty((len(codes) + 1,) + codes.shape[1:], dtype=np.int16)
+        lines[1:] = codes
+        if self._last is None:
+            lines = lines[1:]
+        else:
+            lines[0] = self._last
+        kept = len(lines) - len(codes)  # 1 if lines starts with _last
+        axes = {"row": (lines, self._top - kept),
+                "col": (lines[kept:].swapaxes(0, 1), 0)}
+        for i, (axis, c, (lo, hi)) in enumerate(self._seams):
+            k, first = axes[axis]
+            # k[j] is line first + j; difference d reads lines d and d + 1
+            end = first + len(k) - 1  # differences [first, end) are here
+            if first < c <= end:
+                self._max[i] = max(self._max[i], int(
+                    np.abs(k[c - first] - k[c - 1 - first]).max()))
+            lo, hi = max(lo, first), min(hi, end)
+            if lo < hi:
+                self._counts[i] += np.bincount(np.abs(
+                    k[lo + 1 - first:hi + 1 - first]
+                    - k[lo - first:hi - first]).ravel(), minlength=256)
+        self._top += len(codes)
+        self._last = lines[-1].copy()
 
     def results(self) -> list[tuple[str, int, float]]:
         """(axis, position, value) of every seam, columns then rows, each
-        in order of position, once every row has been measured."""
-        cols = [("col", c, max(float(m) - _median_of_counts(n), 0.0)
-                 * (2.0 / 255.0))
-                for c, m, n in zip(self._cols, self._col_max,
-                                   self._col_counts)]
-        return cols + [("row", r, self._rows[r]) for r in sorted(self._rows)]
+        in order of position, once every row has been added."""
+        return [(axis, c, max(m - _median_of_counts(n), 0.0) * (2.0 / 255.0))
+                for (axis, c, _), m, n in zip(self._seams, self._max,
+                                              self._counts)]
 
 
 def consistency(task: tasks.Task, rows: np.ndarray, top: int = 0) -> float:
@@ -384,8 +371,7 @@ class _Finish:
             raise ValueError("image data contains NaN or Inf")
         self.consistency = max(self.consistency,
                                consistency(self.task, rows, top))
-        self.seams.rows(top, rows)
-        self.seams.codes(self.write(rows))
+        self.seams.add(self.write(rows))
 
 
 def run_job(job: JobSpec) -> int:

@@ -44,13 +44,14 @@ class GmmDenoiser(Denoiser):
         if any(m.shape != shape for m in means):
             raise ValueError("all component means must share one shape")
         weights = np.asarray(weights, dtype=np.float64)
-        if np.any(weights <= 0):
-            raise ValueError("component weights must be positive")
         total = weights.sum()
+        if not (np.all(weights > 0) and total < np.inf):
+            raise ValueError(
+                "component weights must be positive with a finite sum")
         if abs(total - 1.0) > 1e-12:
             weights = weights / total
-        if tau <= 0:
-            raise ValueError("tau must be positive")
+        if not 0 < tau < np.inf:
+            raise ValueError("tau must be positive and finite")
         self.means = np.stack(means)
         self.weights = weights
         self.tau = float(tau)

@@ -41,15 +41,15 @@ def same_bits(a, b):
         a.tobytes() == b.tobytes()
 
 
-def seam_metric(img, plan):
+def seam_metric(img, plan, tops=None):
     """cli.SeamMeter's (axis, position, value) list for a whole image, as
-    a job reports it: its rows given in the bands of the plan's tile rows,
-    as a tiling pass gives them, and its codes."""
+    a job reports it: the image's codes given in row bands starting at
+    `tops`, by default the plan's tile rows, as a tiling pass gives them."""
     meter = cli.SeamMeter(plan)
-    tops = plan.tops + (plan.height,)
+    codes = imagecore.quantize(imagecore.Image(img))
+    tops = tuple(plan.tops if tops is None else tops) + (plan.height,)
     for top, end in zip(tops, tops[1:]):
-        meter.rows(top, img[top:end])
-    meter.codes(imagecore.quantize(imagecore.Image(img)))
+        meter.add(codes[top:end])
     return meter.results()
 
 

@@ -200,12 +200,28 @@ def full_problem(task):
     return None
 
 
-def seam_metric(img, plan):
-    """cli.seam_metric from full-size first-difference images, with the
-    band below a seam clamped at line 0 (an empty band has median 0)."""
-    results = []
-    xs, ys = plan.lefts, plan.tops
+def line_excess(img, axis, pos):
+    """The seam statistic of line pos along an axis of img: max |first
+    difference| across the line, minus the median |first difference| in
+    its interior band, clamped at 0. Difference k is |line k+1 - line k|;
+    the band is the five differences after the line, or before it when the
+    image ends first, with the band below line 2 clamped at line 0 (an
+    empty band has median 0)."""
+    diffs = np.abs(np.diff(img, axis=axis)).swapaxes(0, axis)
+    extent = img.shape[axis]
+    lo = pos + 1
+    hi = min(lo + 5, extent - 1)
+    if hi - lo < 5:
+        hi = max(pos - 2, 0)
+        lo = max(hi - 5, 0)
+    band = diffs[lo:hi]
+    med = float(np.median(band)) if band.size else 0.0
+    return max(float(diffs[pos - 1].max()) - med, 0.0)
 
+
+def seam_metric(img, plan):
+    """line_excess of every internal tile boundary line, columns then
+    rows, each in order of position."""
     def seam_lines(starts, extent):
         lines = set()
         for i in range(1, len(starts)):
@@ -214,36 +230,18 @@ def seam_metric(img, plan):
                 lines.add(starts[i - 1] + plan.patch)
         return sorted(lines)
 
-    def evaluate(diffs, c, extent):
-        # diffs[k] = |line k+1 - line k|; the seam's difference is diffs[c-1]
-        d_seam = diffs[c - 1].max()
-        lo = c + 1
-        hi = min(lo + 5, extent - 1)
-        if hi - lo < 5:
-            hi = max(c - 2, 0)
-            lo = max(hi - 5, 0)
-        band = diffs[lo:hi]
-        med = float(np.median(band)) if band.size else 0.0
-        return max(float(d_seam) - med, 0.0)
-
-    col_diffs = np.abs(np.diff(img, axis=1))
-    for c in seam_lines(xs, plan.width):
-        results.append(("col", c, evaluate(col_diffs.swapaxes(0, 1), c,
-                                           plan.width)))
-    row_diffs = np.abs(np.diff(img, axis=0))
-    for r in seam_lines(ys, plan.height):
-        results.append(("row", r, evaluate(row_diffs, r, plan.height)))
-    return results
+    return ([("col", c, line_excess(img, 1, c))
+             for c in seam_lines(plan.lefts, plan.width)]
+            + [("row", r, line_excess(img, 0, r))
+               for r in seam_lines(plan.tops, plan.height)])
 
 
 def written_seam_metric(img, plan):
-    """The seams a job reports: seam_metric of the values for the row
-    seams, and for the column seams seam_metric of the written 8-bit codes
-    (as numbers), whose excess in codes is scaled by 2/255."""
+    """The seams a job reports: seam_metric of the written 8-bit codes (as
+    numbers) on both axes, the excess in codes scaled by 2/255."""
     codes = quantize(img).astype(np.float64)
-    return ([("col", c, v * (2.0 / 255.0))
-             for axis, c, v in seam_metric(codes, plan) if axis == "col"]
-            + [s for s in seam_metric(img, plan) if s[0] == "row"])
+    return [(axis, pos, v * (2.0 / 255.0))
+            for axis, pos, v in seam_metric(codes, plan)]
 
 
 def quantize(data):

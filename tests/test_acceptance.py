@@ -36,7 +36,7 @@ from tilediff.tasks import (ColorizeTask, GenerateTask, InpaintTask,
                             SuperResolutionTask)
 
 from conftest import lowfreq_residuals, seam_metric, smooth_means
-from oracles import full_problem, replay_msr
+from oracles import full_problem, line_excess, replay_msr
 from test_denoise import write_prior
 from test_linops import dense_pinv_scaled
 
@@ -147,21 +147,6 @@ def test_criterion_3_coefficients():
         assert gamma == cfg.eta
 
 
-def _line_excess(img, axis, pos, extent):
-    """Boundary first-difference excess over the adjacent interior band,
-    the same statistic the CLI's seam metric reports."""
-    diffs = np.abs(np.diff(img, axis=axis))
-    if axis == 1:
-        diffs = diffs.swapaxes(0, 1)
-    d_line = diffs[pos - 1].max()
-    lo, hi = pos + 1, min(pos + 6, extent - 1)
-    if hi - lo < 5:
-        hi = pos - 2
-        lo = max(hi - 5, 0)
-    med = float(np.median(diffs[lo:hi]))
-    return max(float(d_line) - med, 0.0)
-
-
 @criterion(4, "tiled seam exactness", budget_sec=300)
 def test_criterion_4_msr_seams():
     rng = np.random.default_rng(4)
@@ -200,11 +185,11 @@ def test_criterion_4_msr_seams():
             img = msr_restore(task, six, den,
                               dataclasses.replace(cfg, seed=seed))
             for pos in (32, 64, 96):
-                seam_vals.append(_line_excess(img, 1, pos, 128))
+                seam_vals.append(line_excess(img, 1, pos))
             for pos in (16, 48, 80):  # mid-tile lines, no seam there
-                null_vals.append(_line_excess(img, 1, pos, 128))
-            seam_vals.append(_line_excess(img, 0, 32, 96))
-            null_vals.append(_line_excess(img, 0, 48, 96))
+                null_vals.append(line_excess(img, 1, pos))
+            seam_vals.append(line_excess(img, 0, 32))
+            null_vals.append(line_excess(img, 0, 48))
         seam_mean, null_mean = np.mean(seam_vals), np.mean(null_vals)
         assert abs(seam_mean - null_mean) <= 0.2 * null_mean
         assert np.max(seam_vals) <= 1.3 * np.max(null_vals)

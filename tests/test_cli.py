@@ -1,5 +1,8 @@
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tilediff
 from tilediff import cli, denoise, imagecore, linops, tasks
 from tilediff.cli import JobError, parse_job, run_job
 from tilediff.denoise import Denoiser
@@ -246,31 +250,55 @@ def test_seam_metric_detects_synthetic_step():
 
 def test_seam_band_does_not_wrap_below_the_first_line():
     # the line-1 seams have no room for a band on either side; a band that
-    # wrapped to the far edge took in the seam's own difference (0.5)
+    # wrapped to the far edge took in the seam's own difference
     plan = plan_tiles(4, 4, 2, 1)
     img = np.zeros((4, 4, 3))
     img[:, 1:, :] = 1.0
     img[1:, :, :] += 0.5
     vals = {(axis, pos): v for axis, pos, v in seam_metric(img, plan)}
-    assert vals[("row", 1)] == 0.5
+    assert vals[("row", 1)] == 63 * (2.0 / 255.0)  # codes 128 and 191
     assert vals[("col", 1)] == 127 * (2.0 / 255.0)  # codes 128 and 255
     assert vals == {(a, p): v for a, p, v in
                     oracles.written_seam_metric(img, plan)}
 
 
 @settings(max_examples=60, deadline=None)
-@given(accepted_geometries(), st.integers(1, 8), st.integers(0, 2**32 - 1))
-@example((8, 8, 8, 4, 1), 4, 0)      # canvas equal to the patch: no seams
-@example((11, 13, 4, 2, 1), 2, 1)    # clamped last row and column
-@example((4, 4, 2, 1, 1), 1, 2)      # seams at lines 1 and 2
+@given(accepted_geometries(), st.integers(1, 8), st.integers(0, 2**32 - 1),
+       st.integers(0, 2**32 - 1))
+@example((8, 8, 8, 4, 1), 4, 0, 0)      # canvas equal to the patch: no seams
+@example((11, 13, 4, 2, 1), 2, 1, 1)    # clamped last row and column
+@example((4, 4, 2, 1, 1), 1, 2, 2)      # seams at lines 1 and 2
 def test_seam_metric_equals_the_full_difference_oracle(geometry, levels,
-                                                       seed):
+                                                       seed, split):
     height, width, patch, overlap, block = geometry
     plan = plan_tiles(height, width, patch, overlap, block=block)
     # few levels, so that medians fall on ties and between equal values
     img = np.random.default_rng(seed).integers(
         -levels, levels + 1, size=(height, width, 3)) / levels
-    assert seam_metric(img, plan) == oracles.written_seam_metric(img, plan)
+    want = oracles.written_seam_metric(img, plan)
+    assert seam_metric(img, plan) == want
+    # any band split, 1-row bands included: each row cut with a drawn
+    # probability, so that differences and bands span bands
+    rng = np.random.default_rng(split)
+    cuts = np.flatnonzero(rng.random(height - 1) < rng.random()) + 1
+    assert seam_metric(img, plan, (0, *cuts)) == want
+    assert seam_metric(img, plan, range(height)) == want
+
+
+def test_a_job_leaves_numpy_ma_unimported(tmp_path, prior_dir):
+    # np.median imports numpy.ma, about 1 MB of resident memory taken in
+    # the middle of the first tiling pass; the seam meter counts codes
+    argv = ["generate", "--width", "96", "--height", "96", "--steps", "5",
+            "--travel-r", "1", "--prior", str(prior_dir),
+            "--out", str(tmp_path / "g.ppm")]
+    code = ("import sys\nfrom tilediff import cli\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(tilediff.__file__))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "False"
 
 
 def _tasks_of_every_kind(rng, height, width):
@@ -562,8 +590,13 @@ def test_main_reports_job_errors(capsys):
     # hierarchy rule fails, before the input is read
     (["restore", "--task", "sr", "--scale", "3", "--hir-factor", "2",
       "--patch", "12", "--overlap", "6", "--in", "x.ppm"],
-     "error: hierarchy factor 2 must divide SR scale 3")],
-    ids=["hir-factor", "scale", "scale-0", "hir-factor-not-dividing-scale"])
+     "error: hierarchy factor 2 must divide SR scale 3"),
+    # the hierarchy always constrains its tiles: --naive would be ignored
+    (["generate", "--width", "128", "--height", "128", "--hir-factor", "2",
+      "--naive"],
+     "error: naive cannot be combined with hir-factor >= 2")],
+    ids=["hir-factor", "scale", "scale-0", "hir-factor-not-dividing-scale",
+         "naive-hir"])
 def test_main_rejects_a_negative_factor(tmp_path, prior_dir, capsys, argv,
                                         message):
     assert cli.main(argv + ["--prior", str(prior_dir),

@@ -131,6 +131,17 @@ def test_gmm_validation():
     with pytest.raises(ValueError):
         GmmDenoiser([np.zeros((2, 2, 1)), np.zeros((3, 3, 1))],
                     [0.5, 0.5], 0.1)
+    two = [np.zeros((2, 2, 1))] * 2
+    # [1e308, 1e308] sums to inf (an overflow numpy warns of), which would
+    # normalize them to 0
+    for weights in ([np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf],
+                    [1e308, 1e308]):
+        with pytest.raises(ValueError, match="weights"), \
+                np.errstate(over="ignore"):
+            GmmDenoiser(two, weights, 0.1)
+    for tau in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="tau"):
+            GmmDenoiser(two, [0.5, 0.5], tau)
 
 
 def write_prior(dirpath, means, weights, tau):
