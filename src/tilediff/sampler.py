@@ -204,49 +204,89 @@ def noise_draws(cfg: SamplerConfig) -> int:
 
 class NoiseProducer:
     """Draws of the given shape from an ordered list of (seed, count)
-    streams, made on a background thread: the first `count` draws of
-    default_rng(seed) for each stream in turn, handed out by take().
+    streams: the first `count` draws of default_rng(seed) for each stream
+    in turn, handed out by take().
 
-    The ring is two chunks of C draws each, allocated here; C is CHUNK
-    draws, or the total when that is fewer. The thread fills a free
-    chunk in place, with one standard_normal(out=) call per stream segment
-    in it, so a chunk may end one stream and start the next. The thread
-    is each Generator's only user and runs numpy alone, so every stream is
-    the serial sequence bit for bit (one call for n draws fills the same
-    numbers as n calls). Handing over C draws at a time, rather than one
-    per step, keeps the two threads from stalling each other on the
-    interpreter lock at every step.
+    A background thread draws the streams in order into a ring of two
+    chunks of C draws each, allocated here; C is CHUNK draws, or the total
+    when that is fewer. It fills a free chunk in place, with one
+    standard_normal(out=) call per stream segment in it, so a chunk may
+    end one stream and start the next. Handing over C draws at a time,
+    rather than one per step, keeps the two threads from stalling each
+    other on the interpreter lock at every step.
 
-    A draw is a view into the ring and is valid until the next take() that
-    starts a new chunk, which hands the old chunk back to the thread: a
-    caller uses each draw before it takes the next. An error in the thread
-    is raised by the next take(); close() stops and joins the thread,
-    also one that is waiting for a free chunk.
+    When take() finds no draw ready, the calling thread draws too, rather
+    than wait: one draw at a time, it draws ahead the stream the thread
+    has not yet started (the earliest one) into a head chunk of C draws,
+    also allocated here, until a chunk is ready, the draw it needs is in
+    the head, or the head is full. When the thread starts that stream, it
+    continues the caller's Generator from where the caller stopped, and
+    take() hands out the head draws of the stream before its ring draws.
+    Three rules, all under one lock, keep every stream drawn in order by
+    one Generator:
+
+    - the thread claims a stream and reads how many draws the caller made
+      of it under the lock the caller draws under, so the caller draws no
+      more of a claimed stream and the thread skips exactly those draws;
+    - the head moves to a later stream only once its own stream is
+      claimed and its head draws have been taken;
+    - the caller's Generator goes to the thread with the claim and is
+      dropped here, so at most one is held.
+
+    numpy's Generator releases the interpreter lock while it fills, so
+    either thread draws while the other computes, and one call for n
+    draws fills the same numbers as n calls: every stream is the serial
+    sequence bit for bit, whichever thread drew each draw. The ring and
+    the head hold three chunks in all: 2.4 MB at C = 8 and a 64x64x3
+    draw, of which the head is 0.79 MB.
+
+    A draw is a view into the ring or the head and is valid until the
+    next take(), which may hand its chunk back to the thread or draw over
+    it: a caller uses each draw before it takes the next. An error in the
+    thread is raised by the next take() that needs a ring draw; close()
+    stops and joins the thread, also one that is waiting for a free chunk.
     """
 
     CHUNK = 8
 
     def __init__(self, streams: Sequence[tuple[int, int]], shape: tuple):
         self.shape = tuple(shape)
-        total = sum(count for _, count in streams)
+        self._streams = list(streams)
+        total = sum(count for _, count in self._streams)
         per_chunk = min(total, self.CHUNK)
         self._ring = np.empty((2, per_chunk, *self.shape))
         self._free = threading.Semaphore(2)
         self._ready = queue.SimpleQueue()
         self._stop = threading.Event()
         self._chunk, self._pos, self._len = None, 0, 0
+        # the caller's place: a stream index and the draws taken of it
+        self._stream, self._taken = 0, 0
+        # the head: a stream index, its draws and, until the thread claims
+        # the stream, the Generator that drew them
+        self._head = np.empty((per_chunk, *self.shape))
+        self._head_stream, self._head_len, self._head_rng = -1, 0, None
+        self._lock = threading.Lock()
+        self._claimed = 0  # streams the thread has started
         self._thread = threading.Thread(
-            target=self._fill, args=(list(streams), total),
-            name="tilediff-noise", daemon=True)
+            target=self._fill, args=(total,), name="tilediff-noise",
+            daemon=True)
         self._thread.start()
 
-    def _fill(self, streams, total):
+    def _fill(self, total):
         ring = self._ring
         per_chunk = len(ring[0])
         try:
             h = i = 0
-            for seed, count in streams:
-                rng = np.random.default_rng(seed)
+            for k, (seed, count) in enumerate(self._streams):
+                with self._lock:
+                    self._claimed = k + 1
+                    rng, skip = None, 0
+                    if self._head_stream == k:
+                        rng, skip = self._head_rng, self._head_len
+                        self._head_rng = None
+                if rng is None:
+                    rng = np.random.default_rng(seed)
+                count -= skip
                 while count:
                     if i == 0:
                         self._free.acquire()
@@ -269,20 +309,64 @@ class NoiseProducer:
         self._ready.put(end)
 
     def take(self) -> np.ndarray:
-        if self._pos == self._len:
-            if self._chunk is not None:
-                # every draw of the old chunk has been used
-                self._free.release()
-            item = self._ready.get()
-            if isinstance(item, Exception):
-                self._chunk = None
-                self._ready.put(item)  # so a further take() raises too
-                raise item
-            self._chunk, self._len = item
-            self._pos = 0
-        draw = self._ring[self._chunk, self._pos]
-        self._pos += 1
+        streams = self._streams
+        while self._stream < len(streams) and \
+                self._taken == streams[self._stream][1]:
+            self._stream, self._taken = self._stream + 1, 0
+        while True:
+            if self._stream == self._head_stream and \
+                    self._taken < self._head_len:
+                draw = self._head[self._taken]
+                break
+            if self._pos < self._len:
+                draw = self._ring[self._chunk, self._pos]
+                self._pos += 1
+                break
+            self._wait()
+        self._taken += 1
         return draw
+
+    def _wait(self):
+        """Get the next ready chunk; while there is none, draw one draw
+        ahead and return."""
+        if self._chunk is not None:
+            # every draw of the old chunk has been used
+            self._free.release()
+            self._chunk = None
+        try:
+            item = self._ready.get_nowait()
+        except queue.Empty:
+            if self._draw_ahead():
+                return
+            item = self._ready.get()
+        if isinstance(item, Exception):
+            self._ready.put(item)  # so a further take() raises too
+            raise item
+        self._chunk, self._len = item
+        self._pos = 0
+
+    def _draw_ahead(self) -> bool:
+        """Draw the next draw of the earliest stream the thread has not
+        started into the head; False when the rules allow none."""
+        with self._lock:
+            k = self._claimed
+            if k == len(self._streams):
+                return False
+            if self._head_stream != k:
+                # the head's stream is claimed; it moves once its draws
+                # have been taken
+                if (self._stream, self._taken) < (self._head_stream,
+                                                  self._head_len):
+                    return False
+                seed, _ = self._streams[k]
+                self._head_stream, self._head_len = k, 0
+                self._head_rng = np.random.default_rng(seed)
+            n = self._head_len
+            if n == len(self._head) or n == self._streams[k][1]:
+                return False
+            self._head_rng.standard_normal(out=self._head[n])
+            self._head_len = n + 1
+            return True
 
     def close(self):
         self._stop.set()

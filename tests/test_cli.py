@@ -301,6 +301,17 @@ def test_a_job_leaves_numpy_ma_unimported(tmp_path, prior_dir):
     assert run.stdout.splitlines()[-1] == "False"
 
 
+def test_importing_the_cli_leaves_hashlib_unimported():
+    # hashlib loads OpenSSL's libcrypto, about 3.5 MB of resident memory;
+    # the self-test compares its two runs' bytes instead
+    code = "import sys\nimport tilediff.cli\nprint('hashlib' in sys.modules)\n"
+    src = os.path.dirname(os.path.dirname(tilediff.__file__))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "False"
+
+
 def _tasks_of_every_kind(rng, height, width):
     """One task of each kind on a height x width canvas; SR at scale 3,
     so the bands must be multiples of 3 rows."""

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import sys
 import threading
 import tracemalloc
@@ -17,7 +18,7 @@ from tilediff.schedule import TravelPlan
 from tilediff.tasks import GenerateTask, InpaintTask, SuperResolutionTask
 
 from conftest import noise_thread_starts, same_bits, smooth_means, within
-from oracles import full_problem, replay_msr
+from oracles import ZeroDenoiser, full_problem, replay_msr
 
 PATCH, OVERLAP = 64, 32
 
@@ -380,3 +381,28 @@ def test_a_failing_tile_stops_the_pass_and_the_next_job_is_clean():
     assert threading.active_count() == before
     assert np.array_equal(within(lambda: msr_restore(task, plan, good, cfg)),
                           fresh)
+
+
+def test_msr_repeats_the_replay_under_switching():
+    # a denoiser that costs nothing leaves the noise thread behind, so the
+    # sampling thread draws ahead; ten passes, while the interpreter
+    # switches threads as often as it can, must give one output: the
+    # serial replay's
+    task = GenerateTask(192, 224, 3)
+    plan = plan_tiles(192, 224, PATCH, OVERLAP)
+    assert len(plan.windows) == 30
+    den = ZeroDenoiser((PATCH, PATCH, 3))
+    cfg = SamplerConfig(T=10, seed=31)
+    assert noise_draws(cfg) % NoiseProducer.CHUNK != 0
+
+    def digest(img):
+        return hashlib.sha256(img.tobytes()).hexdigest()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = [digest(within(lambda: msr_restore(task, plan, den, cfg), 60.0))
+               for _ in range(10)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert set(got) == {digest(replay_msr(task, plan, den, cfg))}

@@ -1,4 +1,5 @@
 import math
+import queue
 import sys
 import threading
 import time
@@ -606,10 +607,11 @@ def test_run_sampler_stops_its_thread_at_any_step_under_switching():
     assert threading.active_count() == before
 
 
-def test_run_sampler_raises_the_producers_error(monkeypatch):
-    class DrawError(Exception):
-        pass
+class DrawError(Exception):
+    pass
 
+
+def test_run_sampler_raises_the_producers_error(monkeypatch):
     class FailingGenerator:
         """Draws like default_rng(seed) until a call that would make draw
         9 (counting from 0) raises."""
@@ -638,6 +640,186 @@ def test_run_sampler_raises_the_producers_error(monkeypatch):
     # the draws made before the failing chunk were used, then the run ended
     assert 1 <= den.calls < 10
     assert threading.active_count() == before
+
+
+_real_default_rng = np.random.default_rng
+_NOISE_THREAD = "tilediff-noise"
+
+
+class PacedGenerator:
+    """default_rng(seed) that records who draws: each fill on the noise
+    thread sleeps `pause` s first, so that a caller taking draws back to
+    back finds the ring empty and draws ahead; fills on any other thread
+    are counted in `ahead[seed]` (the caller draws one draw a fill). With
+    PacedQueue, the thread also sleeps after each chunk it hands over,
+    before it starts the next stream. `fail` = (seed, exc) raises exc at the
+    noise thread's first fill of that stream."""
+
+    pause = 0.0
+    ahead: dict = {}
+    fail = None
+
+    def __init__(self, seed):
+        self.seed = seed
+        self.rng = _real_default_rng(seed)
+
+    def standard_normal(self, size=None, out=None):
+        if threading.current_thread().name == _NOISE_THREAD:
+            if self.fail is not None and self.fail[0] == self.seed:
+                raise self.fail[1]
+            time.sleep(self.pause)
+        else:
+            self.ahead[self.seed] = self.ahead.get(self.seed, 0) + 1
+        return self.rng.standard_normal(size, out=out)
+
+
+class PacedQueue(queue.SimpleQueue):
+    def put(self, item, block=True, timeout=None):
+        super().put(item)
+        if threading.current_thread().name == _NOISE_THREAD:
+            time.sleep(PacedGenerator.pause)
+
+
+NOISE_SHAPE = (3, 5)
+
+
+@st.composite
+def noise_streams(draw):
+    """One to five streams of distinct seeds, each of 1 draw, fewer than a
+    chunk, a chunk, or more."""
+    c = NoiseProducer.CHUNK
+    counts = draw(st.lists(st.sampled_from([1, c - 3, c, c + 1, 2 * c + 3]),
+                           min_size=1, max_size=5))
+    seeds = draw(st.lists(st.integers(0, 2**32), min_size=len(counts),
+                          max_size=len(counts), unique=True))
+    return list(zip(seeds, counts))
+
+
+def _paced(pause, fail=None):
+    mp = pytest.MonkeyPatch()
+    PacedGenerator.pause, PacedGenerator.ahead = pause, {}
+    PacedGenerator.fail = fail
+    mp.setattr(np.random, "default_rng", PacedGenerator)
+    mp.setattr(queue, "SimpleQueue", PacedQueue)
+    return mp
+
+
+def _serial(streams):
+    return [d for seed, count in streams
+            for d in _real_default_rng(seed).standard_normal(
+                (count, *NOISE_SHAPE))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(streams=noise_streams(), gap=st.sampled_from([0.0, 2e-5, 2e-4]),
+       pause=st.sampled_from([0.0, 2e-4]), data=st.data())
+def test_noise_producer_streams_are_the_serial_draws(streams, gap, pause,
+                                                     data):
+    # a caller that takes draws back to back (gap 0) empties the ring and
+    # draws ahead, a slow one finds it full, and one in between runs out
+    # of ring draws while the thread is already on a later stream. One
+    # producer is read to the end, another is closed after fewer draws,
+    # head draws still outstanding included
+    want = _serial(streams)
+    stop = data.draw(st.integers(0, len(want) - 1), label="takes to close")
+    before = threading.active_count()
+
+    def run(takes):
+        got = []
+        noise = NoiseProducer(streams, NOISE_SHAPE)
+        try:
+            for _ in range(takes):
+                got.append(noise.take().copy())
+                if gap:  # sleep(0) would still yield to the thread
+                    time.sleep(gap)
+            if takes == len(want):
+                try:
+                    noise.take()
+                except RuntimeError as exc:
+                    return got, exc
+        finally:
+            noise.close()
+        return got, None
+
+    mp = _paced(pause)
+    try:
+        got, past_end = within(lambda: run(len(want)))
+        early, _ = within(lambda: run(stop))
+    finally:
+        mp.undo()
+    assert threading.active_count() == before
+    assert "hold only" in str(past_end)
+    for i, draw in enumerate(got):
+        assert same_bits(draw, want[i]), f"draw {i} of {len(want)}"
+    assert all(same_bits(g, w) for g, w in zip(early, want))
+
+
+def test_noise_producer_hands_out_the_callers_draws_ahead():
+    # while the thread sleeps on each fill, the caller draws a stream
+    # ahead; the thread then continues that stream's Generator. The first
+    # run is closed after two draws, with head draws not yet taken
+    c = NoiseProducer.CHUNK
+    streams = [(11, 1), (12, 2 * c + 3), (13, c)]
+    want = _serial(streams)
+    mp = _paced(0.02)
+    try:
+        def run(stop):
+            noise = NoiseProducer(streams, NOISE_SHAPE)
+            try:
+                return [noise.take().copy() for _ in range(stop)]
+            finally:
+                noise.close()
+
+        early = within(lambda: run(2))
+        ahead_at_close = sum(PacedGenerator.ahead.values())
+        PacedGenerator.ahead = {}
+        got = within(lambda: run(len(want)))
+    finally:
+        mp.undo()
+    # two draws taken, more drawn by the caller
+    assert ahead_at_close > 2
+    assert all(same_bits(g, w) for g, w in zip(early, want))
+    assert sum(PacedGenerator.ahead.values()) > 0
+    assert len(got) == len(want)
+    assert all(same_bits(g, w) for g, w in zip(got, want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(streams=noise_streams(), pause=st.sampled_from([0.0, 2e-4]),
+       data=st.data())
+def test_noise_producer_raises_the_threads_error(streams, pause, data):
+    c = NoiseProducer.CHUNK
+    # the thread draws part of any stream longer than the head
+    streams = streams + [(2**33, 2 * c + 3)]
+    failing = data.draw(st.sampled_from(
+        [i for i, (_, count) in enumerate(streams) if count > c]),
+        label="failing stream")
+    want = _serial(streams)
+    end = sum(count for _, count in streams[:failing + 1])
+
+    def run():
+        got, errors = [], []
+        noise = NoiseProducer(streams, NOISE_SHAPE)
+        try:
+            # a take() after the error raises it too
+            while len(errors) < 2 and len(got) < len(want):
+                try:
+                    got.append(noise.take().copy())
+                except DrawError as exc:
+                    errors.append(exc)
+        finally:
+            noise.close()
+        return got, errors
+
+    mp = _paced(pause, fail=(streams[failing][0], DrawError("thread")))
+    try:
+        got, errors = within(run)
+    finally:
+        mp.undo()
+    assert [str(e) for e in errors] == ["thread", "thread"]
+    # the error comes before the failing stream's thread draws are due
+    assert len(got) < end
+    assert all(same_bits(g, w) for g, w in zip(got, want))
 
 
 def test_run_sampler_calls_back_on_the_calling_thread():
