@@ -30,10 +30,11 @@ import numpy as np
 
 from . import denoise, linops, tasks
 from .hir import hir_restore
-from .imagecore import CodeReader, Window, load_image, pnm_writer, read_codes
+from .imagecore import CodeReader, load_image, pnm_writer, read_codes
 from .msr import TilePlan, check_geometry, msr_restore, plan_tiles
 from .sampler import SamplerConfig, SamplerError
 from .schedule import TravelPlan, build_schedule
+from .tasks import consistency
 
 TASK_NAMES = ("sr", "inpaint", "colorize", "denoise", "generate")
 
@@ -337,19 +338,6 @@ class SeamMeter:
         return [(axis, c, max(m - _median_of_counts(n), 0.0) * (2.0 / 255.0))
                 for (axis, c, _), m, n in zip(self._seams, self._max,
                                               self._counts)]
-
-
-def consistency(task: tasks.Task, rows: np.ndarray, top: int = 0) -> float:
-    """max |A rows - y| of the task's measurement over the canvas rows
-    [top, top + len(rows)), 0.0 where nothing is measured there.
-
-    The band's own (operator, measurement) is the window's tile problem;
-    top and the band's height are multiples of task.block, so every
-    residual element is the one the full-size operator gives.
-    """
-    op, y = task.tile_problem(
-        Window(top, 0, len(rows), task.shape[1]))
-    return float(np.abs(op.forward(rows) - y).max(initial=0.0))
 
 
 class _Finish:

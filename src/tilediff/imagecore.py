@@ -172,7 +172,9 @@ def pnm_writer(path: str | os.PathLike, height: int, width: int,
     written band by band.
 
     The block gets write(rows), which quantizes a band of model values,
-    appends its codes after the header and returns them. The bytes go to
+    appends its codes after the header and returns them. A band must be
+    (n, width, channels) with n at most the rows still owed; any other
+    raises ValueError before a byte of it is written. The bytes go to
     `path + ".part"`, renamed onto path when the block ends with every row
     written; otherwise the part file is removed, so path never holds a
     partial image.
@@ -182,6 +184,10 @@ def pnm_writer(path: str | os.PathLike, height: int, width: int,
 
     def write(rows: np.ndarray) -> np.ndarray:
         nonlocal left
+        if rows.shape[1:] != (width, channels) or len(rows) > left:
+            raise ValueError(
+                f"band of shape {rows.shape} does not fit the {left} rows "
+                f"of {width} x {channels} the header still owes")
         codes = _codes(rows)
         f.write(codes.data)
         left -= len(rows)

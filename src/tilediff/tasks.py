@@ -4,7 +4,8 @@ it reduces for the coarse phase of hierarchical restoration.
 A task knows the full result shape, the alignment granularity its operator
 imposes on tile coordinates (block), and can build the per-tile inverse
 problem for any aligned window. Tile measurements are exact restrictions of
-the global measurement, so a tile-aligned assembly stays globally consistent.
+the global measurement, so a tile-aligned assembly stays globally consistent,
+and `consistency` measures a finished row band through the same tile problem.
 
 A canvas-size input (the observed image and mask of inpainting, the image
 of denoising and colorization) may be an `imagecore.CodeReader` over a
@@ -43,6 +44,18 @@ def check_sr_hierarchy(scale: int, f: int):
     scale // f, so f must divide scale."""
     if scale % f:
         raise ValueError(f"hierarchy factor {f} must divide SR scale {scale}")
+
+
+def consistency(task: Task, rows: np.ndarray, top: int = 0) -> float:
+    """max |A rows - y| of the task's measurement over the canvas rows
+    [top, top + len(rows)), 0.0 where nothing is measured there.
+
+    The band's own (operator, measurement) is the window's tile problem;
+    top and the band's height are multiples of task.block, so every
+    residual element is the one the full-size operator gives.
+    """
+    op, y = task.tile_problem(Window(top, 0, len(rows), task.shape[1]))
+    return float(np.abs(op.forward(rows) - y).max(initial=0.0))
 
 
 class Task:

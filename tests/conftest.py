@@ -106,13 +106,14 @@ def noise_thread_starts():
 
 def within(fn, seconds=10.0):
     """fn()'s result, computed on a helper thread so that a call that never
-    returns fails the test instead of hanging it; fn's error is re-raised."""
+    returns fails the test instead of hanging it; fn's error, pytest's
+    outcomes (fail, skip) included, is re-raised."""
     out = {}
 
     def target():
         try:
             out["result"] = fn()
-        except Exception as exc:
+        except BaseException as exc:
             out["error"] = exc
 
     th = threading.Thread(target=target, daemon=True)

@@ -185,7 +185,7 @@ def replay_msr(task, plan, den, cfg, pre_hook_factory=None):
 
 def full_problem(task):
     """(operator, measurement) of the task at full size, or None for
-    generation: the reference that cli.consistency and the tiled
+    generation: the reference that tasks.consistency and the tiled
     assemblies are checked against."""
     if isinstance(task, tasks.SuperResolutionTask):
         return linops.AvgPool(task.shape, task.scale), task.y

@@ -331,19 +331,21 @@ def _tasks_of_every_kind(rng, height, width):
 @pytest.mark.parametrize("height", [3, 15, 18, 51])
 def test_consistency_equals_the_full_size_residual(rng, height):
     # the whole canvas as one band, and as two split at a block boundary,
-    # as a tiling pass hands them over
-    for task in _tasks_of_every_kind(rng, height, 12):
+    # as a tiling pass hands them over; HiR's pin is SR over a coarse canvas
+    pins = [tasks.SuperResolutionTask(
+        rng.uniform(-1, 1, size=(height, 12 // f, 3)), f) for f in (2, 4)]
+    for task in _tasks_of_every_kind(rng, height, 12) + pins:
         img = rng.uniform(-1, 1, size=task.shape)
         full = oracles.full_problem(task)
         want = 0.0
         if full is not None and full[1].size:
             op, y = full
             want = float(np.abs(op.forward(img) - y).max())
-        assert cli.consistency(task, img) == want
-        split = task.block * (height // task.block // 2)
+        assert tasks.consistency(task, img) == want
+        split = task.block * (task.shape[0] // task.block // 2)
         if split:
-            assert max(cli.consistency(task, img[:split]),
-                       cli.consistency(task, img[split:], split)) == want
+            assert max(tasks.consistency(task, img[:split]),
+                       tasks.consistency(task, img[split:], split)) == want
 
 
 def _heap_peak(tmp_path, prior_dir, argv, height, width):

@@ -28,7 +28,7 @@ def test_factor_validation():
     task = GenerateTask(128, 128, 3)
     plan2 = plan_tiles(128, 128, PATCH, OVERLAP)
     for factor in (0, 1):
-        # checked before the patch is divided by the factor
+        # checked before the pin, SR at the factor, is built
         with pytest.raises(ValueError, match="factor must be >= 2"):
             hir_restore(task, factor, plan2, make_denoiser(),
                         SamplerConfig(T=2))
@@ -162,6 +162,18 @@ def test_hir_rejects_misaligned_plan2(rng):
     cfg = SamplerConfig(T=5, seed=0)
     with pytest.raises(ValueError):
         hir_restore(task, 2, plan2, den, cfg)
+    assert den.calls == 0
+
+
+def test_hir_rejects_a_block_1_plan2_even_with_even_positions(rng):
+    # the pin, SR at factor 2, needs plan2.block % 2 == 0, as msr_restore
+    # needs plan.block % task.block == 0, whatever the positions
+    den, task = make_inpaint_setup(rng)
+    plan2 = plan_tiles(128, 192, PATCH, OVERLAP, block=1)
+    assert not any(pos % 2 for pos in plan2.tops + plan2.lefts)
+    with pytest.raises(ValueError, match="not aligned to task block 2"):
+        hir_restore(task, 2, plan2, den, SamplerConfig(T=5, seed=0))
+    assert den.calls == 0
 
 
 def test_hir_rejects_a_plan2_of_another_size_before_phase_1(rng):

@@ -97,6 +97,16 @@ def test_writer_renames_only_a_complete_file(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("shape", [(2, 4, 3), (3, 3, 3)])
+def test_writer_rejects_a_band_that_does_not_fit_the_header(tmp_path, shape):
+    # a band wider than the header, and one row more than it owes
+    path = tmp_path / "a.ppm"
+    with pytest.raises(ValueError, match="does not fit"):
+        with imagecore.pnm_writer(path, 2, 3, 3) as write:
+            write(np.zeros(shape))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_load_image_holds_one_float_canvas(tmp_path, rng):
     # the float image and one row band of the finiteness check's booleans;
     # the file's codes are mapped, not read onto the heap

@@ -841,3 +841,9 @@ def test_run_sampler_calls_back_on_the_calling_thread():
                 hooks=ConstraintHooks(pre=[hook], post=[hook]))
     assert len(idents) == 3 * 24
     assert set(idents) == {threading.get_ident()}
+
+
+def test_within_reraises_a_pytest_outcome_on_the_caller():
+    # pytest.fail raises an exception that is not an Exception
+    with pytest.raises(pytest.fail.Exception, match="boom"):
+        within(lambda: pytest.fail("boom"))
