@@ -7,8 +7,8 @@ from .linops import (AvgPool, Gray, Identity, LinearOperator, Mask,
 from .schedule import Schedule, TravelPlan, build_schedule, renoise_jump
 from .denoise import Denoiser, GmmDenoiser, load_gmm_prior
 from .sampler import (ConstraintHooks, SamplerConfig, compute_lambda_gamma,
-                      ddnm_plus_project, ddnm_project, estimate_x0,
-                      run_sampler, sample_prev)
+                      ddnm_plus_project, estimate_x0, run_sampler,
+                      sample_prev)
 from .msr import TilePlan, msr_restore, plan_tiles
 from .hir import HirResult, hir_restore
 from .tasks import (ColorizeTask, DenoiseTask, GenerateTask, InpaintTask,

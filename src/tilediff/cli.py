@@ -99,7 +99,11 @@ _TYPES = {name: _option_type(hint)
 
 def _read_config(path: str) -> dict:
     values = {}
-    with open(path, "r", encoding="utf-8") as f:
+    try:
+        f = open(path, "r", encoding="utf-8")
+    except OSError as e:  # missing, a directory, unreadable
+        raise JobError(f"cannot read config {path}: {e.strerror}") from None
+    with f:
         for lineno, raw in enumerate(f, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -134,14 +134,6 @@ def model_values(codes: np.ndarray) -> np.ndarray:
     return data
 
 
-def dequantize(codes: np.ndarray) -> Image:
-    """Codes to model values, scaled and shifted in place in the one float
-    array the Image then keeps."""
-    data = model_values(codes)
-    data.flags.writeable = False
-    return Image(data)
-
-
 class CodeReader:
     """8-bit codes read through a conversion: reader[key] is
     convert(codes[key]), by default `model_values`.
@@ -273,5 +265,8 @@ def read_codes(path: str | os.PathLike) -> np.ndarray:
 
 
 def load_image(path: str | os.PathLike) -> Image:
-    """Read a binary PGM/PPM file written by save_image (or compatible)."""
-    return dequantize(read_codes(path))
+    """Read a binary PGM/PPM file written by save_image (or compatible)
+    as a read-only Image of its model values."""
+    data = model_values(read_codes(path))
+    data.flags.writeable = False
+    return Image(data)

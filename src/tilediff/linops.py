@@ -148,7 +148,10 @@ class Mask(LinearOperator):
             out = x0t.copy()
         elif out is not x0t:
             out[...] = x0t
-        out[self.known] = y
+        if y.size:
+            # skipped when nothing is measured (generation): an empty
+            # scatter still walks the whole mask
+            out[self.known] = y
         return out
 
 

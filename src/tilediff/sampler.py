@@ -81,24 +81,6 @@ def estimate_x0(x_t: np.ndarray, eps_t: np.ndarray, t: int,
     return out
 
 
-def ddnm_project(op: LinearOperator, y: np.ndarray, x0t: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """pinv(A) y + (I - pinv(A) A) x0t; output is measurement-consistent.
-
-    Written into out when given (out may be x0t). Without out, an operator
-    that measures nothing returns x0t itself.
-    """
-    if y.shape != tuple(op.output_shape):
-        raise ValueError(f"measurement shape {y.shape} != {op.output_shape}")
-    if y.size == 0:
-        # nothing is measured (generation): the projection is the identity
-        if out is None or out is x0t:
-            return x0t
-        out[...] = x0t
-        return out
-    return op.project(y, x0t, out=out)
-
-
 def compute_lambda_gamma(s: float, t: int, sched: Schedule, eta: float,
                          sigma_y: float) -> tuple[float, float]:
     """Coefficients of the modes with singular value s on the noisy path.
@@ -134,19 +116,22 @@ def ddnm_plus_project(op: LinearOperator, y: np.ndarray, x0t: np.ndarray,
                       t: int, sched: Schedule, cfg: SamplerConfig,
                       out: np.ndarray | None = None
                       ) -> tuple[np.ndarray, float]:
-    """Noisy-path projection x0t + lambda pinv(y - A x0t).
+    """Range-null-space projection of x0t onto the measurement y.
 
-    Every measured mode shares the singular value op.sing_value, so one
-    (lambda, gamma) pair is exact. Also returns gamma, the fresh-noise
-    scale of the measured modes for sample_prev (null modes take eta).
-    With sigma_y = 0 this is exactly ddnm_project and gamma = eta. The
-    projection is written into out when given (out may be x0t).
+    With sigma_y = 0 this is op.project, pinv(A) y + (I - pinv(A) A) x0t,
+    and gamma = eta; an operator that measures nothing (generation)
+    leaves x0t as it is. Otherwise it is the noisy-path projection
+    x0t + lambda pinv(y - A x0t): every measured mode shares the singular
+    value op.sing_value, so one (lambda, gamma) pair is exact, and gamma
+    is the fresh-noise scale of the measured modes for sample_prev (null
+    modes take eta). The projection is written into out when given (out
+    may be x0t).
     """
     if y.shape != tuple(op.output_shape):
         raise ValueError(f"measurement shape {y.shape} != {op.output_shape}")
     if cfg.sigma_y == 0.0:
-        # lambda = 1 on every mode; reduce bit-exactly to the clean path
-        return ddnm_project(op, y, x0t, out=out), cfg.eta
+        # lambda = 1 on every mode: the clean projection
+        return op.project(y, x0t, out=out), cfg.eta
     lam, gam = compute_lambda_gamma(op.sing_value, t, sched, cfg.eta,
                                     cfg.sigma_y)
     residual = y - op.forward(x0t)

@@ -29,14 +29,14 @@ from tilediff.cli import parse_job, run_job
 from tilediff.denoise import GmmDenoiser
 from tilediff.hir import hir_restore
 from tilediff.msr import msr_restore, plan_tiles
-from tilediff.sampler import (SamplerConfig, ddnm_plus_project, ddnm_project,
-                              compute_lambda_gamma, run_sampler)
+from tilediff.sampler import (SamplerConfig, compute_lambda_gamma,
+                              ddnm_plus_project, run_sampler)
 from tilediff.schedule import TravelPlan, build_schedule, renoise_jump
 from tilediff.tasks import (ColorizeTask, GenerateTask, InpaintTask,
                             SuperResolutionTask)
 
 from conftest import lowfreq_residuals, seam_metric, smooth_means
-from oracles import full_problem, line_excess, replay_msr
+from oracles import clean_project, full_problem, line_excess, replay_msr
 from test_denoise import write_prior
 from test_linops import dense_pinv_scaled
 
@@ -143,7 +143,7 @@ def test_criterion_3_coefficients():
         x0t = rng.standard_normal(op.input_shape)
         y = rng.standard_normal(op.output_shape)
         got, gamma = ddnm_plus_project(op, y, x0t, 50, sched, cfg)
-        assert np.array_equal(got, ddnm_project(op, y, x0t))
+        assert np.array_equal(got, clean_project(op, y, x0t))
         assert gamma == cfg.eta
 
 

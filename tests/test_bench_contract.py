@@ -16,9 +16,11 @@ from bench import spans
 # deleted from tilediff; their spans leave the table with the next change
 # to the benchmark. Until then linops.pinv_scaled.us reads 0, and so does
 # imagecore.save_s, which read 0 already: run_job writes its output
-# through pnm_writer, not save_image
+# through pnm_writer, not save_image. sampler.project.us still reads the
+# ddnm_plus_project span, which now makes the clean projection itself
 _GONE = {("tilediff.linops", "LinearOperator.pinv_scaled"),
-         ("tilediff.cli", "save_image")}
+         ("tilediff.cli", "save_image"),
+         ("tilediff.sampler", "ddnm_project")}
 
 
 def test_every_traced_name_resolves():

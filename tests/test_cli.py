@@ -656,6 +656,25 @@ def test_config_file_negative_hir_factor_is_a_job_error(tmp_path, prior_dir):
                    "--height", "128", "--out", str(tmp_path / "g.ppm")])
 
 
+@pytest.mark.parametrize("config", ["missing.cfg", "cfgdir"])
+def test_main_reports_an_unreadable_config_file(tmp_path, prior_dir, capsys,
+                                                config):
+    (tmp_path / "cfgdir").mkdir()
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    cfgfile = str(tmp_path / config)
+    assert cli.main(["generate", "--config", cfgfile, "--width", "64",
+                     "--height", "64", "--prior", str(prior_dir),
+                     "--out", str(out_dir / "g.ppm")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert cfgfile in err[0]
+    # neither the output image nor metrics.txt
+    assert list(out_dir.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["--width", "10", "--height", "10"],             # canvas below patch
     ["--width", "100", "--height", "64", "--block", "3"],  # misaligned

@@ -15,9 +15,9 @@ import oracles
 
 def test_range_endpoints():
     codes = np.array([[[0], [255]]], dtype=np.uint8)
-    img = imagecore.dequantize(codes)
-    assert img.data[0, 0, 0] == -1.0
-    assert img.data[0, 1, 0] == 1.0
+    values = imagecore.model_values(codes)
+    assert values[0, 0, 0] == -1.0
+    assert values[0, 1, 0] == 1.0
 
 
 def test_quantized_roundtrip_is_idempotent(tmp_path):
@@ -69,10 +69,14 @@ def test_banded_codes_equal_the_whole_image_quantizer(height, width,
     assert codes.tobytes() == oracles.quantize(values).tobytes()
 
 
-def test_dequantize_is_the_scale_and_shift_of_the_codes():
+def test_dequantize_is_the_scale_and_shift_of_the_codes(tmp_path):
     codes = np.arange(256, dtype=np.uint8).reshape(16, 16, 1)
+    p = tmp_path / "ramp.pgm"
+    p.write_bytes(b"P5\n16 16\n255\n" + codes.tobytes())
     want = codes.astype(np.float64) * (2.0 / 255.0) - 1.0
-    assert imagecore.dequantize(codes).data.tobytes() == want.tobytes()
+    img = load_image(p)
+    assert img.data.tobytes() == want.tobytes()
+    assert not img.data.flags.writeable
 
 
 def test_code_reader_windows_are_the_whole_images_values(tmp_path, rng):
@@ -239,7 +243,7 @@ def test_header_numbers_are_ascii_digits(tmp_path, token):
                                         st.sampled_from([1, 3]))))
 def test_codes_round_trip_exactly(tmp_path, codes):
     p = tmp_path / "r.pnm"
-    save_image(p, imagecore.dequantize(codes))
+    save_image(p, Image(imagecore.model_values(codes)))
     assert p.read_bytes()[:2] == (b"P5" if codes.shape[2] == 1 else b"P6")
     assert np.array_equal(imagecore.quantize(load_image(p)), codes)
 

@@ -17,7 +17,7 @@ from tilediff.denoise import GmmDenoiser
 from tilediff.imagecore import Window
 from tilediff.msr import _overlap_hook, _overlap_rects, plan_tiles
 from tilediff.sampler import (SamplerConfig, compute_lambda_gamma,
-                              ddnm_plus_project, ddnm_project, sample_prev)
+                              ddnm_plus_project, sample_prev)
 from tilediff.schedule import build_schedule
 from tilediff.tasks import GenerateTask
 
@@ -105,12 +105,17 @@ def test_gmm_predict_eps_rejects_t_zero():
 def test_generation_projection_returns_its_input(rng):
     op, y = GenerateTask(16, 24).tile_problem(Window(0, 8, 16, 16))
     x0t = rng.standard_normal(op.input_shape)
-    assert ddnm_project(op, y, x0t) is x0t
+    before = x0t.tobytes()
+    sched = build_schedule(10)
+    clean = SamplerConfig(T=10)
+    xhat, _ = ddnm_plus_project(op, y, x0t, 5, sched, clean, out=x0t)
+    assert xhat is x0t
+    assert x0t.tobytes() == before
     cfg = SamplerConfig(T=10, sigma_y=0.1)
-    xhat, _ = ddnm_plus_project(op, y, x0t, 5, build_schedule(10), cfg)
+    xhat, _ = ddnm_plus_project(op, y, x0t, 5, sched, cfg)
     assert np.array_equal(xhat, x0t)
     with pytest.raises(ValueError, match="measurement shape"):
-        ddnm_project(op, np.zeros((1,)), x0t)
+        ddnm_plus_project(op, np.zeros((1,)), x0t, 5, sched, clean)
 
 
 def _operators(rng):

@@ -16,8 +16,8 @@ from tilediff.denoise import GmmDenoiser
 from tilediff.imagecore import Window
 from tilediff.sampler import (ConstraintHooks, NoiseProducer, SamplerConfig,
                               SamplerError, compute_lambda_gamma,
-                              ddnm_plus_project, ddnm_project, estimate_x0,
-                              noise_draws, run_sampler, sample_prev)
+                              ddnm_plus_project, estimate_x0, noise_draws,
+                              run_sampler, sample_prev)
 from tilediff.schedule import Schedule, TravelPlan, build_schedule
 from tilediff.tasks import GenerateTask
 
@@ -57,17 +57,25 @@ def test_estimate_x0_rejects_t0():
         estimate_x0(np.zeros(1), np.zeros(1), 0, build_schedule(5))
 
 
+def noise_free_project(op, y, x0t):
+    """ddnm_plus_project at sigma_y = 0, the noise-free projection."""
+    x0hat, gamma = ddnm_plus_project(op, y, x0t, 1, build_schedule(1),
+                                     SamplerConfig(T=1, eta=0.5))
+    assert gamma == 0.5
+    return x0hat
+
+
 def test_ddnm_project_fixed_point(rng):
     op = linops.AvgPool((4, 4, 1), 2)
     x = op.pinv(rng.standard_normal(op.output_shape))  # already consistent
     y = op.forward(x)
-    assert np.abs(ddnm_project(op, y, x) - x).max() <= 1e-12
+    assert np.abs(noise_free_project(op, y, x) - x).max() <= 1e-12
 
 
 def test_ddnm_project_avgpool_example():
     op = linops.AvgPool((2, 2, 1), 2)
     y = np.full((1, 1, 1), 0.5)
-    out = ddnm_project(op, y, np.ones((2, 2, 1)))
+    out = noise_free_project(op, y, np.ones((2, 2, 1)))
     assert np.allclose(out, 0.5, atol=1e-14)
 
 
@@ -77,7 +85,7 @@ def test_ddnm_project_mask_semantics(rng):
     truth = rng.standard_normal((4, 4, 3))
     y = op.forward(truth)
     x0t = rng.standard_normal((4, 4, 3))
-    out = ddnm_project(op, y, x0t)
+    out = noise_free_project(op, y, x0t)
     assert np.array_equal(out[known], truth[known])
     assert np.array_equal(out[~known], x0t[~known])
 
@@ -88,9 +96,9 @@ def test_ddnm_project_consistency_and_idempotence(rng):
                linops.Mask(rng.random((8, 8, 3)) < 0.5)]:
         y = op.forward(rng.standard_normal(op.input_shape))
         x0t = rng.standard_normal(op.input_shape)
-        out = ddnm_project(op, y, x0t)
+        out = noise_free_project(op, y, x0t)
         assert np.abs(op.forward(out) - y).max() <= 1e-8
-        again = ddnm_project(op, y, out)
+        again = noise_free_project(op, y, out)
         assert np.abs(again - out).max() <= 1e-10
         # null-space preservation: projection only edits the range space
         null = lambda v: v - op.range_project(v)
@@ -100,7 +108,7 @@ def test_ddnm_project_consistency_and_idempotence(rng):
 def test_ddnm_project_shape_mismatch():
     op = linops.AvgPool((4, 4, 1), 2)
     with pytest.raises(ValueError):
-        ddnm_project(op, np.zeros((3, 3, 1)), np.zeros((4, 4, 1)))
+        noise_free_project(op, np.zeros((3, 3, 1)), np.zeros((4, 4, 1)))
 
 
 def coef_schedule():
@@ -163,7 +171,7 @@ def test_ddnm_plus_reduces_bit_exactly_when_noise_free(rng):
     cfg = SamplerConfig(T=10, eta=0.8, sigma_y=0.0)
     sched = build_schedule(10)
     got, gamma = ddnm_plus_project(op, y, x0t, 5, sched, cfg)
-    assert np.array_equal(got, ddnm_project(op, y, x0t))
+    assert np.array_equal(got, oracles.clean_project(op, y, x0t))
     assert gamma == 0.8
 
 
