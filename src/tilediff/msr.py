@@ -184,11 +184,9 @@ def msr_restore(task: Task, plan: TilePlan, denoiser, cfg: SamplerConfig,
     strip = np.empty((patch, plan.width, task.shape[2]))
     ends = plan.tops[1:] + (plan.height,)
     # every tile's noise, in raster order, from one producer
-    draws = noise_draws(cfg)
     noise = NoiseProducer(
-        [(tile_seed(cfg.seed, row, col), draws)
-         for row in range(plan.rows) for col in range(plan.cols)],
-        (patch, patch, task.shape[2]))
+        lambda k: tile_seed(cfg.seed, *divmod(k, plan.cols)),
+        plan.rows * plan.cols, noise_draws(cfg), (patch, patch, task.shape[2]))
     try:
         for row, (top, end) in enumerate(zip(plan.tops, ends)):
             for col, left in enumerate(plan.lefts):

@@ -188,9 +188,10 @@ def noise_draws(cfg: SamplerConfig) -> int:
 
 
 class NoiseProducer:
-    """Draws of the given shape from an ordered list of (seed, count)
-    streams: the first `count` draws of default_rng(seed) for each stream
-    in turn, handed out by take().
+    """Draws of the given shape from `streams` streams of `count` draws
+    each, handed out by take(): for k = 0, 1, ... in turn, the first
+    `count` draws of default_rng(seed_of(k)). seed_of(k) is called once,
+    as stream k starts, so the producer holds no per-stream data.
 
     A background thread draws the streams in order into a ring of two
     chunks of C draws each, allocated here; C is CHUNK draws, or the total
@@ -212,7 +213,8 @@ class NoiseProducer:
 
     - the thread claims a stream and reads how many draws the caller made
       of it under the lock the caller draws under, so the caller draws no
-      more of a claimed stream and the thread skips exactly those draws;
+      more of a claimed stream and the thread skips exactly those draws,
+      or seeds the stream there when the caller has not started it;
     - the head moves to a later stream only once its own stream is
       claimed and its head draws have been taken;
     - the caller's Generator goes to the thread with the claim and is
@@ -234,10 +236,12 @@ class NoiseProducer:
 
     CHUNK = 8
 
-    def __init__(self, streams: Sequence[tuple[int, int]], shape: tuple):
+    def __init__(self, seed_of: Callable[[int], int], streams: int,
+                 count: int, shape: tuple):
         self.shape = tuple(shape)
-        self._streams = list(streams)
-        total = sum(count for _, count in self._streams)
+        self.count = count
+        self._seed_of, self._streams = seed_of, streams
+        total = streams * count
         per_chunk = min(total, self.CHUNK)
         self._ring = np.empty((2, per_chunk, *self.shape))
         self._free = threading.Semaphore(2)
@@ -262,16 +266,15 @@ class NoiseProducer:
         per_chunk = len(ring[0])
         try:
             h = i = 0
-            for k, (seed, count) in enumerate(self._streams):
+            for k in range(self._streams):
                 with self._lock:
                     self._claimed = k + 1
-                    rng, skip = None, 0
                     if self._head_stream == k:
                         rng, skip = self._head_rng, self._head_len
                         self._head_rng = None
-                if rng is None:
-                    rng = np.random.default_rng(seed)
-                count -= skip
+                    else:
+                        rng, skip = np.random.default_rng(self._seed_of(k)), 0
+                count = self.count - skip
                 while count:
                     if i == 0:
                         self._free.acquire()
@@ -294,9 +297,7 @@ class NoiseProducer:
         self._ready.put(end)
 
     def take(self) -> np.ndarray:
-        streams = self._streams
-        while self._stream < len(streams) and \
-                self._taken == streams[self._stream][1]:
+        if self._taken == self.count:
             self._stream, self._taken = self._stream + 1, 0
         while True:
             if self._stream == self._head_stream and \
@@ -335,7 +336,7 @@ class NoiseProducer:
         started into the head; False when the rules allow none."""
         with self._lock:
             k = self._claimed
-            if k == len(self._streams):
+            if k == self._streams:
                 return False
             if self._head_stream != k:
                 # the head's stream is claimed; it moves once its draws
@@ -343,11 +344,10 @@ class NoiseProducer:
                 if (self._stream, self._taken) < (self._head_stream,
                                                   self._head_len):
                     return False
-                seed, _ = self._streams[k]
                 self._head_stream, self._head_len = k, 0
-                self._head_rng = np.random.default_rng(seed)
+                self._head_rng = np.random.default_rng(self._seed_of(k))
             n = self._head_len
-            if n == len(self._head) or n == self._streams[k][1]:
+            if n == len(self._head) or n == self.count:
                 return False
             self._head_rng.standard_normal(out=self._head[n])
             self._head_len = n + 1
@@ -367,9 +367,9 @@ def run_sampler(op: LinearOperator, y: np.ndarray, denoiser,
     Per step: predict eps, estimate x0|t, apply pre hooks, project onto
     the measurement subspace (relaxed by lambda when cfg.sigma_y > 0),
     apply post hooks, sample x_{t-1}. Time-travel blocks re-noise the
-    block start and re-traverse it cfg.travel.r times. The run takes its
-    noise_draws(cfg) fresh draws from `noise`, whose next stream they must
-    be; without it, a producer of the single stream default_rng(cfg.seed)
+    block start and re-traverse it cfg.travel.r times. The run takes the
+    next stream of `noise`, whose streams must hold noise_draws(cfg)
+    draws; without it, a producer of the single stream default_rng(cfg.seed)
     is made and closed here. Either way the draws come in the order a
     serial loop over the stream's Generator would make them, and the
     denoiser and the hooks run on the calling thread.
@@ -389,12 +389,14 @@ def run_sampler(op: LinearOperator, y: np.ndarray, denoiser,
         raise ValueError(
             f"denoiser shape {denoiser.input_shape} != operator input "
             f"{op.input_shape}")
+    draws = noise_draws(cfg)
     own = noise is None
     if own:
-        noise = NoiseProducer([(cfg.seed, noise_draws(cfg))], op.input_shape)
-    elif noise.shape != tuple(op.input_shape):
+        noise = NoiseProducer(lambda k: cfg.seed, 1, draws, op.input_shape)
+    elif (noise.shape, noise.count) != (tuple(op.input_shape), draws):
         raise ValueError(
-            f"noise shape {noise.shape} != operator input {op.input_shape}")
+            f"noise streams of {noise.count} draws of shape {noise.shape} "
+            f"!= the run's {draws} of {tuple(op.input_shape)}")
     r = cfg.travel.r
     x0 = np.empty(op.input_shape)
     finite = np.empty(op.input_shape, dtype=bool)

@@ -408,13 +408,14 @@ def test_inpaint_job_heap_peak_is_its_canvases_plus_a_half(
 @pytest.mark.parametrize("kind", ["generate", "inpaint"])
 def test_job_heap_peak_does_not_grow_with_canvas_height(tmp_path, prior_dir,
                                                         rng, kind):
-    # 4x the rows (53 tile rows against 13) at width 640: about 4.4 MB of
-    # heap at either height (noise ring, tile-row buffer, one band)
+    # 4x the rows (53 tile rows against 13) at width 640: about 5 MB of
+    # heap at either height (noise ring, tile-row buffer, one band). The
+    # tall job's 3.5% more is its per-seam statistics, one per seam row
     argv = _generate_argv if kind == "generate" else _inpaint_argv(tmp_path,
                                                                    rng)
     short = _heap_peak(tmp_path, prior_dir, argv, 640, 640)
     tall = _heap_peak(tmp_path, prior_dir, argv, 2560, 640)
-    assert tall <= 1.1 * short
+    assert tall <= 1.05 * short
 
 
 SMALL = 16  # patch of the finish tests' prior

@@ -200,9 +200,9 @@ def test_hir_tile_seeds_are_distinct_across_phases(rng, monkeypatch):
     seeds = []
 
     class Recording(msr.NoiseProducer):
-        def __init__(self, streams, shape):
-            seeds.extend(seed for seed, _ in streams)
-            super().__init__(streams, shape)
+        def __init__(self, seed_of, streams, count, shape):
+            seeds.extend(seed_of(k) for k in range(streams))
+            super().__init__(seed_of, streams, count, shape)
 
     monkeypatch.setattr(msr, "NoiseProducer", Recording)
     den, task = make_inpaint_setup(rng)

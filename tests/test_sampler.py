@@ -518,7 +518,7 @@ def test_run_sampler_heap_peak_does_not_grow_with_steps():
     def peak(T, hooks=hooks):
         cfg = SamplerConfig(T=T, seed=1, travel=TravelPlan(10, 2))
         # the noise ring is sized by the draw count, so it is made first
-        noise = NoiseProducer([(cfg.seed, noise_draws(cfg))], shape)
+        noise = NoiseProducer(lambda k: cfg.seed, 1, noise_draws(cfg), shape)
         try:
             tracemalloc.start()
             try:
@@ -691,16 +691,20 @@ class PacedQueue(queue.SimpleQueue):
 NOISE_SHAPE = (3, 5)
 
 
+_C = NoiseProducer.CHUNK
+
+
 @st.composite
-def noise_streams(draw):
-    """One to five streams of distinct seeds, each of 1 draw, fewer than a
-    chunk, a chunk, or more."""
-    c = NoiseProducer.CHUNK
-    counts = draw(st.lists(st.sampled_from([1, c - 3, c, c + 1, 2 * c + 3]),
-                           min_size=1, max_size=5))
-    seeds = draw(st.lists(st.integers(0, 2**32), min_size=len(counts),
-                          max_size=len(counts), unique=True))
-    return list(zip(seeds, counts))
+def noise_streams(draw, counts=(1, _C - 3, _C, _C + 1, 2 * _C + 3)):
+    """(seeds, count): one to five distinct seeds, and one draw count for
+    all their streams, by default 1, fewer than a chunk, a chunk, or more."""
+    seeds = draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=5,
+                          unique=True))
+    return seeds, draw(st.sampled_from(counts))
+
+
+def _producer(seeds, count):
+    return NoiseProducer(seeds.__getitem__, len(seeds), count, NOISE_SHAPE)
 
 
 def _paced(pause, fail=None):
@@ -712,8 +716,8 @@ def _paced(pause, fail=None):
     return mp
 
 
-def _serial(streams):
-    return [d for seed, count in streams
+def _serial(seeds, count):
+    return [d for seed in seeds
             for d in _real_default_rng(seed).standard_normal(
                 (count, *NOISE_SHAPE))]
 
@@ -728,13 +732,13 @@ def test_noise_producer_streams_are_the_serial_draws(streams, gap, pause,
     # of ring draws while the thread is already on a later stream. One
     # producer is read to the end, another is closed after fewer draws,
     # head draws still outstanding included
-    want = _serial(streams)
+    want = _serial(*streams)
     stop = data.draw(st.integers(0, len(want) - 1), label="takes to close")
     before = threading.active_count()
 
     def run(takes):
         got = []
-        noise = NoiseProducer(streams, NOISE_SHAPE)
+        noise = _producer(*streams)
         try:
             for _ in range(takes):
                 got.append(noise.take().copy())
@@ -766,48 +770,47 @@ def test_noise_producer_hands_out_the_callers_draws_ahead():
     # while the thread sleeps on each fill, the caller draws a stream
     # ahead; the thread then continues that stream's Generator. The first
     # run is closed after two draws, with head draws not yet taken
-    c = NoiseProducer.CHUNK
-    streams = [(11, 1), (12, 2 * c + 3), (13, c)]
-    want = _serial(streams)
+    seeds, count = [11, 12, 13], 2 * NoiseProducer.CHUNK + 3
+    want = _serial(seeds, count)
     mp = _paced(0.02)
     try:
         def run(stop):
-            noise = NoiseProducer(streams, NOISE_SHAPE)
+            noise = _producer(seeds, count)
             try:
                 return [noise.take().copy() for _ in range(stop)]
             finally:
                 noise.close()
 
         early = within(lambda: run(2))
-        ahead_at_close = sum(PacedGenerator.ahead.values())
+        ahead_at_close = dict(PacedGenerator.ahead)
         PacedGenerator.ahead = {}
         got = within(lambda: run(len(want)))
     finally:
         mp.undo()
-    # two draws taken, more drawn by the caller
-    assert ahead_at_close > 2
+    # two draws taken, more drawn by the caller, who has crossed into a
+    # stream the thread had not started
+    assert sum(ahead_at_close.values()) > 2
+    assert set(ahead_at_close) - {seeds[0]}
     assert all(same_bits(g, w) for g, w in zip(early, want))
     assert sum(PacedGenerator.ahead.values()) > 0
     assert len(got) == len(want)
     assert all(same_bits(g, w) for g, w in zip(got, want))
 
 
+# the thread draws part of any stream longer than the head
 @settings(max_examples=40, deadline=None)
-@given(streams=noise_streams(), pause=st.sampled_from([0.0, 2e-4]),
-       data=st.data())
+@given(streams=noise_streams(counts=(_C + 1, 2 * _C + 3)),
+       pause=st.sampled_from([0.0, 2e-4]), data=st.data())
 def test_noise_producer_raises_the_threads_error(streams, pause, data):
-    c = NoiseProducer.CHUNK
-    # the thread draws part of any stream longer than the head
-    streams = streams + [(2**33, 2 * c + 3)]
-    failing = data.draw(st.sampled_from(
-        [i for i, (_, count) in enumerate(streams) if count > c]),
-        label="failing stream")
-    want = _serial(streams)
-    end = sum(count for _, count in streams[:failing + 1])
+    seeds, count = streams
+    failing = data.draw(st.integers(0, len(seeds) - 1),
+                        label="failing stream")
+    want = _serial(seeds, count)
+    end = (failing + 1) * count
 
     def run():
         got, errors = [], []
-        noise = NoiseProducer(streams, NOISE_SHAPE)
+        noise = _producer(seeds, count)
         try:
             # a take() after the error raises it too
             while len(errors) < 2 and len(got) < len(want):
@@ -819,7 +822,7 @@ def test_noise_producer_raises_the_threads_error(streams, pause, data):
             noise.close()
         return got, errors
 
-    mp = _paced(pause, fail=(streams[failing][0], DrawError("thread")))
+    mp = _paced(pause, fail=(seeds[failing], DrawError("thread")))
     try:
         got, errors = within(run)
     finally:
@@ -828,6 +831,70 @@ def test_noise_producer_raises_the_threads_error(streams, pause, data):
     # the error comes before the failing stream's thread draws are due
     assert len(got) < end
     assert all(same_bits(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("pause", [0.0, 0.02])
+def test_noise_producer_seeds_only_the_streams_it_starts(pause):
+    # a paused thread lets the caller's head start streams too
+    calls = []
+
+    def seed_of(k):
+        calls.append(k)
+        return k
+
+    count = 3
+    mp = _paced(pause)
+    try:
+        def run():
+            noise = NoiseProducer(seed_of, 10**6, count, NOISE_SHAPE)
+            try:
+                got = [noise.take().copy() for _ in range(2 * count + 1)]
+            finally:
+                noise.close()
+            return got, max(noise._claimed, noise._head_stream + 1)
+
+        got, started = within(run)
+    finally:
+        mp.undo()
+    assert calls == list(range(started))
+    assert started < 20
+    assert all(same_bits(g, w)
+               for g, w in zip(got, _serial(range(3), count)))
+
+
+def test_noise_producer_holds_no_per_stream_memory():
+    shape = (64, 64, 3)
+    tracemalloc.start()
+    try:
+        noise = NoiseProducer(lambda k: k, 10**6, 5, shape)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    noise.close()
+    # the ring's two chunks and the head: 24 draws of 98 kB
+    buffers = 3 * NoiseProducer.CHUNK * np.empty(shape).nbytes
+    assert buffers <= peak < buffers + 2**16
+
+
+def test_run_sampler_rejects_a_producer_of_other_streams():
+    op = linops.Identity((8, 8, 3))
+    cfg = SamplerConfig(T=10, seed=0)
+    den = GmmDenoiser([np.zeros(op.input_shape)], [1.0], 1.0)
+    before = threading.active_count()
+    for count, shape in [(noise_draws(cfg) + 1, op.input_shape),
+                         (noise_draws(cfg), (4, 8, 3))]:
+        noise = NoiseProducer(lambda k: 7, 2, count, shape)
+        try:
+            with pytest.raises(ValueError, match="noise streams of"):
+                within(lambda: run_sampler(op, np.zeros(op.output_shape),
+                                           den, cfg, noise=noise))
+            # no draw was taken: the next one is stream 0's first
+            assert same_bits(noise.take(), np.random.default_rng(
+                7).standard_normal(shape))
+        finally:
+            noise.close()
+    assert den.calls == 0
+    assert threading.active_count() == before
 
 
 def test_run_sampler_calls_back_on_the_calling_thread():
