@@ -37,9 +37,9 @@ def _lowfreq_hook(sr: AvgPool, ref: np.ndarray):
     base = sr.pinv(ref)
 
     def hook(x0t, t):
-        # (base + x0t) + pinv(-A x0t) is bitwise (base + x0t) - pinv(A x0t):
-        # IEEE defines a - b as a + (-b). A x0t, a new array, is taken
-        # before the sum overwrites x0t.
+        # (base + x0t) + pinv(-A x0t) is (base + x0t) - pinv(A x0t) bitwise
+        # but for the sign of a zero (a - b is a + (-b)). A x0t, a new
+        # array, is taken before the sum overwrites x0t.
         low = sr.forward(x0t)
         np.negative(low, out=low)
         np.add(base, x0t, out=x0t)

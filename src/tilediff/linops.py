@@ -11,6 +11,7 @@ add_pinv and project write into `out` when it is given, and only there.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -32,6 +33,11 @@ class LinearOperator:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def _checked(self, x: np.ndarray) -> np.ndarray:
+        if x.shape != self.input_shape:
+            raise ValueError(f"shape {x.shape} != {self.input_shape}")
+        return x
 
     def pinv(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -56,6 +62,16 @@ class LinearOperator:
         return np.add(self.pinv(y), diff, out=diff)
 
 
+@functools.cache
+def _block_matrices(p: int, c: int):
+    """[I_c; ...; I_c] (p*c x c) and its transpose, contiguous for BLAS;
+    read-only, as every AvgPool of that (p, c) shares them."""
+    tall = np.tile(np.eye(c), (p, 1))
+    wide = tall.T.copy()
+    tall.flags.writeable = wide.flags.writeable = False
+    return tall, wide
+
+
 class AvgPool(LinearOperator):
     """p x p block mean per channel; pseudo-inverse is replication."""
 
@@ -69,20 +85,15 @@ class AvgPool(LinearOperator):
         self.output_shape = (h // p, w // p, c)
         self.p = p
         self.sing_value = 1.0 / p
+        self._sum, self._spread = _block_matrices(p, c)
 
     def forward(self, x):
-        # Sum the p rows of each block, then add the p column offsets one
-        # slice at a time: several times faster than mean(axis=(1, 3)) on
-        # the 5-D view, and within an ulp of it. A .sum(axis=2) for the
-        # second step would add the same terms in the same order, but its
-        # inner loop runs over only c elements.
-        h, w, c = self.input_shape
-        p = self.p
-        rows = x.reshape(h // p, p, w * c).sum(axis=1)
-        rows = rows.reshape(h // p, w // p, p, c)
-        out = rows[:, :, 0].copy()
-        for j in range(1, p):
-            out += rows[:, :, j]
+        # Sum the p rows of each block, then its p columns per channel by
+        # the 0/1 product, not p slice adds that loop over only c elements.
+        # The BLAS orders that sum: within an ulp of the exact block mean.
+        (h, w, c), p = self.input_shape, self.p
+        rows = self._checked(x).reshape(h // p, p, w * c).sum(axis=1)
+        out = (rows.reshape(-1, p * c) @ self._sum).reshape(self.output_shape)
         out *= 1.0 / (p * p)
         return out
 
@@ -90,18 +101,13 @@ class AvgPool(LinearOperator):
         return np.repeat(np.repeat(y, self.p, axis=0), self.p, axis=1)
 
     def add_pinv(self, x, r, out=None):
-        # Replicate r along the width only and let the add broadcast it over
-        # the p rows of each block: every element is the same x + r sum as
-        # with the full replication, without building it. Splitting the
-        # first axis is always a view, so out receives the result. A 5-D
-        # view broadcasting over both block axes is slower: its inner loop
-        # runs over only c elements.
-        h, w, c = self.input_shape
-        p = self.p
-        rows = x.reshape(h // p, p, w, c)
-        wide = np.repeat(r, p, axis=1)[:, None]
-        if out is None:
-            return np.add(rows, wide).reshape(h, w, c)
+        # Repeat r p times along the width by the transposed 0/1 product
+        # (exact, but a -0.0 may turn +0.0 and an inf makes its pixel NaN)
+        # and broadcast the add over each block's p rows, into out by a view.
+        (h, w, c), p = self.input_shape, self.p
+        rows = self._checked(x).reshape(h // p, p, w, c)
+        wide = (r.reshape(-1, c) @ self._spread).reshape(h // p, 1, w, c)
+        out = np.empty(self.input_shape) if out is None else out
         np.add(rows, wide, out=out.reshape(rows.shape))
         return out
 
@@ -130,9 +136,7 @@ class Mask(LinearOperator):
         self.sing_value = 1.0
 
     def forward(self, x):
-        if x.shape != self.input_shape:
-            raise ValueError(f"shape {x.shape} != {self.input_shape}")
-        return x[self.known]
+        return self._checked(x)[self.known]
 
     def pinv(self, y):
         out = np.zeros(self.input_shape)
@@ -167,7 +171,7 @@ class Gray(LinearOperator):
         self.sing_value = 1.0 / math.sqrt(3.0)
 
     def forward(self, x):
-        return x.mean(axis=2, keepdims=True)
+        return self._checked(x).mean(axis=2, keepdims=True)
 
     def pinv(self, y):
         return np.repeat(y, 3, axis=2)
@@ -188,10 +192,6 @@ class Identity(LinearOperator):
         return y
 
 
-def _known(codes: np.ndarray) -> np.ndarray:
-    return np.equal(codes, 255)
-
-
 def load_mask(path) -> imagecore.CodeReader:
     """Read a binary mask from PGM: 0 = missing, 255 = known.
 
@@ -209,4 +209,4 @@ def load_mask(path) -> imagecore.CodeReader:
         if not np.logical_or(band == 0, band == 255).all():
             raise ValueError(
                 "mask contains intermediate values; only 0/255 allowed")
-    return imagecore.CodeReader(codes, _known)
+    return imagecore.CodeReader(codes, lambda band: band == 255)

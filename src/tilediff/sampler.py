@@ -159,8 +159,8 @@ def sample_prev(x0hat: np.ndarray, eps_t: np.ndarray, t: int,
 
     The measured-mode correction k A eps is scaled at measurement size and
     added through op.add_pinv, with the same sums as pinv(A eps) * k added
-    at full size except where pinv fills a zero (Mask's unknown pixels):
-    there +0.0 is added where 0 * k would be -0.0 for k < 0. That can flip
+    at full size except at a zero (Mask's unknown pixels, AvgPool's widened
+    residual): +0.0 may be added where pinv(A eps) * k is -0.0. That can flip
     only a -0.0 in out, which needs sigma_{t-1} = 0, and the a_{t-1} x0hat
     term then sets the result unless x0hat is zero there too.
     """

@@ -30,15 +30,67 @@ from test_sampler import small_operators
 EPS = np.finfo(np.float64).eps
 
 
+def _avgpool_inputs(rng, p):
+    """(name, x) for each channel count 1, 3, 4: a whole 48x96 tile, the
+    same as a non-contiguous window view of a larger canvas, and a
+    consistency band (16 rows or more, a multiple of p) of width 96."""
+    for c in (1, 3, 4):
+        yield "whole", rng.uniform(-1, 1, size=(48, 96, c))
+        canvas = rng.uniform(-1, 1, size=(55, 109, c))
+        yield "window", canvas[5:53, 9:105]
+        yield "band", rng.uniform(-1, 1, size=(p * -(-16 // p), 96, c))
+
+
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 8, 16])
 def test_avgpool_forward_matches_block_mean(rng, p):
-    h, w, c = 48, 96, 3
-    op = linops.AvgPool((h, w, c), p)
-    x = rng.uniform(-1, 1, size=(h, w, c))
-    want = x.reshape(h // p, p, w // p, p, c).mean(axis=(1, 3))
-    got = op.forward(x)
-    assert got.shape == want.shape
-    assert np.abs(got - want).max() <= 1e-15
+    for name, x in _avgpool_inputs(rng, p):
+        h, w, c = x.shape
+        assert x.flags.c_contiguous == (name != "window")
+        op = linops.AvgPool((h, w, c), p)
+        want = x.reshape(h // p, p, w // p, p, c).mean(axis=(1, 3))
+        got = op.forward(x)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-15, (name, c)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(p=st.integers(1, 8), c=st.integers(1, 4), rows=st.integers(1, 4),
+       cols=st.integers(1, 4), scale=st.sampled_from([1e-3, 1.0, 1e3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_avgpool_add_pinv_is_the_replicated_add(p, c, rows, cols, scale,
+                                                 seed):
+    # finite inputs without zeros: the 0/1 product widens each residual
+    # element exactly, so every sum is the replicated one bit for bit
+    op = linops.AvgPool((p * rows, p * cols, c), p)
+    rng = np.random.default_rng(seed)
+    x = zero_free(rng, op.input_shape) * scale
+    r = zero_free(rng, op.output_shape)
+    assert same_bits(op.add_pinv(x, r), x + op.pinv(r))
+    # strided inputs, as a window of a larger array gives them
+    xs = np.repeat(x, 2, axis=1)[:, ::2]
+    rs = np.repeat(r, 2, axis=0)[::2]
+    assert same_bits(op.add_pinv(xs, rs), x + op.pinv(r))
+
+
+def test_avgpool_add_pinv_differs_only_in_the_sign_of_a_zero():
+    # A -0.0 residual on a -0.0 pixel: the replicated add gives -0.0. The
+    # widening product sums -0.0 * 1 with the pixel's other channels times
+    # 0, here +0.0 each, and -0.0 + +0.0 is +0.0 in any order, so the
+    # pixel gets +0.0. The value is the same, and no other element moves.
+    op = linops.AvgPool((4, 6, 3), 2)
+    x = np.arange(72.0).reshape(op.input_shape) - 30.5
+    r = np.arange(18.0).reshape(op.output_shape) - 8.5
+    x[:2, :2, 1] = -0.0
+    r[0, 0] = 1.5, -0.0, 2.5
+    x[2:, 4:, 0] = -0.0  # -0.0 pixels under a non-zero residual
+    want = x + op.pinv(r)
+    got = op.add_pinv(x, r)
+    assert np.array_equal(got, want)
+    signed = np.zeros(op.input_shape, dtype=bool)
+    signed[:2, :2, 1] = True
+    assert np.signbit(want[signed]).all()
+    assert same_bits(got[signed], np.zeros(4))
+    assert same_bits(got[~signed], want[~signed])
 
 
 def _reference_rho(x, means, weights, tau, a, sigma):

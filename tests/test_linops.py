@@ -44,6 +44,22 @@ def test_avgpool_rejects_nondivisible():
         linops.AvgPool((6, 6, 1), 4)
 
 
+def test_avgpool_forward_rejects_a_wrong_shape(rng):
+    # transposed canvas dims: the same element count, so a reshape alone
+    # would return wrong block means instead of failing
+    op = linops.AvgPool((64, 32, 3), 2)
+    with pytest.raises(ValueError, match=r"\(32, 64, 3\)"):
+        op.forward(rng.standard_normal((32, 64, 3)))
+
+
+def test_avgpool_add_pinv_rejects_a_wrong_shape(rng):
+    op = linops.AvgPool((64, 32, 3), 2)
+    r = rng.standard_normal(op.output_shape)
+    for bad in ((32, 64, 3), (64, 32, 1)):
+        with pytest.raises(ValueError, match=r"!= \(64, 32, 3\)"):
+            op.add_pinv(rng.standard_normal(bad), r)
+
+
 def test_mask_all_known_is_identity(rng):
     x = rng.standard_normal((4, 4, 3))
     op = linops.Mask(np.ones((4, 4, 3), dtype=bool))
@@ -79,6 +95,12 @@ def test_gray_mean_and_replication():
     assert op.forward(x)[0, 0, 0] == pytest.approx(0.6)
     assert np.allclose(op.pinv(np.full((1, 1, 1), 0.6)),
                        np.full((1, 1, 3), 0.6))
+
+
+def test_gray_forward_rejects_a_wrong_shape(rng):
+    op = linops.Gray((64, 32, 3))
+    with pytest.raises(ValueError, match=r"\(32, 64, 3\)"):
+        op.forward(rng.standard_normal((32, 64, 3)))
 
 
 def test_gray_rejects_single_channel():

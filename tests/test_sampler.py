@@ -346,6 +346,26 @@ def test_run_sampler_aborts_on_nonfinite():
                     SamplerConfig(T=10, seed=0))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_noisy_sr_stops_at_the_step_of_a_single_channel_inf():
+    # an inf in one channel of x0|t reaches the state through AvgPool's
+    # forward and add_pinv, where the 0/1 products spread it to the
+    # pixel's other channels as NaN (inf * 0); either way the state is
+    # non-finite at that step, and the run stops there
+    def bad(x0t, t):
+        if t == 5:
+            x0t[3, 2, 1] = np.inf
+        return x0t
+
+    op = linops.AvgPool((8, 8, 3), 2)
+    y = np.full(op.output_shape, 0.25)
+    den = GmmDenoiser([np.zeros(op.input_shape)], [1.0], 0.5)
+    cfg = SamplerConfig(T=10, seed=0, sigma_y=0.1)
+    hooks = ConstraintHooks(pre=[bad])
+    with pytest.raises(SamplerError, match="t=5"):
+        run_sampler(op, y, den, cfg, hooks=hooks)
+
+
 def test_run_sampler_rejects_shape_mismatch(rng):
     op = linops.Identity((4, 4, 1))
     den = GmmDenoiser([np.zeros((6, 6, 1))], [1.0], math.sqrt(0.5))
