@@ -4,7 +4,7 @@ null-space-projected diffusion sampling and analytic denoisers."""
 from .imagecore import Image, Window, load_image, save_image
 from .linops import (AvgPool, Gray, Identity, LinearOperator, Mask,
                      load_mask)
-from .schedule import Schedule, TravelPlan, build_schedule, renoise_jump
+from .schedule import Schedule, build_schedule, renoise_jump
 from .denoise import Denoiser, GmmDenoiser, load_gmm_prior
 from .sampler import (ConstraintHooks, SamplerConfig, compute_lambda_gamma,
                       ddnm_plus_project, estimate_x0, run_sampler,

@@ -33,7 +33,7 @@ from .hir import hir_restore
 from .imagecore import CodeReader, load_image, pnm_writer, read_codes
 from .msr import TilePlan, check_geometry, msr_restore, plan_tiles
 from .sampler import SamplerConfig, SamplerError
-from .schedule import TravelPlan, build_schedule
+from .schedule import build_schedule
 from .tasks import consistency
 
 TASK_NAMES = ("sr", "inpaint", "colorize", "denoise", "generate")
@@ -80,10 +80,9 @@ class JobSpec:
                           "overlap constraint); baseline for comparison")
 
     def sampler_config(self) -> SamplerConfig:
-        """The sampler settings; SamplerConfig and TravelPlan check their
-        ranges."""
+        """The sampler settings; SamplerConfig checks their ranges."""
         return SamplerConfig(T=self.steps, eta=self.eta,
-                             travel=TravelPlan(self.travel_l, self.travel_r),
+                             travel_l=self.travel_l, travel_r=self.travel_r,
                              seed=self.seed, sigma_y=self.sigma_y)
 
 

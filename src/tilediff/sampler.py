@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .linops import LinearOperator
-from .schedule import Schedule, TravelPlan, build_schedule, renoise_jump, travel_blocks
+from .schedule import Schedule, build_schedule, renoise_jump, travel_blocks
 
 
 class SamplerError(RuntimeError):
@@ -32,9 +32,13 @@ class SamplerError(RuntimeError):
 
 @dataclasses.dataclass(frozen=True)
 class SamplerConfig:
+    """Sampler settings. Time travel cuts t = T..1 into blocks of length
+    travel_l and traverses each block travel_r times."""
+
     T: int = 100
     eta: float = 0.85
-    travel: TravelPlan = TravelPlan(1, 1)
+    travel_l: int = 1
+    travel_r: int = 1
     seed: int = 0
     sigma_y: float = 0.0
 
@@ -43,6 +47,10 @@ class SamplerConfig:
             raise ValueError(f"steps T must be >= 1, got {self.T}")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must be in [0, 1], got {self.eta}")
+        if self.travel_l < 1:
+            raise ValueError(f"travel-l must be >= 1, got {self.travel_l}")
+        if self.travel_r < 1:
+            raise ValueError(f"travel-r must be >= 1, got {self.travel_r}")
         if not self.sigma_y >= 0.0:  # NaN fails too
             raise ValueError(f"sigma-y must be >= 0, got {self.sigma_y}")
         if self.seed < 0:
@@ -183,8 +191,8 @@ def sample_prev(x0hat: np.ndarray, eps_t: np.ndarray, t: int,
 def noise_draws(cfg: SamplerConfig) -> int:
     """Standard-normal draws one run_sampler call takes: x_T, one per step,
     one per re-noising jump."""
-    r = cfg.travel.r
-    return 1 + r * cfg.T + (r - 1) * len(travel_blocks(cfg.T, cfg.travel.l))
+    r = cfg.travel_r
+    return 1 + r * cfg.T + (r - 1) * len(travel_blocks(cfg.T, cfg.travel_l))
 
 
 class NoiseProducer:
@@ -367,7 +375,7 @@ def run_sampler(op: LinearOperator, y: np.ndarray, denoiser,
     Per step: predict eps, estimate x0|t, apply pre hooks, project onto
     the measurement subspace (relaxed by lambda when cfg.sigma_y > 0),
     apply post hooks, sample x_{t-1}. Time-travel blocks re-noise the
-    block start and re-traverse it cfg.travel.r times. The run takes the
+    block start and re-traverse it cfg.travel_r times. The run takes the
     next stream of `noise`, whose streams must hold noise_draws(cfg)
     draws; without it, a producer of the single stream default_rng(cfg.seed)
     is made and closed here. Either way the draws come in the order a
@@ -397,13 +405,13 @@ def run_sampler(op: LinearOperator, y: np.ndarray, denoiser,
         raise ValueError(
             f"noise streams of {noise.count} draws of shape {noise.shape} "
             f"!= the run's {draws} of {tuple(op.input_shape)}")
-    r = cfg.travel.r
+    r = cfg.travel_r
     x0 = np.empty(op.input_shape)
     finite = np.empty(op.input_shape, dtype=bool)
     try:
         # a draw is used before the next take(), which may recycle it
         x = noise.take().copy()
-        for t_hi, t_lo in travel_blocks(cfg.T, cfg.travel.l):
+        for t_hi, t_lo in travel_blocks(cfg.T, cfg.travel_l):
             for rep in range(r):
                 for t in range(t_hi, t_lo - 1, -1):
                     eps_t = denoiser.predict_eps(x, t, sched)

@@ -29,6 +29,11 @@ def _values(a, dtype=np.float64):
     return a if isinstance(a, CodeReader) else np.asarray(a, dtype=dtype)
 
 
+def _check_rank3(a, what: str):
+    if len(a.shape) != 3:
+        raise ValueError(f"{what} must be (H, W, C), got shape {a.shape}")
+
+
 def _pool(a, f: int, reduce) -> np.ndarray:
     """reduce(., axis=(1, 3)) over the f x f blocks of a (H, W[, C]), one
     row band of whole blocks at a time."""
@@ -70,6 +75,13 @@ class Task:
         """The same task at 1/f size (f >= 2), for the coarse phase."""
         raise NotImplementedError
 
+    def _slices(self, win: Window):
+        """win.slices(), once win is checked to lie on the canvas."""
+        h, w, _ = self.shape
+        if win.top + win.height > h or win.left + win.width > w:
+            raise ValueError(f"window {win} leaves the {h}x{w} canvas")
+        return win.slices()
+
     def _check_divisible(self, f: int):
         if f < 2:
             raise ValueError(f"hierarchy factor must be >= 2, got {f}")
@@ -86,6 +98,7 @@ class SuperResolutionTask(Task):
         if scale < 1:
             raise ValueError(f"scale must be >= 1, got {scale}")
         self.y = np.asarray(y_lr, dtype=np.float64)
+        _check_rank3(self.y, "SR input")
         h, w, c = self.y.shape
         self.scale = scale
         self.shape = (h * scale, w * scale, c)
@@ -95,9 +108,9 @@ class SuperResolutionTask(Task):
         p = self.scale
         if win.top % p or win.left % p or win.height % p or win.width % p:
             raise ValueError(f"window {win} not aligned to scale {p}")
+        ys, xs = self._slices(win)
         op = linops.AvgPool((win.height, win.width, self.shape[2]), p)
-        y = self.y[win.top // p:(win.top + win.height) // p,
-                   win.left // p:(win.left + win.width) // p, :]
+        y = self.y[ys.start // p:ys.stop // p, xs.start // p:xs.stop // p, :]
         return op, y
 
     def reduce(self, f: int) -> Task:
@@ -111,6 +124,7 @@ class InpaintTask(Task):
 
     def __init__(self, observed: np.ndarray, known: np.ndarray):
         self.observed = _values(observed)
+        _check_rank3(self.observed, "inpainting input")
         known = _values(known, dtype=bool)
         if known.shape != self.observed.shape[:2]:
             raise ValueError("mask dims must match image dims")
@@ -118,7 +132,7 @@ class InpaintTask(Task):
         self.shape = self.observed.shape
 
     def tile_problem(self, win: Window):
-        ys, xs = win.slices()
+        ys, xs = self._slices(win)
         op = linops.Mask(self.known[ys, xs], channels=self.shape[2])
         y = op.forward(self.observed[ys, xs, :])
         return op, y
@@ -147,7 +161,7 @@ class ColorizeTask(Task):
         self.shape = (gray.shape[0], gray.shape[1], 3)
 
     def tile_problem(self, win: Window):
-        ys, xs = win.slices()
+        ys, xs = self._slices(win)
         op = linops.Gray((win.height, win.width, 3))
         return op, self.gray[ys, xs, :]
 
@@ -161,10 +175,11 @@ class DenoiseTask(Task):
 
     def __init__(self, observed: np.ndarray):
         self.observed = _values(observed)
+        _check_rank3(self.observed, "denoising input")
         self.shape = self.observed.shape
 
     def tile_problem(self, win: Window):
-        ys, xs = win.slices()
+        ys, xs = self._slices(win)
         op = linops.Identity((win.height, win.width, self.shape[2]))
         return op, self.observed[ys, xs, :]
 

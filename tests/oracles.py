@@ -134,8 +134,8 @@ def replay_sampler(op, y, denoiser, cfg, hooks=ConstraintHooks()):
     sched = build_schedule(cfg.T)
     rng = np.random.default_rng(cfg.seed)
     x = rng.standard_normal(op.input_shape)
-    for t_hi, t_lo in travel_blocks(cfg.T, cfg.travel.l):
-        for rep in range(cfg.travel.r):
+    for t_hi, t_lo in travel_blocks(cfg.T, cfg.travel_l):
+        for rep in range(cfg.travel_r):
             for t in range(t_hi, t_lo - 1, -1):
                 eps_t = denoiser.predict_eps(x, t, sched)
                 x0t = estimate_x0(x, eps_t, t, sched)
@@ -147,7 +147,7 @@ def replay_sampler(op, y, denoiser, cfg, hooks=ConstraintHooks()):
                 x = sample_prev(x0hat, eps_t, t, sched, cfg,
                                 rng.standard_normal(x.shape), op=op,
                                 gamma=gamma)
-            if rep < cfg.travel.r - 1:
+            if rep < cfg.travel_r - 1:
                 x = renoise_jump(x, t_lo - 1, t_hi - t_lo + 1,
                                  rng.standard_normal(x.shape), sched)
     return x

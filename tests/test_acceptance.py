@@ -31,7 +31,7 @@ from tilediff.hir import hir_restore
 from tilediff.msr import msr_restore, plan_tiles
 from tilediff.sampler import (SamplerConfig, compute_lambda_gamma,
                               ddnm_plus_project, run_sampler)
-from tilediff.schedule import TravelPlan, build_schedule, renoise_jump
+from tilediff.schedule import build_schedule, renoise_jump
 from tilediff.tasks import (ColorizeTask, GenerateTask, InpaintTask,
                             SuperResolutionTask)
 
@@ -297,7 +297,7 @@ def test_criterion_8_schedule():
     op = linops.Identity((2, 2, 1))
     den = GmmDenoiser([np.zeros((2, 2, 1))], [1.0], 1.0)
     run_sampler(op, np.zeros((2, 2, 1)), den,
-                SamplerConfig(T=100, travel=TravelPlan(10, 3)))
+                SamplerConfig(T=100, travel_l=10, travel_r=3))
     assert den.calls == 300
 
 

@@ -608,9 +608,14 @@ def test_main_reports_job_errors(capsys):
     # the hierarchy always constrains its tiles: --naive would be ignored
     (["generate", "--width", "128", "--height", "128", "--hir-factor", "2",
       "--naive"],
-     "error: naive cannot be combined with hir-factor >= 2")],
+     "error: naive cannot be combined with hir-factor >= 2"),
+    # the overlap must be a positive multiple of the scale below the patch,
+    # so a scale equal to the patch leaves no overlap that can tile
+    (["restore", "--task", "sr", "--scale", "8", "--patch", "8",
+      "--overlap", "4", "--in", "x.ppm"],
+     "error: patch 8 and overlap 4 must be multiples of block 8")],
     ids=["hir-factor", "scale", "scale-0", "hir-factor-not-dividing-scale",
-         "naive-hir"])
+         "naive-hir", "scale-equal-to-patch"])
 def test_main_rejects_a_negative_factor(tmp_path, prior_dir, capsys, argv,
                                         message):
     assert cli.main(argv + ["--prior", str(prior_dir),
@@ -624,10 +629,8 @@ def test_main_rejects_a_negative_factor(tmp_path, prior_dir, capsys, argv,
     (["--eta", "nan"], "error: eta must be in [0, 1], got nan"),
     (["--sigma-y", "-0.1"], "error: sigma-y must be >= 0, got -0.1"),
     (["--sigma-y", "nan"], "error: sigma-y must be >= 0, got nan"),
-    (["--travel-l", "0"], "error: travel plan needs l >= 1 and r >= 1, "
-                          "got TravelPlan(l=0, r=3)"),
-    (["--travel-r", "0"], "error: travel plan needs l >= 1 and r >= 1, "
-                          "got TravelPlan(l=10, r=0)"),
+    (["--travel-l", "0"], "error: travel-l must be >= 1, got 0"),
+    (["--travel-r", "0"], "error: travel-r must be >= 1, got 0"),
     (["--seed", "-1"], "error: seed must be >= 0, got -1")],
     ids=["eta", "eta-nan", "sigma-y", "sigma-y-nan", "travel-l", "travel-r",
          "seed"])

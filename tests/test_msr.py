@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import pathlib
+import re
 import sys
 import threading
 import tracemalloc
@@ -14,7 +16,6 @@ from tilediff.imagecore import Window
 from tilediff.msr import msr_restore, plan_tiles, tile_seed
 from tilediff.sampler import (ConstraintHooks, NoiseProducer, SamplerConfig,
                               SamplerError, noise_draws, run_sampler)
-from tilediff.schedule import TravelPlan
 from tilediff.tasks import GenerateTask, InpaintTask, SuperResolutionTask
 
 from conftest import noise_thread_starts, same_bits, smooth_means, within
@@ -27,6 +28,17 @@ def make_denoiser(seed=0, tau=0.05, k=2, channels=3):
     return GmmDenoiser(smooth_means(k, PATCH, PATCH, channels=channels,
                                     seed=seed),
                        np.full(k, 1.0 / k), tau)
+
+
+def test_readme_python_example_runs_as_written():
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    [block] = re.findall(r"```python\n(.*?)```", readme.read_text(),
+                         flags=re.S)
+    m0, m1 = smooth_means(2, PATCH, PATCH)
+    names = {"m0": m0, "m1": m1}
+    exec(block, names)
+    img = names["img"]
+    assert img.shape == (96, 128, 3) and np.isfinite(img).all()
 
 
 def test_plan_exact_cover():
@@ -337,7 +349,7 @@ def test_a_tiling_pass_starts_one_noise_thread():
 # eight draws to a ring chunk. T=5 with travel (2, 2) takes 14 draws per
 # tile, more than a chunk; T=6 takes 7, fewer
 @pytest.mark.parametrize("kind, cfg", [
-    ("generate", SamplerConfig(T=5, seed=21, travel=TravelPlan(2, 2))),
+    ("generate", SamplerConfig(T=5, seed=21, travel_l=2, travel_r=2)),
     ("sr", SamplerConfig(T=6, seed=22, sigma_y=0.05)),
 ], ids=["14-draws", "7-draws"])
 def test_msr_equals_the_replay_when_chunks_straddle_tiles(rng, kind, cfg):
@@ -372,7 +384,7 @@ def test_a_failing_tile_stops_the_pass_and_the_next_job_is_clean():
     bad = NanAfter(good.means, good.weights, good.tau)
     task = GenerateTask(96, 128, 3)
     plan = plan_tiles(96, 128, PATCH, OVERLAP)
-    cfg = SamplerConfig(T=5, seed=8, travel=TravelPlan(2, 2))
+    cfg = SamplerConfig(T=5, seed=8, travel_l=2, travel_r=2)
     bad.fail_at = 2 * cfg.T + 3  # inside tile 1 of 6
     fresh = within(lambda: msr_restore(task, plan, good, cfg))
     before = threading.active_count()

@@ -18,7 +18,7 @@ from tilediff.sampler import (ConstraintHooks, NoiseProducer, SamplerConfig,
                               SamplerError, compute_lambda_gamma,
                               ddnm_plus_project, estimate_x0, noise_draws,
                               run_sampler, sample_prev)
-from tilediff.schedule import Schedule, TravelPlan, build_schedule
+from tilediff.schedule import Schedule, build_schedule
 from tilediff.tasks import GenerateTask
 
 import oracles
@@ -306,7 +306,7 @@ def test_run_sampler_determinism(rng):
     op = linops.Gray((6, 6, 3))
     y = op.forward(rng.uniform(-1, 1, size=(6, 6, 3)))
     den = GmmDenoiser([np.zeros((6, 6, 3))], [1.0], math.sqrt(0.4))
-    cfg = SamplerConfig(T=25, seed=42, travel=TravelPlan(5, 2))
+    cfg = SamplerConfig(T=25, seed=42, travel_l=5, travel_r=2)
     a = run_sampler(op, y, den, cfg)
     b = run_sampler(op, y, den, cfg)
     assert np.array_equal(a, b)
@@ -316,7 +316,7 @@ def test_run_sampler_step_count_with_time_travel():
     op = linops.Identity((2, 2, 1))
     y = np.zeros((2, 2, 1))
     den = GmmDenoiser([np.zeros((2, 2, 1))], [1.0], math.sqrt(0.5))
-    cfg = SamplerConfig(T=100, seed=0, travel=TravelPlan(10, 3))
+    cfg = SamplerConfig(T=100, seed=0, travel_l=10, travel_r=3)
     run_sampler(op, y, den, cfg)
     assert den.calls == 300  # each of 10 blocks traversed 3 times
 
@@ -418,7 +418,7 @@ _REPLAY_DEN = GmmDenoiser([np.full((8, 8, 3), -0.4), np.full((8, 8, 3), 0.5)],
     ("generate", SamplerConfig(T=20, seed=3)),
     ("sr", SamplerConfig(T=20, seed=4)),
     ("sr", SamplerConfig(T=20, seed=5, sigma_y=0.1)),
-    ("sr", SamplerConfig(T=20, seed=6, travel=TravelPlan(4, 3))),
+    ("sr", SamplerConfig(T=20, seed=6, travel_l=4, travel_r=3)),
 ], ids=["generation", "clean-sr", "noisy-sr", "time-travel-r3"])
 def test_run_sampler_replays_the_serial_loop(kind, cfg):
     op, y = _replay_problem(kind)
@@ -506,7 +506,7 @@ _HOOK_LISTS = st.sampled_from([(), ("in-place",), ("new",),
 def test_run_sampler_matches_the_allocating_loop_bitwise(
         problem, T, l, r, sigma_y, eta, pre, post, seed):
     op, y = problem
-    cfg = SamplerConfig(T=T, eta=eta, seed=seed, travel=TravelPlan(l, r),
+    cfg = SamplerConfig(T=T, eta=eta, seed=seed, travel_l=l, travel_r=r,
                         sigma_y=sigma_y)
     # run_sampler writes into no array a hook returns
     hooks = _replay_hooks(pre, post, seed, read_only=True)
@@ -536,7 +536,7 @@ def test_run_sampler_heap_peak_does_not_grow_with_steps():
                                 [(slice(0, 32), slice(None))])])
 
     def peak(T, hooks=hooks):
-        cfg = SamplerConfig(T=T, seed=1, travel=TravelPlan(10, 2))
+        cfg = SamplerConfig(T=T, seed=1, travel_l=10, travel_r=2)
         # the noise ring is sized by the draw count, so it is made first
         noise = NoiseProducer(lambda k: cfg.seed, 1, noise_draws(cfg), shape)
         try:
@@ -579,7 +579,7 @@ def test_run_sampler_leaves_no_thread_behind():
     # and the thread can block waiting for a free chunk when the run stops
     op = linops.Identity((64, 64, 3))
     y = np.zeros(op.output_shape)
-    cfg = SamplerConfig(T=40, seed=0, travel=TravelPlan(5, 2))
+    cfg = SamplerConfig(T=40, seed=0, travel_l=5, travel_r=2)
     before = threading.active_count()
     within(lambda: run_sampler(op, y, ZeroDenoiser(op.input_shape), cfg))
     assert threading.active_count() == before
@@ -605,7 +605,7 @@ def test_run_sampler_stops_its_thread_at_any_step_under_switching():
             return x0
 
         op = linops.Identity((64, 64, 1))
-        cfg = SamplerConfig(T=6, seed=stop_at, travel=TravelPlan(2, 2))
+        cfg = SamplerConfig(T=6, seed=stop_at, travel_l=2, travel_r=2)
         for _ in range(15):
             try:
                 run_sampler(op, np.zeros(op.output_shape),
@@ -932,7 +932,7 @@ def test_run_sampler_calls_back_on_the_calling_thread():
     op = linops.AvgPool((4, 4, 1), 2)
     run_sampler(op, np.zeros(op.output_shape),
                 RecordingDenoiser(op.input_shape),
-                SamplerConfig(T=12, seed=1, travel=TravelPlan(4, 2)),
+                SamplerConfig(T=12, seed=1, travel_l=4, travel_r=2),
                 hooks=ConstraintHooks(pre=[hook], post=[hook]))
     assert len(idents) == 3 * 24
     assert set(idents) == {threading.get_ident()}

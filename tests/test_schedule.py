@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from tilediff.schedule import (Schedule, TravelPlan, build_schedule,
-                               renoise_jump, travel_blocks)
+from tilediff.sampler import SamplerConfig
+from tilediff.schedule import (Schedule, build_schedule, renoise_jump,
+                               travel_blocks)
 
 from oracles import forward_diffuse
 
@@ -13,9 +16,21 @@ def make_vp_schedule(a_values):
     return Schedule(T=len(a) - 1, a=a, sigma=np.sqrt(1.0 - a**2))
 
 
-@pytest.mark.parametrize("T", [1, 5, 100, 250, 1000])
+# build_schedule does not check its own output, so this property is the
+# one place its invariants are proven
+@settings(max_examples=50, deadline=None)
+@given(T=st.integers(1, 100_000))
+@example(T=1)
+@example(T=2)
+@example(T=5)
+@example(T=20)
+@example(T=100)
+@example(T=250)
+@example(T=1000)
 def test_schedule_contract(T):
     s = build_schedule(T)
+    assert s.T == T
+    assert s.a.shape == s.sigma.shape == (T + 1,)
     assert s.a[0] == 1.0 and s.sigma[0] == 0.0
     assert np.abs(s.a**2 + s.sigma**2 - 1.0).max() <= 1e-12
     assert np.all(np.diff(s.a) < 0)
@@ -100,10 +115,11 @@ def test_renoise_jump_marginal_monte_carlo(rng):
 
 
 def test_travel_plan_validation():
-    with pytest.raises(ValueError):
-        TravelPlan(0, 1)
-    with pytest.raises(ValueError):
-        TravelPlan(1, 0)
+    # the block length and traversal count are SamplerConfig's fields
+    with pytest.raises(ValueError, match="travel-l must be >= 1, got 0"):
+        SamplerConfig(travel_l=0, travel_r=1)
+    with pytest.raises(ValueError, match="travel-r must be >= 1, got 0"):
+        SamplerConfig(travel_l=1, travel_r=0)
 
 
 def test_travel_blocks_partition():
