@@ -16,18 +16,7 @@ def make_vp_schedule(a_values):
     return Schedule(T=len(a) - 1, a=a, sigma=np.sqrt(1.0 - a**2))
 
 
-# build_schedule does not check its own output, so this property is the
-# one place its invariants are proven
-@settings(max_examples=50, deadline=None)
-@given(T=st.integers(1, 100_000))
-@example(T=1)
-@example(T=2)
-@example(T=5)
-@example(T=20)
-@example(T=100)
-@example(T=250)
-@example(T=1000)
-def test_schedule_contract(T):
+def check_schedule_contract(T):
     s = build_schedule(T)
     assert s.T == T
     assert s.a.shape == s.sigma.shape == (T + 1,)
@@ -35,6 +24,21 @@ def test_schedule_contract(T):
     assert np.abs(s.a**2 + s.sigma**2 - 1.0).max() <= 1e-12
     assert np.all(np.diff(s.a) < 0)
     assert np.all(np.diff(s.sigma) > 0)
+
+
+# build_schedule does not check its own output, so these two tests are the
+# one place its invariants are proven
+@pytest.mark.parametrize("T", [1, 5, 100, 250, 1000])
+def test_schedule_contract(T):
+    check_schedule_contract(T)
+
+
+@settings(max_examples=50, deadline=None)
+@given(T=st.integers(1, 100_000))
+@example(T=2)
+@example(T=20)
+def test_schedule_contract_property(T):
+    check_schedule_contract(T)
 
 
 @pytest.mark.parametrize("T", [100, 250, 1000])
