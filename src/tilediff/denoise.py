@@ -44,6 +44,9 @@ class GmmDenoiser(Denoiser):
         if any(m.shape != shape for m in means):
             raise ValueError("all component means must share one shape")
         weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != (len(means),):
+            raise ValueError(f"mixture has {len(means)} component means "
+                             f"but {weights.size} weights")
         total = weights.sum()
         if not (np.all(weights > 0) and total < np.inf):
             raise ValueError(
@@ -72,9 +75,17 @@ class GmmDenoiser(Denoiser):
         x0hat = mbar + shrink (x - a mbar), shrink = a tau^2 / c, the noise
         prediction is (1 - a shrink) / sigma (x - a mbar) = sigma / c
         (x - a mbar).
+
+        The weights are exponentiated relative to the winning logit k, so
+        the winner's is exactly 1. When they then sum to exactly 1.0, the
+        others add up to at most half an ulp of it, and dropping them moves
+        mbar only by round-off: the prediction is formed from m_k alone,
+        (x - a m_k) sigma / c, and the K x D mixture product is skipped.
+        Otherwise the normalization and -a are folded into one K-vector
+        scale before the product.
         """
         self.calls += 1
-        a, sigma = sched.a[t], sched.sigma[t]
+        a, sigma = float(sched.a[t]), float(sched.sigma[t])
         if sigma <= 0:
             raise ValueError(
                 "denoiser requires sigma_t > 0 (never called at t=0)")
@@ -85,13 +96,17 @@ class GmmDenoiser(Denoiser):
         logp -= a**2 * self._sq_norms
         logp /= 2.0 * c
         logp += self._log_w
-        logp -= logp.max()
+        k = logp.argmax()
+        logp -= logp[k]
         rho = np.exp(logp)
-        rho /= rho.sum()
-        if not np.isfinite(rho).all():
+        total = rho.sum()
+        if not np.isfinite(total):
             raise ValueError("non-finite mixture responsibilities")
-        eps = (rho @ self._flat).reshape(x_t.shape)
-        eps *= -a
+        if total == 1.0:
+            eps = np.multiply(self.means[k], -a)
+        else:
+            rho *= -a / total
+            eps = (rho @ self._flat).reshape(x_t.shape)
         eps += x_t
         eps *= sigma / c
         return eps

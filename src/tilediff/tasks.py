@@ -155,8 +155,9 @@ class ColorizeTask(Task):
         gray = _values(gray)
         if len(gray.shape) == 2:
             gray = gray[:, :, None]
-        if gray.shape[2] != 1:
-            raise ValueError("colorization input must be single-channel")
+        if len(gray.shape) != 3 or gray.shape[2] != 1:
+            raise ValueError("colorization input must be (H, W) or "
+                             f"(H, W, 1), got shape {gray.shape}")
         self.gray = gray
         self.shape = (gray.shape[0], gray.shape[1], 3)
 
@@ -195,6 +196,7 @@ class GenerateTask(Task):
         self.shape = (height, width, channels)
 
     def tile_problem(self, win: Window):
+        self._slices(win)  # the window must lie on the canvas
         known = np.zeros((win.height, win.width), dtype=bool)
         op = linops.Mask(known, channels=self.shape[2])
         return op, np.zeros((0,))

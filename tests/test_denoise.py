@@ -142,6 +142,12 @@ def test_gmm_validation():
     for tau in (np.nan, np.inf):
         with pytest.raises(ValueError, match="tau"):
             GmmDenoiser(two, [0.5, 0.5], tau)
+    # one weight per mean, checked when the mixture is built, not by
+    # numpy's matmul at the first prediction
+    for weights in ([1.0], [0.2, 0.3, 0.5]):
+        with pytest.raises(ValueError, match=f"2 component means but "
+                                             f"{len(weights)} weights"):
+            GmmDenoiser(two, weights, 0.1)
 
 
 def write_prior(dirpath, means, weights, tau):

@@ -139,13 +139,56 @@ def test_gmm_predict_eps_matches_reference_posterior(rng, k, t):
     # exp() underflows to 0 for all of them without the max-subtraction
     xs.append(np.full(means[0].shape, 40.0))
     for x in xs:
-        want = eps_from_x0(x, gmm_posterior_x0(x, den.means, den.weights,
-                                               den.tau, a, sigma), a, sigma)
-        got = den.predict_eps(x, t, sched)
-        rho = _reference_rho(x, den.means, den.weights, den.tau, a, sigma)
-        assert np.isfinite(got).all()
-        assert np.abs(got - want).max() <= _eps_tolerance(den, x, rho, a,
-                                                          sigma)
+        _check_against_reference(den, x, t, sched)
+    if k == 1:
+        return
+    # A state equidistant from every a m_k, so that the weights alone set
+    # the logits: the winner's weight is 1 and the runner-up's is r. The
+    # weights sum to exactly 1.0 when r is below half an ulp of 1, and then
+    # predict_eps skips the mixture product.
+    x = _equidistant_state(means, a, xs[k])
+    for r, dominant in ((2.0**-53 / 1.5, True), (2.0**-53 * 1.5, False)):
+        weights = [1.0, r] + [r * 2.0**-60] * (k - 2)
+        den = GmmDenoiser(means, weights, tau=0.05)
+        got = _check_against_reference(den, x, t, sched)
+        # (x - a m_k) sigma / c, in predict_eps's order
+        c = float(a)**2 * den.tau**2 + float(sigma)**2
+        alone = np.multiply(den.means[0], -float(a))
+        alone += x
+        alone *= float(sigma) / c
+        # bits equal to the one-mean form show the product was skipped;
+        # past half an ulp the product's round-off moves some of them
+        assert same_bits(got, alone) == dominant
+    for bad in (np.nan, np.inf):
+        x_bad = x.copy()
+        x_bad[0, 0, 0] = bad
+        with pytest.raises(ValueError,
+                           match="non-finite mixture responsibilities"), \
+                np.errstate(invalid="ignore"):
+            den.predict_eps(x_bad, t, sched)
+
+
+def _check_against_reference(den, x, t, sched):
+    """den's prediction at x, checked against the reference posterior."""
+    a, sigma = sched.a[t], sched.sigma[t]
+    want = eps_from_x0(x, gmm_posterior_x0(x, den.means, den.weights,
+                                           den.tau, a, sigma), a, sigma)
+    got = den.predict_eps(x, t, sched)
+    rho = _reference_rho(x, den.means, den.weights, den.tau, a, sigma)
+    assert np.isfinite(got).all()
+    assert np.abs(got - want).max() <= _eps_tolerance(den, x, rho, a, sigma)
+    return got
+
+
+def _equidistant_state(means, a, x):
+    """The state nearest x that is equally far from every a m_k:
+    2a <m_k - m_0, x> = a^2 (||m_k||^2 - ||m_0||^2) for k >= 1."""
+    flat = np.reshape(means, (len(means), -1))
+    sq = np.einsum("kd,kd->k", flat, flat)
+    rows = 2 * a * (flat[1:] - flat[0])
+    step = np.linalg.lstsq(rows, a**2 * (sq[1:] - sq[0]) - rows @ x.ravel(),
+                           rcond=None)[0]
+    return x + step.reshape(x.shape)
 
 
 def test_gmm_predict_eps_rejects_t_zero():
