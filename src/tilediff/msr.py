@@ -4,7 +4,11 @@ the per-tile overlap constraint.
 Tiles are solved in raster order. Every tile after the first overlaps
 already-restored canvas; that region is frozen by a per-step mask hook
 (x0bar = A_m xdot + (I - A_m) x0hat), so the committed tile agrees with the
-canvas bitwise on its known region and no seam can form.
+canvas bitwise on its known region and no seam can form. The region is
+always the tile's first rows plus its first columns: each earlier tile row
+spans the canvas, so the tile row above reaches the same rows across the
+whole tile, and of the tiles in its own row the one to the left reaches
+furthest into it.
 
 Rows flow through one tile row at a time. The tiles are written into a
 buffer one tile row high (patch x width); once a tile row is done, no
@@ -124,35 +128,22 @@ def assemble(shape) -> tuple[np.ndarray, object]:
     return image, sink
 
 
-def _overlap_rects(plan: TilePlan, row: int, col: int
-                   ) -> list[tuple[slice, slice]]:
-    """The already-restored part of tile (row, col) as (row, col) slices of
-    the tile: the rows the tile row above reaches, and the columns the tile
-    to the left reaches. Each earlier tile row spans the canvas, so these
-    two are the tile's intersection with all earlier windows."""
-    rects = []
-    if row:
-        rects.append((slice(0, plan.tops[row - 1] + plan.patch
-                            - plan.tops[row]), slice(None)))
-    if col:
-        rects.append((slice(None), slice(0, plan.lefts[col - 1] + plan.patch
-                                         - plan.lefts[col])))
-    return rects
+def _overlap_hook(fixed: np.ndarray, rows: int, cols: int):
+    """x0 -> x0 with the restored corner of `fixed`, its first `rows` rows
+    and its first `cols` columns, written over it in place.
 
-
-def _overlap_hook(fixed: np.ndarray, rects):
-    """x0 -> x0 with each rectangle of `fixed` written over it, in place.
-
-    Bitwise equal to np.where(known[..., None], fixed, x0) with known the
-    union of rects. Overlapping rectangles carry the same values, so their
-    order does not matter. The values are copied once per tile, so the
-    hook reads nothing of the canvas the tiles are written into.
+    The corner is the tile's whole intersection with the earlier windows
+    (see the module docstring), so this is bitwise np.where(known[..., None],
+    fixed, x0) with known that union. Each value is written once per step.
+    The values are copied once per tile, so the hook reads nothing of the
+    canvas the tiles are written into.
     """
-    frozen = [(ys, xs, fixed[ys, xs].copy()) for ys, xs in rects]
+    top = fixed[:rows].copy()
+    side = fixed[rows:, :cols].copy()
 
     def hook(x0, t):
-        for ys, xs, vals in frozen:
-            x0[ys, xs] = vals
+        x0[:rows] = top
+        x0[rows:, :cols] = side
         return x0
 
     return hook
@@ -193,8 +184,10 @@ def msr_restore(task: Task, plan: TilePlan, denoiser, cfg: SamplerConfig,
                 win = Window(top=top, left=left, height=patch, width=patch)
                 op, y = task.tile_problem(win)
                 xs = slice(left, left + patch)
-                rects = _overlap_rects(plan, row, col) if use_mask_hook else []
-                post = [_overlap_hook(strip[:, xs], rects)] if rects else []
+                rows = plan.tops[row - 1] + patch - top if row else 0
+                cols = plan.lefts[col - 1] + patch - left if col else 0
+                post = ([_overlap_hook(strip[:, xs], rows, cols)]
+                        if use_mask_hook and (rows or cols) else [])
                 pre = ([] if pre_hook_factory is None
                        else [pre_hook_factory(win)])
                 strip[:, xs] = run_sampler(

@@ -484,8 +484,7 @@ def _replay_hooks(pre, post, seed, read_only):
     known[:3] = known[:, :2] = True
     kinds = {
         "in-place": (hir._lowfreq_hook(sr, ref),
-                     msr._overlap_hook(fixed, [(slice(0, 3), slice(None)),
-                                               (slice(None), slice(0, 2))])),
+                     msr._overlap_hook(fixed, 3, 2)),
         "new": (_new_array(oracles.lowfreq_hook(sr, ref), read_only),
                 _new_array(lambda x0, t: np.where(known[:, :, None], fixed,
                                                   x0), read_only)),
@@ -532,8 +531,7 @@ def test_run_sampler_heap_peak_does_not_grow_with_steps():
     sr = linops.AvgPool(shape, 2)
     hooks = ConstraintHooks(
         pre=[hir._lowfreq_hook(sr, rng.uniform(-1, 1, size=sr.output_shape))],
-        post=[msr._overlap_hook(rng.uniform(-1, 1, size=shape),
-                                [(slice(0, 32), slice(None))])])
+        post=[msr._overlap_hook(rng.uniform(-1, 1, size=shape), 32, 0)])
 
     def peak(T, hooks=hooks):
         cfg = SamplerConfig(T=T, seed=1, travel_l=10, travel_r=2)
