@@ -1,9 +1,12 @@
 """Hierarchical restoration: a semantic phase at 1/f size, then a texture
 phase at full size whose every step is pinned to the coarse result's low
-frequencies via x0tilde = pinv(A_sr) x0coarse + (I - pinv(A_sr) A_sr) x0|t,
-with A_sr the f x f average-pooling downsampler. The pin is an ordinary
-task, `SuperResolutionTask(coarse, f)`: its tile problems give each phase-2
-tile's constraint, and its block makes plan2's block a multiple of f.
+frequencies. The pin is an ordinary task, `SuperResolutionTask(coarse, f)`,
+with A_sr the f x f average-pooling downsampler: on each phase-2 tile
+problem (A_sr, ref) every x0|t becomes x0t + pinv(A_sr)(ref - A_sr x0t),
+the range-null-space projection pinv(A_sr) ref + (I - pinv(A_sr) A_sr) x0t
+grouped as DDNM+'s noisy-path correction at lambda = 1
+(`sampler.residual_project`). The pin's block makes plan2's block a
+multiple of f.
 
 The coarse canvas (1/f^2 of the full size) is held whole, since every
 phase-2 tile reads its part of it. Phase 2 streams like any tiling pass:
@@ -18,7 +21,6 @@ import dataclasses
 
 import numpy as np
 
-from .linops import AvgPool
 from .msr import TilePlan, assemble, check_plan, msr_restore, plan_tiles
 from .sampler import SamplerConfig
 from .tasks import SuperResolutionTask, Task, consistency
@@ -29,23 +31,6 @@ class HirResult:
     image: np.ndarray | None  # None when phase 2 went to a sink
     coarse: np.ndarray
     lowfreq_residual: float  # max |A_sr image - coarse|, logged, not bounded
-
-
-def _lowfreq_hook(sr: AvgPool, ref: np.ndarray):
-    """x0t -> pinv(A_sr) ref + (I - pinv(A_sr) A_sr) x0t, whose f x f block
-    means are the coarse tile ref's pixels; written over x0t."""
-    base = sr.pinv(ref)
-
-    def hook(x0t, t):
-        # (base + x0t) + pinv(-A x0t) is (base + x0t) - pinv(A x0t) bitwise
-        # but for the sign of a zero (a - b is a + (-b)). A x0t, a new
-        # array, is taken before the sum overwrites x0t.
-        low = sr.forward(x0t)
-        np.negative(low, out=low)
-        np.add(base, x0t, out=x0t)
-        return sr.add_pinv(x0t, low, out=x0t)
-
-    return hook
 
 
 def hir_restore(task: Task, factor: int, plan2: TilePlan, denoiser,
@@ -78,8 +63,5 @@ def hir_restore(task: Task, factor: int, plan2: TilePlan, denoiser,
         residual = max(residual, consistency(pin, rows, top))
         sink(top, rows)
 
-    msr_restore(task, plan2, denoiser, cfg,
-                pre_hook_factory=lambda win: _lowfreq_hook(
-                    *pin.tile_problem(win)),
-                sink=measured)
+    msr_restore(task, plan2, denoiser, cfg, pin=pin, sink=measured)
     return HirResult(image=image, coarse=coarse, lowfreq_residual=residual)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .imagecore import Window
 from .sampler import (ConstraintHooks, NoiseProducer, SamplerConfig,
-                      noise_draws, run_sampler)
+                      noise_draws, residual_project, run_sampler)
 from .tasks import Task
 
 
@@ -150,14 +150,16 @@ def _overlap_hook(fixed: np.ndarray, rows: int, cols: int):
 
 
 def msr_restore(task: Task, plan: TilePlan, denoiser, cfg: SamplerConfig,
-                use_mask_hook: bool = True, pre_hook_factory=None,
+                use_mask_hook: bool = True, pin: Task | None = None,
                 sink=None) -> np.ndarray | None:
     """Solve each tile in raster order, freezing overlap with the canvas.
 
     use_mask_hook=False gives the naive independent-patch baseline (tiles
     still get distinct seeds, overlap is last-write-wins).
-    pre_hook_factory(window) -> hook adds a leading x0|t constraint per tile
-    (used by hierarchical restoration).
+    With a pin task, each tile's x0|t is first projected onto the pin's
+    tile problem (A_pin, y_pin): x0t + pinv(A_pin)(y_pin - A_pin x0t),
+    written over x0t (hierarchical restoration pins to the coarse result
+    through SuperResolutionTask(coarse, f)).
 
     sink(top, rows) gets the finished canvas rows [top, top + len(rows)),
     one band per tile row, in order: the bands cover the canvas once, and
@@ -188,8 +190,11 @@ def msr_restore(task: Task, plan: TilePlan, denoiser, cfg: SamplerConfig,
                 cols = plan.lefts[col - 1] + patch - left if col else 0
                 post = ([_overlap_hook(strip[:, xs], rows, cols)]
                         if use_mask_hook and (rows or cols) else [])
-                pre = ([] if pre_hook_factory is None
-                       else [pre_hook_factory(win)])
+                pre = []
+                if pin is not None:
+                    pin_op, pin_y = pin.tile_problem(win)
+                    pre = [lambda x0, t, pin_op=pin_op, pin_y=pin_y:
+                           residual_project(pin_op, pin_y, x0, out=x0)]
                 strip[:, xs] = run_sampler(
                     op, y, denoiser, cfg,
                     hooks=ConstraintHooks(pre=pre, post=post), noise=noise)

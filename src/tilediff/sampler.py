@@ -122,6 +122,18 @@ def compute_lambda_gamma(s: float, t: int, sched: Schedule, eta: float,
     return lam, gam
 
 
+def residual_project(op: LinearOperator, y: np.ndarray, x0t: np.ndarray,
+                     lam: float = 1.0, out: np.ndarray | None = None
+                     ) -> np.ndarray:
+    """x0t + lam pinv(y - A x0t), written into out when given (out may be
+    x0t). At lam = 1 it is the range-null-space projection onto y, grouped
+    as a correction of x0t: A applied to the result gives y up to rounding.
+    """
+    residual = y - op.forward(x0t)
+    residual *= lam
+    return op.add_pinv(x0t, residual, out=out)
+
+
 def ddnm_plus_project(op: LinearOperator, y: np.ndarray, x0t: np.ndarray,
                       t: int, sched: Schedule, cfg: SamplerConfig,
                       out: np.ndarray | None = None
@@ -130,7 +142,7 @@ def ddnm_plus_project(op: LinearOperator, y: np.ndarray, x0t: np.ndarray,
 
     With sigma_y = 0 this is op.project, pinv(A) y + (I - pinv(A) A) x0t,
     and gamma = eta; an operator that measures nothing (generation)
-    leaves x0t as it is. Otherwise it is the noisy-path projection
+    leaves x0t as it is. Otherwise it is residual_project at lambda,
     x0t + lambda pinv(y - A x0t): every measured mode shares the singular
     value op.sing_value, so one (lambda, gamma) pair is exact, and gamma
     is the fresh-noise scale of the measured modes for sample_prev (null
@@ -144,9 +156,7 @@ def ddnm_plus_project(op: LinearOperator, y: np.ndarray, x0t: np.ndarray,
         return op.project(y, x0t, out=out), cfg.eta
     lam, gam = compute_lambda_gamma(op.sing_value, t, sched, cfg.eta,
                                     cfg.sigma_y)
-    residual = y - op.forward(x0t)
-    residual *= lam
-    return op.add_pinv(x0t, residual, out=out), gam
+    return residual_project(op, y, x0t, lam, out=out), gam
 
 
 def sample_prev(x0hat: np.ndarray, eps_t: np.ndarray, t: int,

@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from tilediff import cli, hir, imagecore
+from tilediff import cli, imagecore, msr
 
 
 def smooth_means(k, height, width, channels=3, seed=0, amplitude=0.6,
@@ -59,30 +59,26 @@ def constant_means(levels, height, width, channels=3):
 
 @contextlib.contextmanager
 def lowfreq_residuals():
-    """A list that gets max |A_sr out - ref| after every call of a HiR
-    low-frequency hook made inside the block.
+    """A list that gets max |A_sr out - ref| after every step's HiR
+    low-frequency pin, msr's residual projection onto the pin's tile
+    problem (sr, ref), made inside the block.
 
     Patched with try/finally rather than the monkeypatch fixture, because
     test_acceptance.py also runs as a plain script.
     """
     trace = []
-    real = hir._lowfreq_hook
+    real = msr.residual_project
 
-    def recording(sr, ref):
-        hook = real(sr, ref)
+    def recording(sr, ref, x0t, *args, **kwargs):
+        out = real(sr, ref, x0t, *args, **kwargs)
+        trace.append(float(np.abs(sr.forward(out) - ref).max()))
+        return out
 
-        def wrapped(x0t, t):
-            out = hook(x0t, t)
-            trace.append(float(np.abs(sr.forward(out) - ref).max()))
-            return out
-
-        return wrapped
-
-    hir._lowfreq_hook = recording
+    msr.residual_project = recording
     try:
         yield trace
     finally:
-        hir._lowfreq_hook = real
+        msr.residual_project = real
 
 
 @contextlib.contextmanager

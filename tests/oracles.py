@@ -110,10 +110,9 @@ def sample_prev_mix(x0hat, eps_t, t, sched, cfg, noise, op, gamma):
 
 
 def lowfreq_hook(sr, ref):
-    """x0t -> pinv(A_sr) ref + x0t - pinv(A_sr) A_sr x0t, added left to
-    right."""
-    base = sr.pinv(ref)
-    return lambda x0t, t: base + x0t - sr.range_project(x0t)
+    """x0t -> x0t + pinv(A_sr)(ref - A_sr x0t), with the replicated
+    correction built."""
+    return lambda x0t, t: x0t + sr.pinv(ref - sr.forward(x0t))
 
 
 class ZeroDenoiser(Denoiser):

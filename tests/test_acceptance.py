@@ -235,12 +235,12 @@ def test_criterion_6_hierarchical():
     cfg = SamplerConfig(T=15, seed=4)
     with lowfreq_residuals() as trace:
         result = hir_restore(task, 2, plan2, den, cfg)
-    assert trace and max(trace) <= 1e-10  # hook is exact at every step
+    assert trace and max(trace) <= 1e-10  # the pin is exact at every step
     assert result.lowfreq_residual <= 0.1
 
     # turning the hierarchy off reproduces the flat tiling bit for bit
     flat = msr_restore(task, plan2, den, cfg)
-    again = msr_restore(task, plan2, den, cfg, pre_hook_factory=None)
+    again = msr_restore(task, plan2, den, cfg, pin=None)
     assert np.array_equal(flat, again)
 
 

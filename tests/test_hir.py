@@ -131,7 +131,7 @@ def test_hir_disabled_reproduces_msr_bitwise(rng):
     plan2 = plan_tiles(128, 192, PATCH, OVERLAP, block=2)
     cfg = SamplerConfig(T=15, seed=4)
     plain = msr_restore(task, plan2, den, cfg)
-    again = msr_restore(task, plan2, den, cfg, pre_hook_factory=None)
+    again = msr_restore(task, plan2, den, cfg, pin=None)
     assert np.array_equal(plain, again)
 
 

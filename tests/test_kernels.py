@@ -12,12 +12,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tilediff import hir, linops
+from tilediff import linops
 from tilediff.denoise import GmmDenoiser
 from tilediff.imagecore import Window
 from tilediff.msr import _overlap_hook, plan_tiles
 from tilediff.sampler import (SamplerConfig, compute_lambda_gamma,
-                              ddnm_plus_project, sample_prev)
+                              ddnm_plus_project, residual_project,
+                              sample_prev)
 from tilediff.schedule import build_schedule
 from tilediff.tasks import GenerateTask
 
@@ -327,15 +328,30 @@ def test_sample_prev_matches_the_replicate_then_scale_mix(
        c=st.sampled_from([1, 3]), seed=st.integers(0, 2**32 - 1))
 def test_lowfreq_hook_matches_the_range_projection_form(p, rows, cols, c,
                                                          seed):
+    # HiR's pin, residual_project at lambda = 1, on zero-free inputs
     sr = linops.AvgPool((p * rows, p * cols, c), p)
     rng = np.random.default_rng(seed)
-    ref = rng.standard_normal(sr.output_shape)
-    x0t = rng.standard_normal(sr.input_shape)
-    want = oracles.lowfreq_hook(sr, ref)(x0t.copy(), 3)
-    # the hook writes its result over the x0t it is given
-    got = hir._lowfreq_hook(sr, ref)(x0t, 3)
+
+    def nonzero(shape):
+        return rng.uniform(0.1, 2.0, size=shape) * rng.choice([-1, 1], shape)
+
+    ref, x0t = nonzero(sr.output_shape), nonzero(sr.input_shape)
+    before = x0t.copy()
+    want = oracles.lowfreq_hook(sr, ref)(before, 3)
+    # written over the x0t it is given
+    got = residual_project(sr, ref, x0t, out=x0t)
     assert got is x0t
-    assert same_bits(got, want)
+    assert np.array_equal(got, want)
+    # within rounding of a few sums of magnitude-2 values, it is the
+    # projection onto A x = ref: consistent, idempotent, null part kept,
+    # and the textbook grouping pinv(ref) + x0t - pinv(A x0t)
+    tol = 1e-12
+    assert np.abs(sr.forward(got) - ref).max() <= tol
+    assert np.abs(residual_project(sr, ref, got) - got).max() <= tol
+    assert np.abs((got - sr.range_project(got))
+                  - (before - sr.range_project(before))).max() <= tol
+    assert np.abs(sr.pinv(ref) + before - sr.range_project(before)
+                  - got).max() <= tol
 
 
 @settings(max_examples=150, deadline=None, database=None)

@@ -11,13 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tilediff import hir, linops, msr
+from tilediff import linops, msr
 from tilediff.denoise import GmmDenoiser
 from tilediff.imagecore import Window
 from tilediff.sampler import (ConstraintHooks, NoiseProducer, SamplerConfig,
                               SamplerError, compute_lambda_gamma,
                               ddnm_plus_project, estimate_x0, noise_draws,
-                              run_sampler, sample_prev)
+                              residual_project, run_sampler, sample_prev)
 from tilediff.schedule import Schedule, build_schedule
 from tilediff.tasks import GenerateTask
 
@@ -459,6 +459,12 @@ def tile_problems(draw):
     return op, op.forward(rng.uniform(-1, 1, size=_TILE))
 
 
+def _lowfreq_pin(sr, ref):
+    """HiR's pre hook as msr_restore makes it for a tile problem (sr, ref):
+    the residual projection onto ref, written over x0."""
+    return lambda x0, t: residual_project(sr, ref, x0, out=x0)
+
+
 def _new_array(hook, read_only):
     """hook, with its new result made read-only if asked, so that a write
     into it raises."""
@@ -483,8 +489,7 @@ def _replay_hooks(pre, post, seed, read_only):
     known = np.zeros(_TILE[:2], dtype=bool)
     known[:3] = known[:, :2] = True
     kinds = {
-        "in-place": (hir._lowfreq_hook(sr, ref),
-                     msr._overlap_hook(fixed, 3, 2)),
+        "in-place": (_lowfreq_pin(sr, ref), msr._overlap_hook(fixed, 3, 2)),
         "new": (_new_array(oracles.lowfreq_hook(sr, ref), read_only),
                 _new_array(lambda x0, t: np.where(known[:, :, None], fixed,
                                                   x0), read_only)),
@@ -530,7 +535,7 @@ def test_run_sampler_heap_peak_does_not_grow_with_steps():
     y = op.forward(rng.uniform(-1, 1, size=shape))
     sr = linops.AvgPool(shape, 2)
     hooks = ConstraintHooks(
-        pre=[hir._lowfreq_hook(sr, rng.uniform(-1, 1, size=sr.output_shape))],
+        pre=[_lowfreq_pin(sr, rng.uniform(-1, 1, size=sr.output_shape))],
         post=[msr._overlap_hook(rng.uniform(-1, 1, size=shape), 32, 0)])
 
     def peak(T, hooks=hooks):
