@@ -130,7 +130,8 @@ def residual_project(op: LinearOperator, y: np.ndarray, x0t: np.ndarray,
     as a correction of x0t: A applied to the result gives y up to rounding.
     """
     residual = y - op.forward(x0t)
-    residual *= lam
+    if lam != 1.0:
+        residual *= lam
     return op.add_pinv(x0t, residual, out=out)
 
 
@@ -201,10 +202,11 @@ def sample_prev(x0hat: np.ndarray, eps_t: np.ndarray, t: int,
 
 
 def noise_draws(cfg: SamplerConfig) -> int:
-    """Standard-normal draws one run_sampler call takes: x_T, one per step,
-    one per re-noising jump."""
+    """Standard-normal draws one run_sampler call takes: x_T, one per step
+    but the last, one per re-noising jump. The last step's draw would be
+    scaled by sigma_0 = 0, so it is not drawn."""
     r = cfg.travel_r
-    return 1 + r * cfg.T + (r - 1) * len(travel_blocks(cfg.T, cfg.travel_l))
+    return r * cfg.T + (r - 1) * len(travel_blocks(cfg.T, cfg.travel_l))
 
 
 class NoiseProducer:
@@ -213,48 +215,49 @@ class NoiseProducer:
     `count` draws of default_rng(seed_of(k)). seed_of(k) is called once,
     as stream k starts, so the producer holds no per-stream data.
 
-    A background thread draws the streams in order into a ring of two
-    chunks of C draws each, allocated here; C is CHUNK draws, or the total
-    when that is fewer. It fills a free chunk in place, with one
+    The draws live in a pool of POOL chunks of C draws each, allocated
+    here; C is CHUNK_DRAWS, or the total when that is fewer. A background
+    thread draws the streams in order into any free chunk, with one
     standard_normal(out=) call per stream segment in it, so a chunk may
-    end one stream and start the next. Handing over C draws at a time,
-    rather than one per step, keeps the two threads from stalling each
-    other on the interpreter lock at every step.
+    end one stream and start the next. It queues each filled chunk, and
+    take() hands out the queued draws in order; a chunk goes back to the
+    free list once its draws are used, whoever filled it. Handing over C
+    draws at a time, rather than one per step, keeps the two threads from
+    stalling each other on the interpreter lock at every step.
 
     When take() finds no draw ready, the calling thread draws too, rather
-    than wait: one draw at a time, it draws ahead the stream the thread
-    has not yet started (the earliest one) into a head chunk of C draws,
-    also allocated here, until a chunk is ready, the draw it needs is in
-    the head, or the head is full. When the thread starts that stream, it
-    continues the caller's Generator from where the caller stopped, and
-    take() hands out the head draws of the stream before its ring draws.
-    Three rules, all under one lock, keep every stream drawn in order by
-    one Generator:
+    than wait: one draw at a time, it draws ahead the earliest stream the
+    thread has not started into free chunks it borrows, at most POOL - 2
+    at a time, until a chunk is ready, the stream is drawn or no chunk may
+    be borrowed. When the thread starts that stream, it queues the chunk
+    it was filling, then the caller's chunks, and continues the caller's
+    Generator in a new chunk. Three rules, all under one lock, keep every
+    stream drawn in order by one Generator:
 
-    - the thread claims a stream and reads how many draws the caller made
-      of it under the lock the caller draws under, so the caller draws no
-      more of a claimed stream and the thread skips exactly those draws,
-      or seeds the stream there when the caller has not started it;
-    - the head moves to a later stream only once its own stream is
-      claimed and its head draws have been taken;
+    - the thread claims a stream and takes the caller's draws of it under
+      the lock the caller draws under, so the caller draws no more of a
+      claimed stream and the thread skips exactly those draws, or seeds
+      the stream there when the caller has not started it;
+    - the caller draws ahead only the earliest stream not yet claimed, so
+      its chunks are queued right after the draws that come before them;
     - the caller's Generator goes to the thread with the claim and is
       dropped here, so at most one is held.
 
     numpy's Generator releases the interpreter lock while it fills, so
     either thread draws while the other computes, and one call for n
     draws fills the same numbers as n calls: every stream is the serial
-    sequence bit for bit, whichever thread drew each draw. The ring and
-    the head hold three chunks in all: 2.4 MB at C = 8 and a 64x64x3
-    draw, of which the head is 0.79 MB.
+    sequence bit for bit, whichever thread drew each draw. The pool holds
+    24 draws: 2.36 MB at a 64x64x3 draw.
 
-    A draw is a view into the ring or the head and is valid until the
-    next take(), which may hand its chunk back to the thread or draw over
-    it: a caller uses each draw before it takes the next. An error in the
-    thread is raised by the next take() that needs a ring draw; close()
-    stops and joins the thread, also one that is waiting for a free chunk.
+    A draw is a view into the pool and is valid until the next take(),
+    which may free its chunk: a caller uses each draw before it takes the
+    next. An error in the thread is raised by the next take() that gets
+    to it; close() stops and joins the thread, also one that is waiting
+    for a free chunk.
     """
 
-    CHUNK = 8
+    POOL = 4
+    CHUNK_DRAWS = 6
 
     def __init__(self, seed_of: Callable[[int], int], streams: int,
                  count: int, shape: tuple):
@@ -262,74 +265,69 @@ class NoiseProducer:
         self.count = count
         self._seed_of, self._streams = seed_of, streams
         total = streams * count
-        per_chunk = min(total, self.CHUNK)
-        self._ring = np.empty((2, per_chunk, *self.shape))
-        self._free = threading.Semaphore(2)
+        self._pool = np.empty((self.POOL, min(total, self.CHUNK_DRAWS),
+                               *self.shape))
+        self._free = queue.SimpleQueue()
+        for c in range(self.POOL):
+            self._free.put(c)
         self._ready = queue.SimpleQueue()
         self._stop = threading.Event()
         self._chunk, self._pos, self._len = None, 0, 0
-        # the caller's place: a stream index and the draws taken of it
-        self._stream, self._taken = 0, 0
-        # the head: a stream index, its draws and, until the thread claims
-        # the stream, the Generator that drew them
-        self._head = np.empty((per_chunk, *self.shape))
-        self._head_stream, self._head_len, self._head_rng = -1, 0, None
         self._lock = threading.Lock()
         self._claimed = 0  # streams the thread has started
+        # the caller's draws ahead of stream _claimed: their Generator, the
+        # chunks they are in and how many there are
+        self._rng, self._lent, self._ahead = None, [], 0
         self._thread = threading.Thread(
             target=self._fill, args=(total,), name="tilediff-noise",
             daemon=True)
         self._thread.start()
 
     def _fill(self, total):
-        ring = self._ring
-        per_chunk = len(ring[0])
+        pool, ready = self._pool, self._ready
+        per_chunk = len(pool[0])
         try:
             h = i = 0
             for k in range(self._streams):
                 with self._lock:
                     self._claimed = k + 1
-                    if self._head_stream == k:
-                        rng, skip = self._head_rng, self._head_len
-                        self._head_rng = None
-                    else:
-                        rng, skip = np.random.default_rng(self._seed_of(k)), 0
+                    rng, lent, skip = self._rng, self._lent, self._ahead
+                    self._rng, self._lent, self._ahead = None, [], 0
+                    if rng is None:
+                        rng = np.random.default_rng(self._seed_of(k))
+                if lent:
+                    if i:
+                        ready.put((h, i))
+                        i = 0
+                    for j, c in enumerate(lent):
+                        ready.put((c, min(per_chunk, skip - j * per_chunk)))
                 count = self.count - skip
                 while count:
                     if i == 0:
-                        self._free.acquire()
+                        h = self._free.get()
                         if self._stop.is_set():
                             return
                     n = min(count, per_chunk - i)
-                    rng.standard_normal(out=ring[h, i:i + n])
+                    rng.standard_normal(out=pool[h, i:i + n])
                     count -= n
                     i += n
                     if i == per_chunk:
-                        self._ready.put((h, i))
-                        h, i = 1 - h, 0
+                        ready.put((h, i))
+                        i = 0
             if i:
-                self._ready.put((h, i))
+                ready.put((h, i))
             end = RuntimeError(f"noise streams hold only {total} draws")
         except Exception as exc:  # re-raised on the calling thread
             end = exc
         # the last item is always an exception, so a take() past the end
         # raises
-        self._ready.put(end)
+        ready.put(end)
 
     def take(self) -> np.ndarray:
-        if self._taken == self.count:
-            self._stream, self._taken = self._stream + 1, 0
-        while True:
-            if self._stream == self._head_stream and \
-                    self._taken < self._head_len:
-                draw = self._head[self._taken]
-                break
-            if self._pos < self._len:
-                draw = self._ring[self._chunk, self._pos]
-                self._pos += 1
-                break
+        while self._pos == self._len:
             self._wait()
-        self._taken += 1
+        draw = self._pool[self._chunk, self._pos]
+        self._pos += 1
         return draw
 
     def _wait(self):
@@ -337,7 +335,7 @@ class NoiseProducer:
         ahead and return."""
         if self._chunk is not None:
             # every draw of the old chunk has been used
-            self._free.release()
+            self._free.put(self._chunk)
             self._chunk = None
         try:
             item = self._ready.get_nowait()
@@ -353,29 +351,30 @@ class NoiseProducer:
 
     def _draw_ahead(self) -> bool:
         """Draw the next draw of the earliest stream the thread has not
-        started into the head; False when the rules allow none."""
+        started into a borrowed chunk; False when the rules allow none."""
+        per_chunk = len(self._pool[0])
         with self._lock:
-            k = self._claimed
-            if k == self._streams:
+            n, lent = self._ahead, self._lent
+            if self._claimed == self._streams or n == self.count:
                 return False
-            if self._head_stream != k:
-                # the head's stream is claimed; it moves once its draws
-                # have been taken
-                if (self._stream, self._taken) < (self._head_stream,
-                                                  self._head_len):
+            if n == len(lent) * per_chunk:
+                if len(lent) == self.POOL - 2:
                     return False
-                self._head_stream, self._head_len = k, 0
-                self._head_rng = np.random.default_rng(self._seed_of(k))
-            n = self._head_len
-            if n == len(self._head) or n == self.count:
-                return False
-            self._head_rng.standard_normal(out=self._head[n])
-            self._head_len = n + 1
+                try:
+                    lent.append(self._free.get_nowait())
+                except queue.Empty:
+                    return False
+            if self._rng is None:
+                self._rng = np.random.default_rng(
+                    self._seed_of(self._claimed))
+            self._rng.standard_normal(out=self._pool[lent[-1],
+                                                     n % per_chunk])
+            self._ahead = n + 1
             return True
 
     def close(self):
         self._stop.set()
-        self._free.release()
+        self._free.put(None)  # wakes a thread waiting for a free chunk
         self._thread.join()
 
 
@@ -387,7 +386,9 @@ def run_sampler(op: LinearOperator, y: np.ndarray, denoiser,
     Per step: predict eps, estimate x0|t, apply pre hooks, project onto
     the measurement subspace (relaxed by lambda when cfg.sigma_y > 0),
     apply post hooks, sample x_{t-1}. Time-travel blocks re-noise the
-    block start and re-traverse it cfg.travel_r times. The run takes the
+    block start and re-traverse it cfg.travel_r times. The last step
+    returns x0hat as x_0, which sample_prev would give up to the sign of
+    a zero (a_0 = 1, sigma_0 = 0), and takes no draw. The run takes the
     next stream of `noise`, whose streams must hold noise_draws(cfg)
     draws; without it, a producer of the single stream default_rng(cfg.seed)
     is made and closed here. Either way the draws come in the order a
@@ -434,8 +435,13 @@ def run_sampler(op: LinearOperator, y: np.ndarray, denoiser,
                                                      cfg, out=x0)
                     for h in hooks.post:
                         x0hat = h(x0hat, t)
-                    x = sample_prev(x0hat, eps_t, t, sched, cfg,
-                                    noise.take(), op=op, gamma=gamma, out=x)
+                    if t == 1 and rep == r - 1:
+                        # the last step: a_0 = 1 and sigma_0 = 0
+                        np.copyto(x, x0hat)
+                    else:
+                        x = sample_prev(x0hat, eps_t, t, sched, cfg,
+                                        noise.take(), op=op, gamma=gamma,
+                                        out=x)
                     # spent as sample_prev's scratch; not kept alive while
                     # predict_eps makes the next step's prediction
                     del eps_t

@@ -128,8 +128,9 @@ class ZeroDenoiser(Denoiser):
 
 def replay_sampler(op, y, denoiser, cfg, hooks=ConstraintHooks()):
     """run_sampler as one serial loop whose step functions return new
-    arrays (no out=), taking every draw (x_T, one per step, one per
-    re-noising jump) from default_rng(cfg.seed) in order."""
+    arrays (no out=), taking every draw (x_T, one per step but the last,
+    one per re-noising jump) from default_rng(cfg.seed) in order. The last
+    step's x_0 is its x0hat."""
     sched = build_schedule(cfg.T)
     rng = np.random.default_rng(cfg.seed)
     x = rng.standard_normal(op.input_shape)
@@ -143,9 +144,12 @@ def replay_sampler(op, y, denoiser, cfg, hooks=ConstraintHooks()):
                 x0hat, gamma = ddnm_plus_project(op, y, x0t, t, sched, cfg)
                 for h in hooks.post:
                     x0hat = h(x0hat, t)
-                x = sample_prev(x0hat, eps_t, t, sched, cfg,
-                                rng.standard_normal(x.shape), op=op,
-                                gamma=gamma)
+                if t == 1 and rep == cfg.travel_r - 1:
+                    x = x0hat.copy()
+                else:
+                    x = sample_prev(x0hat, eps_t, t, sched, cfg,
+                                    rng.standard_normal(x.shape), op=op,
+                                    gamma=gamma)
             if rep < cfg.travel_r - 1:
                 x = renoise_jump(x, t_lo - 1, t_hi - t_lo + 1,
                                  rng.standard_normal(x.shape), sched)

@@ -346,14 +346,14 @@ def test_a_tiling_pass_starts_one_noise_thread():
     assert len(plan.windows) == 4 and len(names) == 1
 
 
-# eight draws to a ring chunk. T=5 with travel (2, 2) takes 14 draws per
-# tile, more than a chunk; T=6 takes 7, fewer
+# six draws to a pool chunk. T=6 with travel (3, 2) takes 14 draws per
+# tile, more than two chunks; T=7 takes 7, one more than a chunk
 @pytest.mark.parametrize("kind, cfg", [
-    ("generate", SamplerConfig(T=5, seed=21, travel_l=2, travel_r=2)),
-    ("sr", SamplerConfig(T=6, seed=22, sigma_y=0.05)),
+    ("generate", SamplerConfig(T=6, seed=21, travel_l=3, travel_r=2)),
+    ("sr", SamplerConfig(T=7, seed=22, sigma_y=0.05)),
 ], ids=["14-draws", "7-draws"])
 def test_msr_equals_the_replay_when_chunks_straddle_tiles(rng, kind, cfg):
-    assert noise_draws(cfg) % NoiseProducer.CHUNK != 0
+    assert noise_draws(cfg) % NoiseProducer.CHUNK_DRAWS != 0
     if kind == "generate":
         task = GenerateTask(96, 128, 3)
     else:
@@ -405,7 +405,7 @@ def test_msr_repeats_the_replay_under_switching():
     assert len(plan.windows) == 30
     den = ZeroDenoiser((PATCH, PATCH, 3))
     cfg = SamplerConfig(T=10, seed=31)
-    assert noise_draws(cfg) % NoiseProducer.CHUNK != 0
+    assert noise_draws(cfg) % NoiseProducer.CHUNK_DRAWS != 0
 
     def digest(img):
         return hashlib.sha256(img.tobytes()).hexdigest()

@@ -432,6 +432,45 @@ def test_run_sampler_replays_the_serial_loop(kind, cfg):
     assert np.array_equal(got, replay_sampler(op, y, _REPLAY_DEN, cfg))
 
 
+@pytest.mark.parametrize("cfg", [
+    SamplerConfig(T=20, seed=5, sigma_y=0.1),
+    SamplerConfig(T=9, seed=6, travel_l=4, travel_r=3),
+], ids=["noisy-sr", "time-travel-r3"])
+def test_run_sampler_returns_the_last_x0hat_and_draws_no_more(cfg):
+    # the last step's draw would be scaled by sigma_0 = 0: sample_prev
+    # there gives x0hat up to the sign of a zero, so it is not drawn, and
+    # streams of exactly noise_draws(cfg) draws serve one run each
+    op, y = _replay_problem("sr")
+    sched = build_schedule(cfg.T)
+    seen = []
+
+    def record(x0hat, t):
+        seen.append((t, x0hat.copy()))
+        return x0hat
+
+    noise = NoiseProducer(lambda k: cfg.seed + k, 2, noise_draws(cfg),
+                          op.input_shape)
+    try:
+        for _ in range(2):
+            got = within(lambda: run_sampler(
+                op, y, _REPLAY_DEN, cfg, hooks=ConstraintHooks(post=[record]),
+                noise=noise))
+            t, x0hat = seen[-1]
+            assert t == 1 and same_bits(got, x0hat)
+            rng = np.random.default_rng(t)
+            gamma = compute_lambda_gamma(op.sing_value, 1, sched, cfg.eta,
+                                         cfg.sigma_y)[1]
+            assert np.array_equal(sample_prev(
+                x0hat, rng.standard_normal(x0hat.shape), 1, sched, cfg,
+                rng.standard_normal(x0hat.shape), op=op, gamma=gamma), x0hat)
+        # the two runs took every draw of both streams
+        with pytest.raises(RuntimeError, match="hold only"):
+            noise.take()
+    finally:
+        noise.close()
+    assert len(seen) == 2 * cfg.travel_r * cfg.T
+
+
 _TILE = (8, 8, 3)
 
 
@@ -540,7 +579,7 @@ def test_run_sampler_heap_peak_does_not_grow_with_steps():
 
     def peak(T, hooks=hooks):
         cfg = SamplerConfig(T=T, seed=1, travel_l=10, travel_r=2)
-        # the noise ring is sized by the draw count, so it is made first
+        # the noise pool is sized by the draw count, so it is made first
         noise = NoiseProducer(lambda k: cfg.seed, 1, noise_draws(cfg), shape)
         try:
             tracemalloc.start()
@@ -574,11 +613,11 @@ def test_run_sampler_leaves_no_thread_behind():
                 np.zeros_like(x_t)
 
     def late_hook(x0, t):
-        # both ring chunks are full by now, so the producer is blocked
+        # the noise pool is full by now, so the producer is blocked
         time.sleep(0.05)
         raise KeyError("hook")
 
-    # patch-size draws, 8 to a chunk, so the 88 draws outnumber the ring
+    # patch-size draws, 6 to a chunk, so the 88 draws outnumber the pool
     # and the thread can block waiting for a free chunk when the run stops
     op = linops.Identity((64, 64, 3))
     y = np.zeros(op.output_shape)
@@ -645,7 +684,7 @@ class DrawError(Exception):
 def test_run_sampler_raises_the_producers_error(monkeypatch):
     class FailingGenerator:
         """Draws like default_rng(seed) until a call that would make draw
-        9 (counting from 0) raises."""
+        15 (counting from 0) raises."""
 
         def __init__(self, seed):
             self.rng = real_default_rng(seed)
@@ -653,23 +692,24 @@ def test_run_sampler_raises_the_producers_error(monkeypatch):
 
         def standard_normal(self, size=None, out=None):
             n = 1 if out is None else len(out)
-            if self.made <= 9 < self.made + n:
-                raise DrawError("draw 9")
+            if self.made <= 15 < self.made + n:
+                raise DrawError("draw 15")
             self.made += n
             return self.rng.standard_normal(size, out=out)
 
     real_default_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", FailingGenerator)
-    # T=10 takes 11 draws and a chunk holds 8, so the first chunk (x_T and
-    # 7 steps) is handed over before the second one fails
+    # T=20 takes 20 draws, and a chunk holds 6. The caller draws at most
+    # 12 ahead, so the thread makes the failing call, and the draws before
+    # it are handed over first
     op = linops.Identity((64, 64, 3))
     den = GmmDenoiser([np.zeros(op.input_shape)], [1.0], 1.0)
     before = threading.active_count()
-    with pytest.raises(DrawError, match="draw 9"):
+    with pytest.raises(DrawError, match="draw 15"):
         within(lambda: run_sampler(op, np.zeros(op.output_shape), den,
-                                   SamplerConfig(T=10, seed=0)))
+                                   SamplerConfig(T=20, seed=0)))
     # the draws made before the failing chunk were used, then the run ended
-    assert 1 <= den.calls < 10
+    assert 1 <= den.calls < 16
     assert threading.active_count() == before
 
 
@@ -680,19 +720,22 @@ _NOISE_THREAD = "tilediff-noise"
 class PacedGenerator:
     """default_rng(seed) that records who draws: each fill on the noise
     thread sleeps `pause` s first, so that a caller taking draws back to
-    back finds the ring empty and draws ahead; fills on any other thread
-    are counted in `ahead[seed]` (the caller draws one draw a fill). With
+    back finds no chunk ready and draws ahead; fills on any other thread
+    are counted in `ahead[seed]` (the caller draws one draw a fill), and
+    the seed of every Generator made is appended to `made`. With
     PacedQueue, the thread also sleeps after each chunk it hands over,
     before it starts the next stream. `fail` = (seed, exc) raises exc at the
     noise thread's first fill of that stream."""
 
     pause = 0.0
     ahead: dict = {}
+    made: list = []
     fail = None
 
     def __init__(self, seed):
         self.seed = seed
         self.rng = _real_default_rng(seed)
+        self.made.append(seed)
 
     def standard_normal(self, size=None, out=None):
         if threading.current_thread().name == _NOISE_THREAD:
@@ -714,7 +757,9 @@ class PacedQueue(queue.SimpleQueue):
 NOISE_SHAPE = (3, 5)
 
 
-_C = NoiseProducer.CHUNK
+_POOL, _C = NoiseProducer.POOL, NoiseProducer.CHUNK_DRAWS
+# the most draws of a stream the caller can draw ahead
+_AHEAD = (_POOL - 2) * _C
 
 
 @st.composite
@@ -730,12 +775,14 @@ def _producer(seeds, count):
     return NoiseProducer(seeds.__getitem__, len(seeds), count, NOISE_SHAPE)
 
 
-def _paced(pause, fail=None):
+def _paced(pause, fail=None, pool=_POOL, chunk=_C):
     mp = pytest.MonkeyPatch()
     PacedGenerator.pause, PacedGenerator.ahead = pause, {}
-    PacedGenerator.fail = fail
+    PacedGenerator.made, PacedGenerator.fail = [], fail
     mp.setattr(np.random, "default_rng", PacedGenerator)
     mp.setattr(queue, "SimpleQueue", PacedQueue)
+    mp.setattr(NoiseProducer, "POOL", pool)
+    mp.setattr(NoiseProducer, "CHUNK_DRAWS", chunk)
     return mp
 
 
@@ -745,16 +792,31 @@ def _serial(seeds, count):
                 (count, *NOISE_SHAPE))]
 
 
+@st.composite
+def pooled_streams(draw):
+    """(pool, chunk, seeds, count): the production pool or a pool of two
+    to five chunks of one to seven draws, and streams whose count is
+    around one chunk, what the caller may draw ahead, or the whole pool."""
+    pool, chunk = draw(st.sampled_from([(_POOL, _C), (2, 3), (3, 1),
+                                        (3, 4), (5, 2), (5, 7)]))
+    ahead = (pool - 2) * chunk
+    counts = {1, max(chunk - 1, 1), chunk, chunk + 1, max(ahead, 1),
+              ahead + 1, pool * chunk + 1}
+    seeds, count = draw(noise_streams(counts=sorted(counts)))
+    return pool, chunk, seeds, count
+
+
 @settings(max_examples=100, deadline=None)
-@given(streams=noise_streams(), gap=st.sampled_from([0.0, 2e-5, 2e-4]),
+@given(streams=pooled_streams(), gap=st.sampled_from([0.0, 2e-5, 2e-4]),
        pause=st.sampled_from([0.0, 2e-4]), data=st.data())
 def test_noise_producer_streams_are_the_serial_draws(streams, gap, pause,
                                                      data):
-    # a caller that takes draws back to back (gap 0) empties the ring and
-    # draws ahead, a slow one finds it full, and one in between runs out
-    # of ring draws while the thread is already on a later stream. One
-    # producer is read to the end, another is closed after fewer draws,
-    # head draws still outstanding included
+    # a caller that takes draws back to back (gap 0) finds no chunk ready
+    # and draws ahead, a slow one finds the pool full, and one in between
+    # runs out of queued draws while the thread is already on a later
+    # stream. One producer is read to the end, another is closed after
+    # fewer draws, draws ahead still outstanding included
+    pool, chunk, *streams = streams
     want = _serial(*streams)
     stop = data.draw(st.integers(0, len(want) - 1), label="takes to close")
     before = threading.active_count()
@@ -776,7 +838,7 @@ def test_noise_producer_streams_are_the_serial_draws(streams, gap, pause,
             noise.close()
         return got, None
 
-    mp = _paced(pause)
+    mp = _paced(pause, pool=pool, chunk=chunk)
     try:
         got, past_end = within(lambda: run(len(want)))
         early, _ = within(lambda: run(stop))
@@ -792,8 +854,8 @@ def test_noise_producer_streams_are_the_serial_draws(streams, gap, pause,
 def test_noise_producer_hands_out_the_callers_draws_ahead():
     # while the thread sleeps on each fill, the caller draws a stream
     # ahead; the thread then continues that stream's Generator. The first
-    # run is closed after two draws, with head draws not yet taken
-    seeds, count = [11, 12, 13], 2 * NoiseProducer.CHUNK + 3
+    # run is closed after two draws, with draws ahead not yet taken
+    seeds, count = [11, 12, 13], 2 * _C + 3
     want = _serial(seeds, count)
     mp = _paced(0.02)
     try:
@@ -820,9 +882,56 @@ def test_noise_producer_hands_out_the_callers_draws_ahead():
     assert all(same_bits(g, w) for g, w in zip(got, want))
 
 
-# the thread draws part of any stream longer than the head
+def test_noise_producer_refills_chunks_while_the_caller_uses_draws_ahead():
+    # the thread is slow on stream 0, so the caller draws stream 1 ahead
+    # as far as it may; on stream 1 the thread is fast and the caller
+    # slow. Each chunk the caller frees while it takes its draws ahead
+    # must be filled again at once, not once those draws are used up
+    log = []
+
+    class Logged(PacedGenerator):
+        def standard_normal(self, size=None, out=None):
+            noise_thread = threading.current_thread().name == _NOISE_THREAD
+            if noise_thread and self.seed == 0:
+                time.sleep(0.02)
+            draws = self.rng.standard_normal(size, out=out)
+            log.append(("thread" if noise_thread else "caller", self.seed))
+            return draws
+
+    count = (_POOL + 2) * _C + 4
+    mp = pytest.MonkeyPatch()
+    mp.setattr(np.random, "default_rng", Logged)
+
+    def run():
+        got = []
+        noise = _producer([0, 1], count)
+        try:
+            for i in range(2 * count):
+                got.append(noise.take().copy())
+                log.append(("take", i))
+                if i >= count:
+                    time.sleep(0.01)
+        finally:
+            noise.close()
+        return got
+
+    try:
+        got = within(run)
+    finally:
+        mp.undo()
+    assert all(same_bits(g, w) for g, w in zip(got, _serial([0, 1], count)))
+    ahead = log.count(("caller", 1))
+    assert ahead >= 2 * _C
+    # the thread fills a chunk between the caller's second and last take
+    # of the draws it drew ahead
+    second = log.index(("take", count + 1))
+    last = log.index(("take", count + ahead - 1))
+    assert ("thread", 1) in log[second:last]
+
+
+# the thread draws part of any stream longer than the caller may draw ahead
 @settings(max_examples=40, deadline=None)
-@given(streams=noise_streams(counts=(_C + 1, 2 * _C + 3)),
+@given(streams=noise_streams(counts=(_AHEAD + 1, _AHEAD + _C + 3)),
        pause=st.sampled_from([0.0, 2e-4]), data=st.data())
 def test_noise_producer_raises_the_threads_error(streams, pause, data):
     seeds, count = streams
@@ -858,7 +967,7 @@ def test_noise_producer_raises_the_threads_error(streams, pause, data):
 
 @pytest.mark.parametrize("pause", [0.0, 0.02])
 def test_noise_producer_seeds_only_the_streams_it_starts(pause):
-    # a paused thread lets the caller's head start streams too
+    # a paused thread lets the caller's draws ahead start streams too
     calls = []
 
     def seed_of(k):
@@ -871,16 +980,18 @@ def test_noise_producer_seeds_only_the_streams_it_starts(pause):
         def run():
             noise = NoiseProducer(seed_of, 10**6, count, NOISE_SHAPE)
             try:
-                got = [noise.take().copy() for _ in range(2 * count + 1)]
+                return [noise.take().copy() for _ in range(2 * count + 1)]
             finally:
                 noise.close()
-            return got, max(noise._claimed, noise._head_stream + 1)
 
-        got, started = within(run)
+        got = within(run)
     finally:
         mp.undo()
-    assert calls == list(range(started))
-    assert started < 20
+    # each stream's seed is derived once, in stream order, for the one
+    # Generator that draws it
+    assert calls == list(range(len(calls)))
+    assert PacedGenerator.made == calls
+    assert len(calls) < 20
     assert all(same_bits(g, w)
                for g, w in zip(got, _serial(range(3), count)))
 
@@ -894,8 +1005,8 @@ def test_noise_producer_holds_no_per_stream_memory():
     finally:
         tracemalloc.stop()
     noise.close()
-    # the ring's two chunks and the head: 24 draws of 98 kB
-    buffers = 3 * NoiseProducer.CHUNK * np.empty(shape).nbytes
+    # the pool's four chunks of six draws of 98 kB
+    buffers = _POOL * _C * np.empty(shape).nbytes
     assert buffers <= peak < buffers + 2**16
 
 
