@@ -458,6 +458,11 @@ def run_selftest() -> int:
             px = op.range_project(x)
             worst = max(worst, float(np.abs(
                 op.range_project(px) - px).max()))
+            # the projection is consistent with y and idempotent
+            y = op.forward(rng.standard_normal(op.input_shape))
+            px = op.project(y, x)
+            worst = max(worst, float(np.abs(op.forward(px) - y).max()),
+                        float(np.abs(op.project(y, px) - px).max()))
     check(f"operator identities (max err {worst:.2e})", worst <= 1e-10)
 
     sched = build_schedule(100)

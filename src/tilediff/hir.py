@@ -4,9 +4,8 @@ frequencies. The pin is an ordinary task, `SuperResolutionTask(coarse, f)`,
 with A_sr the f x f average-pooling downsampler: on each phase-2 tile
 problem (A_sr, ref) every x0|t becomes x0t + pinv(A_sr)(ref - A_sr x0t),
 the range-null-space projection pinv(A_sr) ref + (I - pinv(A_sr) A_sr) x0t
-grouped as DDNM+'s noisy-path correction at lambda = 1
-(`sampler.residual_project`). The pin's block makes plan2's block a
-multiple of f.
+that `A_sr.project(ref, x0t)` takes, as every per-step constraint does.
+The pin's block makes plan2's block a multiple of f.
 
 The coarse canvas (1/f^2 of the full size) is held whole, since every
 phase-2 tile reads its part of it. Phase 2 streams like any tiling pass:

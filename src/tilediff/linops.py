@@ -7,6 +7,8 @@ so the noisy-path coefficients are one scalar per step and no SVD is ever
 materialized.
 The operators are immutable. forward, pinv and range_project are pure;
 add_pinv and project write into `out` when it is given, and only there.
+project(y, x, lam) is the one projection every per-step constraint makes,
+x + lam pinv(y - A x); Mask and Identity write y itself at lam = 1.
 """
 
 from __future__ import annotations
@@ -51,15 +53,17 @@ class LinearOperator:
         """x + pinv(r), written into out when given (out may be x)."""
         return np.add(x, self.pinv(r), out=out)
 
-    def project(self, y: np.ndarray, x0t: np.ndarray,
+    def project(self, y: np.ndarray, x: np.ndarray, lam: float = 1.0,
                 out: np.ndarray | None = None) -> np.ndarray:
-        """pinv(A) y + (I - pinv(A) A) x0t, the measurement-consistent
-        point nearest x0t; written into out when given (out may be x0t)."""
-        # grouped so that where the projector keeps a pixel whole
-        # (Identity) the result is y exactly; A x0t is taken before out
-        # may overwrite x0t
-        diff = np.subtract(x0t, self.range_project(x0t), out=out)
-        return np.add(self.pinv(y), diff, out=diff)
+        """x + lam pinv(y - A x), written into out when given (out may be
+        x). At lam = 1 it is the range-null-space projection pinv(A) y +
+        (I - pinv(A) A) x, the measurement-consistent point nearest x,
+        grouped as a correction of x: A applied to it gives y up to
+        rounding. Every per-step constraint is this call."""
+        residual = y - self.forward(x)
+        if lam != 1.0:
+            residual *= lam
+        return self.add_pinv(x, residual, out=out)
 
 
 @functools.cache
@@ -143,15 +147,16 @@ class Mask(LinearOperator):
         out[self.known] = y
         return out
 
-    def project(self, y, x0t, out=None):
-        # One scatter of y over x0t, in place when out is x0t. The grouped
-        # base form can differ only in the sign of a zero: it turns a -0.0
-        # in y, or in x0t at an unknown pixel, into +0.0. It also makes a
-        # non-finite x0t at a known pixel NaN, where this writes y.
+    def project(self, y, x, lam=1.0, out=None):
+        if lam != 1.0:
+            return super().project(y, x, lam, out)
+        # One scatter of y over x, in place when out is x: y exactly on
+        # every known pixel, also where x is not finite, and the bits of x
+        # elsewhere, the sign of a zero included.
         if out is None:
-            out = x0t.copy()
-        elif out is not x0t:
-            out[...] = x0t
+            out = x.copy()
+        elif out is not x:
+            out[...] = x
         if y.size:
             # skipped when nothing is measured (generation): an empty
             # scatter still walks the whole mask
@@ -190,6 +195,15 @@ class Identity(LinearOperator):
 
     def pinv(self, y):
         return y
+
+    def project(self, y, x, lam=1.0, out=None):
+        if lam != 1.0:
+            return super().project(y, x, lam, out)
+        # every pixel is measured: the projection is y, whatever x holds
+        if out is None:
+            return y.copy()
+        out[...] = y
+        return out
 
 
 def load_mask(path) -> imagecore.CodeReader:

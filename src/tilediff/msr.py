@@ -26,7 +26,7 @@ import numpy as np
 
 from .imagecore import Window
 from .sampler import (ConstraintHooks, NoiseProducer, SamplerConfig,
-                      noise_draws, residual_project, run_sampler)
+                      noise_draws, run_sampler)
 from .tasks import Task
 
 
@@ -129,8 +129,8 @@ def assemble(shape) -> tuple[np.ndarray, object]:
 
 
 def _overlap_hook(fixed: np.ndarray, rows: int, cols: int):
-    """x0 -> x0 with the restored corner of `fixed`, its first `rows` rows
-    and its first `cols` columns, written over it in place.
+    """A hook that writes the restored corner of `fixed`, its first `rows`
+    rows and its first `cols` columns, over the x0 it is given.
 
     The corner is the tile's whole intersection with the earlier windows
     (see the module docstring), so this is bitwise np.where(known[..., None],
@@ -144,7 +144,6 @@ def _overlap_hook(fixed: np.ndarray, rows: int, cols: int):
     def hook(x0, t):
         x0[:rows] = top
         x0[rows:, :cols] = side
-        return x0
 
     return hook
 
@@ -157,9 +156,9 @@ def msr_restore(task: Task, plan: TilePlan, denoiser, cfg: SamplerConfig,
     use_mask_hook=False gives the naive independent-patch baseline (tiles
     still get distinct seeds, overlap is last-write-wins).
     With a pin task, each tile's x0|t is first projected onto the pin's
-    tile problem (A_pin, y_pin): x0t + pinv(A_pin)(y_pin - A_pin x0t),
-    written over x0t (hierarchical restoration pins to the coarse result
-    through SuperResolutionTask(coarse, f)).
+    tile problem (A_pin, y_pin) by A_pin.project, written over x0t
+    (hierarchical restoration pins to the coarse result through
+    SuperResolutionTask(coarse, f)).
 
     sink(top, rows) gets the finished canvas rows [top, top + len(rows)),
     one band per tile row, in order: the bands cover the canvas once, and
@@ -194,7 +193,7 @@ def msr_restore(task: Task, plan: TilePlan, denoiser, cfg: SamplerConfig,
                 if pin is not None:
                     pin_op, pin_y = pin.tile_problem(win)
                     pre = [lambda x0, t, pin_op=pin_op, pin_y=pin_y:
-                           residual_project(pin_op, pin_y, x0, out=x0)]
+                           pin_op.project(pin_y, x0, out=x0)]
                 strip[:, xs] = run_sampler(
                     op, y, denoiser, cfg,
                     hooks=ConstraintHooks(pre=pre, post=post), noise=noise)

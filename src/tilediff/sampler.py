@@ -57,17 +57,16 @@ class SamplerConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-Hook = Callable[[np.ndarray, int], np.ndarray]
+Hook = Callable[[np.ndarray, int], object]
 
 
 @dataclasses.dataclass(frozen=True)
 class ConstraintHooks:
     """x0|t edits applied in order: pre hooks, projection, post hooks.
 
-    A hook h(x0, t) returns the edited x0. It may write into the x0 it is
-    given and return it, or return a new array and leave x0 as it is. The
-    x0 a hook gets is the sampler's buffer or the previous hook's result,
-    and is overwritten at the next step; a hook keeps no reference to it.
+    A hook h(x0, t) edits x0, the sampler's x0 buffer, in place; what it
+    returns is ignored. The buffer is overwritten at the next step, so a
+    hook keeps no reference to it.
     """
 
     pre: Sequence[Hook] = ()
@@ -122,42 +121,26 @@ def compute_lambda_gamma(s: float, t: int, sched: Schedule, eta: float,
     return lam, gam
 
 
-def residual_project(op: LinearOperator, y: np.ndarray, x0t: np.ndarray,
-                     lam: float = 1.0, out: np.ndarray | None = None
-                     ) -> np.ndarray:
-    """x0t + lam pinv(y - A x0t), written into out when given (out may be
-    x0t). At lam = 1 it is the range-null-space projection onto y, grouped
-    as a correction of x0t: A applied to the result gives y up to rounding.
-    """
-    residual = y - op.forward(x0t)
-    if lam != 1.0:
-        residual *= lam
-    return op.add_pinv(x0t, residual, out=out)
-
-
 def ddnm_plus_project(op: LinearOperator, y: np.ndarray, x0t: np.ndarray,
                       t: int, sched: Schedule, cfg: SamplerConfig,
                       out: np.ndarray | None = None
                       ) -> tuple[np.ndarray, float]:
     """Range-null-space projection of x0t onto the measurement y.
 
-    With sigma_y = 0 this is op.project, pinv(A) y + (I - pinv(A) A) x0t,
-    and gamma = eta; an operator that measures nothing (generation)
-    leaves x0t as it is. Otherwise it is residual_project at lambda,
-    x0t + lambda pinv(y - A x0t): every measured mode shares the singular
-    value op.sing_value, so one (lambda, gamma) pair is exact, and gamma
-    is the fresh-noise scale of the measured modes for sample_prev (null
-    modes take eta). The projection is written into out when given (out
-    may be x0t).
+    It is op.project at lambda, x0t + lambda pinv(y - A x0t): every
+    measured mode shares the singular value op.sing_value, so one
+    (lambda, gamma) pair is exact, and gamma is the fresh-noise scale of
+    the measured modes for sample_prev (null modes take eta). With
+    sigma_y = 0, lambda = 1 and gamma = eta: the clean projection
+    pinv(A) y + (I - pinv(A) A) x0t, and an operator that measures
+    nothing (generation) leaves x0t as it is. The projection is written
+    into out when given (out may be x0t).
     """
     if y.shape != tuple(op.output_shape):
         raise ValueError(f"measurement shape {y.shape} != {op.output_shape}")
-    if cfg.sigma_y == 0.0:
-        # lambda = 1 on every mode: the clean projection
-        return op.project(y, x0t, out=out), cfg.eta
     lam, gam = compute_lambda_gamma(op.sing_value, t, sched, cfg.eta,
                                     cfg.sigma_y)
-    return residual_project(op, y, x0t, lam, out=out), gam
+    return op.project(y, x0t, lam, out=out), gam
 
 
 def sample_prev(x0hat: np.ndarray, eps_t: np.ndarray, t: int,
@@ -396,13 +379,12 @@ def run_sampler(op: LinearOperator, y: np.ndarray, denoiser,
     denoiser and the hooks run on the calling thread.
 
     Buffers: the call allocates the state x, an x0 buffer and a boolean
-    finiteness mask once, and every step writes into them. estimate_x0
-    and the projection write x0|t and x0hat into the x0 buffer, and
-    sample_prev and renoise_jump write the next state into x. The
+    finiteness mask once, and every step writes into them. estimate_x0,
+    the hooks and the projection edit x0|t into x0hat in the x0 buffer,
+    and sample_prev and renoise_jump write the next state into x. The
     denoiser's prediction is a new array each step, which the step then
-    owns: sample_prev overwrites it. The sampler writes into no other
-    array, so a hook's new array is read, never written. The returned x_0
-    is the state buffer, which the caller then owns.
+    owns: sample_prev overwrites it. The returned x_0 is the state
+    buffer, which the caller then owns.
     """
     hooks = hooks or ConstraintHooks()
     sched = build_schedule(cfg.T)
@@ -428,18 +410,18 @@ def run_sampler(op: LinearOperator, y: np.ndarray, denoiser,
             for rep in range(r):
                 for t in range(t_hi, t_lo - 1, -1):
                     eps_t = denoiser.predict_eps(x, t, sched)
-                    x0t = estimate_x0(x, eps_t, t, sched, out=x0)
+                    estimate_x0(x, eps_t, t, sched, out=x0)
                     for h in hooks.pre:
-                        x0t = h(x0t, t)
-                    x0hat, gamma = ddnm_plus_project(op, y, x0t, t, sched,
-                                                     cfg, out=x0)
+                        h(x0, t)
+                    _, gamma = ddnm_plus_project(op, y, x0, t, sched, cfg,
+                                                 out=x0)
                     for h in hooks.post:
-                        x0hat = h(x0hat, t)
+                        h(x0, t)
                     if t == 1 and rep == r - 1:
                         # the last step: a_0 = 1 and sigma_0 = 0
-                        np.copyto(x, x0hat)
+                        np.copyto(x, x0)
                     else:
-                        x = sample_prev(x0hat, eps_t, t, sched, cfg,
+                        x = sample_prev(x0, eps_t, t, sched, cfg,
                                         noise.take(), op=op, gamma=gamma,
                                         out=x)
                     # spent as sample_prev's scratch; not kept alive while

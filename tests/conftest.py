@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from tilediff import cli, imagecore, msr
+from tilediff import cli, imagecore, linops
 
 
 def smooth_means(k, height, width, channels=3, seed=0, amplitude=0.6,
@@ -60,25 +60,26 @@ def constant_means(levels, height, width, channels=3):
 @contextlib.contextmanager
 def lowfreq_residuals():
     """A list that gets max |A_sr out - ref| after every step's HiR
-    low-frequency pin, msr's residual projection onto the pin's tile
-    problem (sr, ref), made inside the block.
+    low-frequency pin, the projection onto the pin's tile problem
+    (sr, ref), made inside the block. It records every AvgPool.project
+    call, so the block runs no super-resolution task of its own.
 
     Patched with try/finally rather than the monkeypatch fixture, because
     test_acceptance.py also runs as a plain script.
     """
     trace = []
-    real = msr.residual_project
+    real = linops.AvgPool.project
 
     def recording(sr, ref, x0t, *args, **kwargs):
         out = real(sr, ref, x0t, *args, **kwargs)
         trace.append(float(np.abs(sr.forward(out) - ref).max()))
         return out
 
-    msr.residual_project = recording
+    linops.AvgPool.project = recording
     try:
         yield trace
     finally:
-        msr.residual_project = real
+        linops.AvgPool.project = real
 
 
 @contextlib.contextmanager

@@ -88,9 +88,13 @@ def add_pinv(op, x, r):
 
 
 def clean_project(op, y, x0t):
-    """pinv(A) y + (I - pinv(A) A) x0t, grouped so that a mask projector
-    is exact on known pixels."""
-    return op.pinv(y) + (x0t - op.range_project(x0t))
+    """pinv(A) y + (I - pinv(A) A) x0t as op.project groups it at
+    lambda = 1: for Mask and Identity as pinv(A) y + (x0t - pinv(A) A x0t),
+    exact on measured pixels; for AvgPool and Gray as the correction
+    x0t + pinv(y - A x0t), with the replicated correction built."""
+    if isinstance(op, (linops.Mask, linops.Identity)):
+        return op.pinv(y) + (x0t - op.range_project(x0t))
+    return add_pinv(op, x0t, y - op.forward(x0t))
 
 
 def sample_prev_mix(x0hat, eps_t, t, sched, cfg, noise, op, gamma):
@@ -110,9 +114,12 @@ def sample_prev_mix(x0hat, eps_t, t, sched, cfg, noise, op, gamma):
 
 
 def lowfreq_hook(sr, ref):
-    """x0t -> x0t + pinv(A_sr)(ref - A_sr x0t), with the replicated
-    correction built."""
-    return lambda x0t, t: x0t + sr.pinv(ref - sr.forward(x0t))
+    """A hook that writes x0t + pinv(A_sr)(ref - A_sr x0t) over x0t, with
+    the replicated correction built."""
+    def hook(x0t, t):
+        x0t[...] = x0t + sr.pinv(ref - sr.forward(x0t))
+
+    return hook
 
 
 class ZeroDenoiser(Denoiser):
@@ -129,8 +136,8 @@ class ZeroDenoiser(Denoiser):
 def replay_sampler(op, y, denoiser, cfg, hooks=ConstraintHooks()):
     """run_sampler as one serial loop whose step functions return new
     arrays (no out=), taking every draw (x_T, one per step but the last,
-    one per re-noising jump) from default_rng(cfg.seed) in order. The last
-    step's x_0 is its x0hat."""
+    one per re-noising jump) from default_rng(cfg.seed) in order. The hooks
+    edit each step's new x0 in place. The last step's x_0 is its x0hat."""
     sched = build_schedule(cfg.T)
     rng = np.random.default_rng(cfg.seed)
     x = rng.standard_normal(op.input_shape)
@@ -140,10 +147,10 @@ def replay_sampler(op, y, denoiser, cfg, hooks=ConstraintHooks()):
                 eps_t = denoiser.predict_eps(x, t, sched)
                 x0t = estimate_x0(x, eps_t, t, sched)
                 for h in hooks.pre:
-                    x0t = h(x0t, t)
+                    h(x0t, t)
                 x0hat, gamma = ddnm_plus_project(op, y, x0t, t, sched, cfg)
                 for h in hooks.post:
-                    x0hat = h(x0hat, t)
+                    h(x0hat, t)
                 if t == 1 and rep == cfg.travel_r - 1:
                     x = x0hat.copy()
                 else:
@@ -172,7 +179,7 @@ def replay_msr(task, plan, den, cfg, pre_hook_factory=None):
         if frozen.any():
             fixed = image[ys, xs, :].copy()
             post.append(lambda x0, t, k=frozen[:, :, None], f=fixed:
-                        np.where(k, f, x0))
+                        np.copyto(x0, f, where=k))
         pre = [] if pre_hook_factory is None else [pre_hook_factory(win)]
         out = run_sampler(op, y, den,
                           dataclasses.replace(cfg,

@@ -17,8 +17,7 @@ from tilediff.denoise import GmmDenoiser
 from tilediff.imagecore import Window
 from tilediff.msr import _overlap_hook, plan_tiles
 from tilediff.sampler import (SamplerConfig, compute_lambda_gamma,
-                              ddnm_plus_project, residual_project,
-                              sample_prev)
+                              ddnm_plus_project, sample_prev)
 from tilediff.schedule import build_schedule
 from tilediff.tasks import GenerateTask
 
@@ -232,10 +231,13 @@ def test_ddnm_plus_scalar_lambda_matches_pinv_scaled(rng):
             y = rng.standard_normal(op.output_shape)
             x0t = rng.standard_normal(op.input_shape)
             for t in (1, 20, 99):
-                lam_of = lambda s: compute_lambda_gamma(
-                    s, t, sched, cfg.eta, sigma_y)[0]
-                want = x0t + lam_of(op.sing_value) * op.pinv(
-                    y - op.forward(x0t))
+                lam = compute_lambda_gamma(op.sing_value, t, sched, cfg.eta,
+                                           sigma_y)[0]
+                want = x0t + lam * op.pinv(y - op.forward(x0t))
+                if lam == 1.0 and isinstance(op, (linops.Mask,
+                                                  linops.Identity)):
+                    # their projection writes y itself at lambda = 1
+                    want = oracles.clean_project(op, y, x0t)
                 got, gamma = ddnm_plus_project(op, y, x0t, t, sched, cfg)
                 assert np.array_equal(got, want)
                 assert gamma == compute_lambda_gamma(
@@ -328,7 +330,7 @@ def test_sample_prev_matches_the_replicate_then_scale_mix(
        c=st.sampled_from([1, 3]), seed=st.integers(0, 2**32 - 1))
 def test_lowfreq_hook_matches_the_range_projection_form(p, rows, cols, c,
                                                          seed):
-    # HiR's pin, residual_project at lambda = 1, on zero-free inputs
+    # HiR's pin, the AvgPool projection at lambda = 1, on zero-free inputs
     sr = linops.AvgPool((p * rows, p * cols, c), p)
     rng = np.random.default_rng(seed)
 
@@ -337,9 +339,10 @@ def test_lowfreq_hook_matches_the_range_projection_form(p, rows, cols, c,
 
     ref, x0t = nonzero(sr.output_shape), nonzero(sr.input_shape)
     before = x0t.copy()
-    want = oracles.lowfreq_hook(sr, ref)(before, 3)
+    want = before.copy()
+    oracles.lowfreq_hook(sr, ref)(want, 3)
     # written over the x0t it is given
-    got = residual_project(sr, ref, x0t, out=x0t)
+    got = sr.project(ref, x0t, out=x0t)
     assert got is x0t
     assert np.array_equal(got, want)
     # within rounding of a few sums of magnitude-2 values, it is the
@@ -347,7 +350,7 @@ def test_lowfreq_hook_matches_the_range_projection_form(p, rows, cols, c,
     # and the textbook grouping pinv(ref) + x0t - pinv(A x0t)
     tol = 1e-12
     assert np.abs(sr.forward(got) - ref).max() <= tol
-    assert np.abs(residual_project(sr, ref, got) - got).max() <= tol
+    assert np.abs(sr.project(ref, got) - got).max() <= tol
     assert np.abs((got - sr.range_project(got))
                   - (before - sr.range_project(before))).max() <= tol
     assert np.abs(sr.pinv(ref) + before - sr.range_project(before)
@@ -357,7 +360,9 @@ def test_lowfreq_hook_matches_the_range_projection_form(p, rows, cols, c,
 @settings(max_examples=150, deadline=None, database=None)
 @given(op=small_operators(), seed=st.integers(0, 2**32 - 1))
 def test_clean_projection_matches_the_grouped_formula(op, seed):
-    # the forms differ only in the sign of a zero, so the inputs have none
+    # the oracle groups AvgPool and Gray as a correction of x0t, Mask and
+    # Identity as pinv(y) + (x0t - pinv(A x0t)); either differs from the
+    # kernel only in the sign of a zero, so the inputs have none
     rng = np.random.default_rng(seed)
     y = zero_free(rng, op.output_shape)
     x0t = zero_free(rng, op.input_shape)
@@ -383,6 +388,32 @@ def test_mask_projection_keeps_the_sign_of_a_zero():
     old = oracles.clean_project(op, np.array([-0.0]),
                                 np.array([[[5.0], [-0.0]]]))
     assert same_bits(old, np.array([[[0.0], [0.0]]]))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(op=small_operators(), lam=st.sampled_from([0.0, 0.3, 0.999, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_project_is_the_residual_correction_or_writes_y(op, lam, seed):
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal(op.output_shape)
+    x = rng.standard_normal(op.input_shape)
+    # signed zeros, which only the exact writes keep
+    y[rng.random(y.shape) < 0.2] = -0.0
+    x[rng.random(x.shape) < 0.2] = -0.0
+    before = x.copy()
+    r = y - op.forward(before)
+    residual_form = op.add_pinv(before, lam * r)
+    # written over the x it is given
+    assert op.project(y, x, lam, out=x) is x
+    exact = lam == 1.0 and isinstance(op, (linops.Mask, linops.Identity))
+    if not exact:
+        assert same_bits(x, residual_form)
+    elif isinstance(op, linops.Identity):
+        assert same_bits(x, y)
+    else:
+        # y on every known pixel, the bits of x on the others
+        assert same_bits(x[op.known], y)
+        assert same_bits(x[~op.known], before[~op.known])
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -412,7 +443,6 @@ def test_overlap_hook_matches_where_on_random_plans(geometry, seed):
             x0 = rng.standard_normal(fixed.shape)
             want = np.where(frozen[:, :, None], fixed, x0)
             # the hook writes the frozen values into the x0 it is given
-            out = _overlap_hook(fixed, rows, cols)(x0, 7)
-            assert out is x0
-            assert same_bits(out, want)
+            _overlap_hook(fixed, rows, cols)(x0, 7)
+            assert same_bits(x0, want)
         known[ys, xs] = True

@@ -274,7 +274,7 @@ def test_two_tile_sr_seam_is_bitwise_exact(rng):
     t1 = run_sampler(op, y, den,
                      dataclasses.replace(cfg, seed=tile_seed(2, 0, 1)),
                      hooks=ConstraintHooks(post=[
-                         lambda x0, t: np.where(known3, fixed, x0)]))
+                         lambda x0, t: np.copyto(x0, fixed, where=known3)]))
     # overlap columns equal the canvas bitwise (final-step overwrite)
     assert np.array_equal(t1[:, :OVERLAP, :], fixed[:, :OVERLAP, :])
     # and the assembled image from the public API matches this replay
