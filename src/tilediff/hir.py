@@ -1,11 +1,14 @@
 """Hierarchical restoration: a semantic phase at 1/f size, then a texture
-phase at full size whose every step is pinned to the coarse result's low
+phase at full size whose steps are pinned to the coarse result's low
 frequencies. The pin is an ordinary task, `SuperResolutionTask(coarse, f)`,
-with A_sr the f x f average-pooling downsampler: on each phase-2 tile
+with A_sr the f x f average-pooling downsampler: on a phase-2 tile
 problem (A_sr, ref) every x0|t becomes x0t + pinv(A_sr)(ref - A_sr x0t),
 the range-null-space projection pinv(A_sr) ref + (I - pinv(A_sr) A_sr) x0t
 that `A_sr.project(ref, x0t)` takes, as every per-step constraint does.
-The pin's block makes plan2's block a multiple of f.
+A tile is pinned only where some pinned value survives the step: on a
+clean tile whose every pixel is measured by a Mask or frozen by the
+overlap constraint, the same step overwrites all of them, and `msr`
+leaves the pin out. The pin's block makes plan2's block a multiple of f.
 
 The coarse canvas (1/f^2 of the full size) is held whole, since every
 phase-2 tile reads its part of it. Phase 2 streams like any tiling pass:

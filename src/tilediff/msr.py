@@ -148,6 +148,19 @@ def _overlap_hook(fixed: np.ndarray, rows: int, cols: int):
     return hook
 
 
+def _survives(op, y, post, cfg: SamplerConfig) -> bool:
+    """Whether what the pre hooks write survives anywhere in a step: a NaN
+    x0 put through the task's projection and the post hooks still holds a
+    NaN. Mask and Identity write y over any x0 at lambda = 1, every step's
+    lambda when cfg.sigma_y == 0; AvgPool and Gray carry the NaN."""
+    probe = np.full(op.input_shape, np.nan)
+    if cfg.sigma_y == 0:
+        op.project(y, probe, 1.0, out=probe)
+    for h in post:
+        h(probe, cfg.T)
+    return bool(np.isnan(probe).any())
+
+
 def msr_restore(task: Task, plan: TilePlan, denoiser, cfg: SamplerConfig,
                 use_mask_hook: bool = True, pin: Task | None = None,
                 sink=None) -> np.ndarray | None:
@@ -158,7 +171,9 @@ def msr_restore(task: Task, plan: TilePlan, denoiser, cfg: SamplerConfig,
     With a pin task, each tile's x0|t is first projected onto the pin's
     tile problem (A_pin, y_pin) by A_pin.project, written over x0t
     (hierarchical restoration pins to the coarse result through
-    SuperResolutionTask(coarse, f)).
+    SuperResolutionTask(coarse, f)). A tile where the same step overwrites
+    every value the pin writes, by the task's clean projection and the
+    overlap freeze, is not pinned: the output is the same, bit for bit.
 
     sink(top, rows) gets the finished canvas rows [top, top + len(rows)),
     one band per tile row, in order: the bands cover the canvas once, and
@@ -190,7 +205,7 @@ def msr_restore(task: Task, plan: TilePlan, denoiser, cfg: SamplerConfig,
                 post = ([_overlap_hook(strip[:, xs], rows, cols)]
                         if use_mask_hook and (rows or cols) else [])
                 pre = []
-                if pin is not None:
+                if pin is not None and _survives(op, y, post, cfg):
                     pin_op, pin_y = pin.tile_problem(win)
                     pre = [lambda x0, t, pin_op=pin_op, pin_y=pin_y:
                            pin_op.project(pin_y, x0, out=x0)]

@@ -59,10 +59,12 @@ def constant_means(levels, height, width, channels=3):
 
 @contextlib.contextmanager
 def lowfreq_residuals():
-    """A list that gets max |A_sr out - ref| after every step's HiR
+    """A list that gets max |A_sr out - ref| after every HiR
     low-frequency pin, the projection onto the pin's tile problem
-    (sr, ref), made inside the block. It records every AvgPool.project
-    call, so the block runs no super-resolution task of its own.
+    (sr, ref), made inside the block: one per step of each tile that is
+    pinned, which is not every tile (see `msr.msr_restore`). It records
+    every AvgPool.project call, so the block runs no super-resolution
+    task of its own.
 
     Patched with try/finally rather than the monkeypatch fixture, because
     test_acceptance.py also runs as a plain script.

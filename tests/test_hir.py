@@ -213,6 +213,88 @@ def test_hir_tile_seeds_are_distinct_across_phases(rng, monkeypatch):
     assert len(set(seeds)) == len(seeds)
 
 
+def replay_hir(task, f, plan2, den, cfg):
+    """(coarse, image) of hir_restore by oracles.replay_msr: the coarse
+    phase, then phase 2 with oracles.lowfreq_hook on every tile."""
+    height, width, _ = task.shape
+    patch, overlap = plan2.patch, plan2.overlap
+    reduced = task.reduce(f)
+    coarse = oracles.replay_msr(
+        reduced, plan_tiles(height // f, width // f, patch, overlap,
+                            block=reduced.block), den, cfg)
+    sr = AvgPool((patch, patch, 3), f)
+
+    def hook_factory(win):
+        return oracles.lowfreq_hook(sr, coarse[
+            win.top // f:(win.top + patch) // f,
+            win.left // f:(win.left + patch) // f, :])
+
+    return coarse, oracles.replay_msr(task, plan2, den, cfg,
+                                      pre_hook_factory=hook_factory)
+
+
+@pytest.mark.parametrize("sigma_y", [0.0, 0.05])
+def test_hir_pins_only_tiles_where_the_pin_survives_the_step(
+        rng, monkeypatch, sigma_y):
+    # A clean tile's Mask projection writes y on its known pixels and the
+    # freeze writes its corner, so a clean tile whose every other pixel is
+    # known keeps none of the pin's values and is not pinned. A hole on
+    # the 8-px lattice (rows 8-24, columns 16-32) leaves 4 of the 15 tiles
+    # a pixel outside both; at sigma_y > 0, lambda < 1 and every tile is
+    # pinned.
+    height, width, patch, overlap, f = 32, 48, 16, 8, 2
+    known = np.ones((height, width), dtype=bool)
+    known[8:24, 16:32] = False
+    observed = rng.uniform(-1, 1, size=(height, width, 3))
+    task = InpaintTask(observed, known)
+    plan2 = plan_tiles(height, width, patch, overlap, block=f)
+    den = GmmDenoiser(smooth_means(2, patch, patch, seed=5), [0.5, 0.5],
+                      0.05)
+    cfg = SamplerConfig(T=4, travel_l=2, travel_r=2, seed=7, sigma_y=sigma_y)
+
+    # the tiles with an unknown pixel no earlier window covers
+    covered = np.zeros((height, width), dtype=bool)
+    surviving = []
+    for win in plan2.windows:
+        ys, xs = win.slices()
+        surviving.append(bool((~known[ys, xs] & ~covered[ys, xs]).any()))
+        covered[ys, xs] = True
+    assert sum(surviving) == 4
+    pinned = surviving if sigma_y == 0 else [True] * len(surviving)
+
+    runs = []
+    real = msr.run_sampler
+
+    def recording(op, y, denoiser, cfg, hooks=None, noise=None):
+        out = real(op, y, denoiser, cfg, hooks=hooks, noise=noise)
+        runs.append((bool(hooks.pre), out.copy()))
+        return out
+
+    monkeypatch.setattr(msr, "run_sampler", recording)
+    with lowfreq_residuals() as trace:
+        result = hir_restore(task, f, plan2, den, cfg)
+    phase2 = runs[-len(plan2.windows):]
+    assert [pre for pre, _ in phase2] == pinned
+    assert len(trace) == sum(pinned) * cfg.travel_r * cfg.T
+    coarse, image = replay_hir(task, f, plan2, den, cfg)
+    assert np.array_equal(result.coarse, coarse)
+    assert np.array_equal(result.image, image)
+
+    # a tile left unpinned is y on its known pixels and the earlier tiles'
+    # values on its corner
+    canvas = np.zeros(task.shape)
+    covered[...] = False
+    for win, pin, (_, out) in zip(plan2.windows, pinned, phase2):
+        ys, xs = win.slices()
+        if not pin:
+            assert np.array_equal(out[known[ys, xs]],
+                                  observed[ys, xs][known[ys, xs]])
+            assert np.array_equal(out[covered[ys, xs]],
+                                  canvas[ys, xs][covered[ys, xs]])
+        canvas[ys, xs] = out
+        covered[ys, xs] = True
+
+
 @st.composite
 def hir_cases(draw):
     """(kind, factor, sr scale, height, width, patch, overlap): a 4-16 px
@@ -257,20 +339,7 @@ def test_hir_equals_a_two_phase_replay_bitwise(case, seed):
                       [0.5, 0.5], 0.05)
     cfg = SamplerConfig(T=4, seed=seed)
     result = hir_restore(task, f, plan2, den, cfg)
-
-    reduced = task.reduce(f)
-    coarse = oracles.replay_msr(
-        reduced, plan_tiles(height // f, width // f, patch, overlap,
-                            block=reduced.block), den, cfg)
-    sr = AvgPool((patch, patch, 3), f)
-
-    def hook_factory(win):
-        return oracles.lowfreq_hook(sr, coarse[
-            win.top // f:(win.top + patch) // f,
-            win.left // f:(win.left + patch) // f, :])
-
-    image = oracles.replay_msr(task, plan2, den, cfg,
-                               pre_hook_factory=hook_factory)
+    coarse, image = replay_hir(task, f, plan2, den, cfg)
     assert np.array_equal(result.coarse, coarse)
     assert np.array_equal(result.image, image)
     assert result.lowfreq_residual <= 1e-10
