@@ -1,7 +1,7 @@
 """Unlimited-size image restoration and generation with tiled,
 null-space-projected diffusion sampling and analytic denoisers."""
 
-from .imagecore import Image, Window, load_image, save_image
+from .imagecore import Image, Window, load_image
 from .linops import (AvgPool, Gray, Identity, LinearOperator, Mask,
                      load_mask)
 from .schedule import Schedule, build_schedule, renoise_jump

@@ -9,10 +9,10 @@ Every run writes the output image and a metrics.txt with the consistency
 error, per-seam statistics, wall clock, and step count.
 
 A job's finish streams: `run_job` hands the tiling pass a sink that takes
-each finished row band, checks it is finite, adds it to the consistency
-and seam statistics, then quantizes it and appends its codes to the output
-file. The file is written under a part name and renamed into place only
-when the job succeeds. Canvas-size inputs stay 8-bit codes on disk
+each finished row band, has the output's writer check it finite, quantize
+it and append its codes to the file, then adds it to the consistency and
+seam statistics. The file is written under a part name and renamed into
+place only when the job succeeds. Canvas-size inputs stay 8-bit codes on disk
 (`imagecore.read_codes`), read one window at a time.
 """
 
@@ -344,8 +344,8 @@ class SeamMeter:
 
 
 class _Finish:
-    """run_job's sink: each finished row band is checked finite, measured
-    (consistency, seams) and written."""
+    """run_job's sink: each finished row band is written (the writer
+    checks it finite) and measured (consistency, seams)."""
 
     def __init__(self, task: tasks.Task, plan: TilePlan, write):
         self.task = task
@@ -354,11 +354,10 @@ class _Finish:
         self.seams = SeamMeter(plan)
 
     def __call__(self, top: int, rows: np.ndarray):
-        if not np.isfinite(rows).all():
-            raise ValueError("image data contains NaN or Inf")
+        codes = self.write(rows)
         self.consistency = max(self.consistency,
                                consistency(self.task, rows, top))
-        self.seams.add(self.write(rows))
+        self.seams.add(codes)
 
 
 def run_job(job: JobSpec) -> int:

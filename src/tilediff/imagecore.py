@@ -3,16 +3,16 @@
 Pixel data is float64 of shape (height, width, channels) with channels 1 or 3.
 Files are binary PGM (P5) for single-channel and PPM (P6) for 3-channel
 images, maxval 255. The 8-bit code k maps to the model value 2k/255 - 1, so
-a save/load cycle is exactly the quantizer and nothing else.
+a write/load cycle is exactly the quantizer and nothing else.
 
 Rows flow through in bands, so that no full-size float array is needed
-for a file. `pnm_writer` writes a file band by band: each band of model
-values is quantized and its codes appended after the header, into a part
-file renamed into place once the last row is written. `read_codes` maps a
-file's payload as uint8 codes (a memmap, one byte per sample and off the
-heap; `load_image` is all of it dequantized), and `CodeReader` converts
-only the window a caller indexes, so a
-canvas-size input is dequantized (or thresholded) one tile at a time. Work
+for a file. `pnm_writer`, the one writer, writes a file band by band:
+each band of model values is checked finite, quantized and its codes
+appended after the header, into a part file renamed into place once the
+last row is written. `read_codes` maps a file's payload as uint8 codes (a
+memmap, one byte per sample and off the heap; `load_image` is all of it
+dequantized), and `CodeReader` converts only the window a caller indexes,
+so a canvas-size input is dequantized (or thresholded) one tile at a time. Work
 over a whole in-memory image goes in row bands of at least BAND_ROWS rows
 (`row_bands`): the quantizer and the finiteness check here, and the block
 means of a task's coarse phase. Every conversion is elementwise, so each
@@ -69,8 +69,8 @@ class Image:
     """Immutable raster; data is read-only float64 (H, W, C), C in {1, 3}.
 
     An (H, W, C) float64 array that owns its data and is already read-only
-    is kept as it is, so a frozen canvas is saved without a copy; any other
-    input is copied and the copy frozen.
+    is kept as it is, so a frozen canvas is wrapped without a copy; any
+    other input is copied and the copy frozen.
     """
 
     data: np.ndarray
@@ -165,11 +165,11 @@ def pnm_writer(path: str | os.PathLike, height: int, width: int,
 
     The block gets write(rows), which quantizes a band of model values,
     appends its codes after the header and returns them. A band must be
-    (n, width, channels) with n at most the rows still owed; any other
-    raises ValueError before a byte of it is written. The bytes go to
-    `path + ".part"`, renamed onto path when the block ends with every row
-    written; otherwise the part file is removed, so path never holds a
-    partial image.
+    (n, width, channels) with n at most the rows still owed, and finite;
+    any other raises ValueError before a byte of it is written. The bytes
+    go to `path + ".part"`, renamed onto path when the block ends with
+    every row written; otherwise the part file is removed, so path never
+    holds a partial image.
     """
     part = os.fspath(path) + ".part"
     left = height
@@ -180,6 +180,8 @@ def pnm_writer(path: str | os.PathLike, height: int, width: int,
             raise ValueError(
                 f"band of shape {rows.shape} does not fit the {left} rows "
                 f"of {width} x {channels} the header still owes")
+        if not np.isfinite(rows).all():
+            raise ValueError("image data contains NaN or Inf")
         codes = _codes(rows)
         f.write(codes.data)
         left -= len(rows)
@@ -197,13 +199,6 @@ def pnm_writer(path: str | os.PathLike, height: int, width: int,
         with contextlib.suppress(FileNotFoundError):
             os.remove(part)
         raise
-
-
-def save_image(path: str | os.PathLike, img: Image) -> None:
-    """Write binary PGM (1 channel) or PPM (3 channels), maxval 255."""
-    with pnm_writer(path, img.height, img.width, img.channels) as write:
-        for ys in row_bands(img.height):
-            write(img.data[ys])
 
 
 def _read_number(f) -> int:
@@ -254,7 +249,7 @@ def _read_header(f) -> tuple[int, int, int]:
 
 
 def read_codes(path: str | os.PathLike) -> np.ndarray:
-    """The payload of a binary PGM/PPM file (as save_image writes) as a
+    """The payload of a binary PGM/PPM file (as pnm_writer writes) as a
     read-only (height, width, channels) uint8 array mapped from the file,
     so that only the pages a caller reads are loaded."""
     with open(path, "rb") as f:
@@ -265,7 +260,7 @@ def read_codes(path: str | os.PathLike) -> np.ndarray:
 
 
 def load_image(path: str | os.PathLike) -> Image:
-    """Read a binary PGM/PPM file written by save_image (or compatible)
+    """Read a binary PGM/PPM file written by pnm_writer (or compatible)
     as a read-only Image of its model values."""
     data = model_values(read_codes(path))
     data.flags.writeable = False

@@ -53,6 +53,13 @@ def seam_metric(img, plan, tops=None):
     return meter.results()
 
 
+def write_image(path, data):
+    """Write an (H, W, C) array of model values as a PGM/PPM file, in one
+    band through pnm_writer, the codec's one writer."""
+    with imagecore.pnm_writer(path, *data.shape) as write:
+        write(data)
+
+
 def constant_means(levels, height, width, channels=3):
     return [np.full((height, width, channels), float(v)) for v in levels]
 

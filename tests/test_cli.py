@@ -20,7 +20,7 @@ from tilediff.msr import msr_restore, plan_tiles
 from tilediff.sampler import SamplerError
 
 import oracles
-from conftest import seam_metric, smooth_means
+from conftest import seam_metric, smooth_means, write_image
 from test_denoise import write_prior
 from test_msr import accepted_geometries
 
@@ -142,8 +142,7 @@ def read_metrics(path):
 
 
 def test_run_sr_job_end_to_end(tmp_path, prior_dir, rng):
-    lr = imagecore.Image(rng.uniform(-1, 1, size=(16, 24, 3)))
-    imagecore.save_image(tmp_path / "lr.ppm", lr)
+    write_image(tmp_path / "lr.ppm", rng.uniform(-1, 1, size=(16, 24, 3)))
     out = tmp_path / "sr.ppm"
     _, job = parse_job([
         "restore", "--task", "sr", "--scale", "4",
@@ -200,10 +199,8 @@ def test_run_inpaint_with_hir(tmp_path, prior_dir, rng):
     means = smooth_means(2, PATCH, PATCH, seed=11)
     truth = np.tile(means[0], (2, 2, 1))[:128, :128, :]
     known = rng.random((128, 128)) < 0.5
-    imagecore.save_image(tmp_path / "obs.ppm", imagecore.Image(truth))
-    imagecore.save_image(
-        tmp_path / "mask.pgm",
-        imagecore.Image(np.where(known, 1.0, -1.0)[:, :, None]))
+    write_image(tmp_path / "obs.ppm", truth)
+    write_image(tmp_path / "mask.pgm", np.where(known, 1.0, -1.0)[:, :, None])
     out = tmp_path / "inpainted.ppm"
     _, job = parse_job([
         "restore", "--task", "inpaint", "--in", str(tmp_path / "obs.ppm"),
@@ -220,10 +217,8 @@ def test_inpaint_job_with_no_known_pixel_has_consistency_zero(tmp_path,
                                                              prior_dir, rng):
     # the measurement is empty, as for generation; its maximum residual
     # is 0.0, not a reduction error after the whole canvas was sampled
-    imagecore.save_image(tmp_path / "obs.ppm", imagecore.Image(
-        rng.uniform(-1, 1, size=(64, 96, 3))))
-    imagecore.save_image(tmp_path / "mask.pgm",
-                         imagecore.Image(np.full((64, 96, 1), -1.0)))
+    write_image(tmp_path / "obs.ppm", rng.uniform(-1, 1, size=(64, 96, 3)))
+    write_image(tmp_path / "mask.pgm", np.full((64, 96, 1), -1.0))
     _, job = parse_job([
         "restore", "--task", "inpaint", "--in", str(tmp_path / "obs.ppm"),
         "--mask", str(tmp_path / "mask.pgm"), "--out", str(tmp_path / "o.ppm"),
@@ -377,10 +372,9 @@ def _generate_argv(h, w):
 
 def _inpaint_argv(tmp_path, rng):
     def argv(h, w):
-        imagecore.save_image(tmp_path / "obs.ppm", imagecore.Image(
-            rng.uniform(-1, 1, size=(h, w, 3))))
-        imagecore.save_image(tmp_path / "mask.pgm", imagecore.Image(
-            np.where(rng.random((h, w, 1)) < 0.5, 1.0, -1.0)))
+        write_image(tmp_path / "obs.ppm", rng.uniform(-1, 1, size=(h, w, 3)))
+        write_image(tmp_path / "mask.pgm",
+                    np.where(rng.random((h, w, 1)) < 0.5, 1.0, -1.0))
         return ["restore", "--task", "inpaint",
                 "--in", str(tmp_path / "obs.ppm"),
                 "--mask", str(tmp_path / "mask.pgm")]
@@ -431,8 +425,7 @@ def small_prior(tmp_path):
 
 
 def _write_input(path, rng, shape):
-    imagecore.save_image(path, imagecore.Image(rng.uniform(-1, 1,
-                                                           size=shape)))
+    write_image(path, rng.uniform(-1, 1, size=shape))
 
 
 # (subcommand and task flags, height, width, other flags); patch 16 and
@@ -476,8 +469,8 @@ def test_streamed_finish_equals_the_full_canvas_oracles(tmp_path, small_prior,
     elif task_name != "generate":
         _write_input(inp, rng, (height, width, 3))
     if task_name == "inpaint":
-        imagecore.save_image(mask, imagecore.Image(np.where(
-            rng.random((height, width, 1)) < 0.5, 1.0, -1.0)))
+        write_image(mask, np.where(rng.random((height, width, 1)) < 0.5,
+                                   1.0, -1.0))
         argv += ["--mask", str(mask)]
     if task_name != "generate":
         argv += ["--in", str(inp)]
@@ -756,6 +749,29 @@ def test_main_reports_sampler_error(tmp_path, prior_dir, monkeypatch,
         run_job(job)
 
 
+def test_a_nonfinite_band_fails_the_job_without_output(tmp_path, prior_dir,
+                                                     monkeypatch, capsys):
+    # the output's writer checks each band the sink gets: a NaN in the
+    # second band ends the job after the first was written
+    def restore(task, plan, denoiser, cfg, **kwargs):
+        h, w, c = task.shape
+        kwargs["sink"](0, np.zeros((32, w, c)))
+        band = np.zeros((h - 32, w, c))
+        band[3, 5, 1] = np.nan
+        kwargs["sink"](32, band)
+
+    monkeypatch.setattr(cli, "msr_restore", restore)
+    _, job = parse_job(["generate", "--width", "64", "--height", "64",
+                        "--prior", str(prior_dir),
+                        "--out", str(tmp_path / "g.ppm")])
+    assert run_job(job) == 1
+    assert capsys.readouterr().err == "error: image data contains NaN or Inf\n"
+    metrics = read_metrics(tmp_path / "metrics.txt")
+    assert metrics["error"] == "image data contains NaN or Inf"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.txt",
+                                                          "prior"]
+
+
 def test_hir_coarse_canvas_below_patch_is_a_job_error(tmp_path, prior_dir,
                                                      rng, capsys):
     with pytest.raises(JobError, match="hir-factor 2 gives a 32x48 coarse"):
@@ -763,8 +779,7 @@ def test_hir_coarse_canvas_below_patch_is_a_job_error(tmp_path, prior_dir,
                    "--hir-factor", "2", "--prior", str(prior_dir),
                    "--out", str(tmp_path / "g.ppm")])
     # a restore task's size is known once its input is read
-    imagecore.save_image(tmp_path / "lr.ppm", imagecore.Image(
-        rng.uniform(-1, 1, size=(24, 48, 3))))
+    write_image(tmp_path / "lr.ppm", rng.uniform(-1, 1, size=(24, 48, 3)))
     _, job = parse_job([
         "restore", "--task", "sr", "--scale", "4", "--hir-factor", "2",
         "--in", str(tmp_path / "lr.ppm"), "--out", str(tmp_path / "sr.ppm"),

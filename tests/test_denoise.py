@@ -4,11 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from tilediff import imagecore
 from tilediff.denoise import GmmDenoiser, load_gmm_prior
 from tilediff.schedule import build_schedule
 
-from conftest import smooth_means
+from conftest import smooth_means, write_image
 from oracles import (ZeroDenoiser, eps_from_x0, gaussian_posterior_x0,
                      gmm_posterior_x0)
 
@@ -154,7 +153,7 @@ def write_prior(dirpath, means, weights, tau):
     lines = [f"tau {tau}"]
     for i, (m, w) in enumerate(zip(means, weights)):
         name = f"mean_{i}.ppm" if m.shape[2] == 3 else f"mean_{i}.pgm"
-        imagecore.save_image(dirpath / name, imagecore.Image(m))
+        write_image(dirpath / name, m)
         lines.append(f"component {w} {name}")
     (dirpath / "prior.txt").write_text("\n".join(lines) + "\n")
 

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tilediff import imagecore
-from tilediff.imagecore import CodecError, Image, load_image, save_image
+from tilediff.imagecore import CodecError, Image, load_image
 
 import oracles
+from conftest import write_image
 
 
 def test_range_endpoints():
@@ -23,19 +24,22 @@ def test_range_endpoints():
 def test_quantized_roundtrip_is_idempotent(tmp_path):
     img = Image(np.array([[[0.1], [-0.7]], [[0.33], [0.99]]]))
     p1, p2 = tmp_path / "a.pgm", tmp_path / "b.pgm"
-    save_image(p1, img)
+    write_image(p1, img.data)
     once = load_image(p1)
-    save_image(p2, once)
+    write_image(p2, once.data)
     assert p1.read_bytes() == p2.read_bytes()
     assert np.array_equal(imagecore.quantize(once), imagecore.quantize(img))
 
 
 def test_two_cycle_files_byte_identical(tmp_path, rng):
-    # hash-comparison oracle on a random 16x16 RGB image
-    img = Image(rng.uniform(-1, 1, size=(16, 16, 3)))
+    # hash-comparison oracle on a random 16x16 RGB image, written in one
+    # band and then, once loaded, a row at a time
     p1, p2 = tmp_path / "a.ppm", tmp_path / "b.ppm"
-    save_image(p1, img)
-    save_image(p2, load_image(p1))
+    write_image(p1, rng.uniform(-1, 1, size=(16, 16, 3)))
+    once = load_image(p1).data
+    with imagecore.pnm_writer(p2, *once.shape) as write:
+        for row in once:
+            write(row[None])
     h = lambda p: hashlib.sha256(p.read_bytes()).hexdigest()
     assert h(p1) == h(p2)
 
@@ -81,7 +85,7 @@ def test_dequantize_is_the_scale_and_shift_of_the_codes(tmp_path):
 
 def test_code_reader_windows_are_the_whole_images_values(tmp_path, rng):
     p = tmp_path / "a.ppm"
-    save_image(p, Image(rng.uniform(-1, 1, size=(20, 12, 3))))
+    write_image(p, rng.uniform(-1, 1, size=(20, 12, 3)))
     reader = imagecore.CodeReader(imagecore.read_codes(p))
     whole = load_image(p).data
     assert reader.shape == whole.shape
@@ -101,6 +105,26 @@ def test_writer_renames_only_a_complete_file(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_writer_rejects_a_nonfinite_band(tmp_path, value):
+    path = tmp_path / "a.ppm"
+    bad = np.zeros((2, 3, 3))
+    bad[1, 2, 0] = value
+    with pytest.raises(ValueError, match="^image data contains NaN or Inf$"):
+        with imagecore.pnm_writer(path, 3, 3, 3) as write:
+            write(np.zeros((1, 3, 3)))
+            write(bad)
+    assert not path.exists()
+    assert not (tmp_path / "a.ppm.part").exists()
+    # no byte of the rejected band is written: the rows that follow it
+    # still make the whole file
+    with imagecore.pnm_writer(path, 1, 3, 3) as write:
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            write(bad[1:])
+        write(np.ones((1, 3, 3)))
+    assert path.read_bytes() == b"P6\n3 1\n255\n" + bytes([255] * 9)
+
+
 @pytest.mark.parametrize("shape", [(2, 4, 3), (3, 3, 3)])
 def test_writer_rejects_a_band_that_does_not_fit_the_header(tmp_path, shape):
     # a band wider than the header, and one row more than it owes
@@ -115,7 +139,7 @@ def test_load_image_holds_one_float_canvas(tmp_path, rng):
     # the float image and one row band of the finiteness check's booleans;
     # the file's codes are mapped, not read onto the heap
     p = tmp_path / "a.ppm"
-    save_image(p, Image(rng.uniform(-1, 1, size=(256, 256, 3))))
+    write_image(p, rng.uniform(-1, 1, size=(256, 256, 3)))
     load_image(p)
     tracemalloc.start()
     try:
@@ -157,9 +181,8 @@ def test_codec_errors(tmp_path):
 
 
 def test_save_clamps_out_of_range(tmp_path):
-    img = Image(np.array([[[2.0], [-3.0]]]))
     p = tmp_path / "c.pgm"
-    save_image(p, img)
+    write_image(p, np.array([[[2.0], [-3.0]]]))
     back = load_image(p)
     assert back.data[0, 0, 0] == 1.0
     assert back.data[0, 1, 0] == -1.0
@@ -243,7 +266,7 @@ def test_header_numbers_are_ascii_digits(tmp_path, token):
                                         st.sampled_from([1, 3]))))
 def test_codes_round_trip_exactly(tmp_path, codes):
     p = tmp_path / "r.pnm"
-    save_image(p, Image(imagecore.model_values(codes)))
+    write_image(p, imagecore.model_values(codes))
     assert p.read_bytes()[:2] == (b"P5" if codes.shape[2] == 1 else b"P6")
     assert np.array_equal(imagecore.quantize(load_image(p)), codes)
 

@@ -18,9 +18,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tilediff import cli, imagecore
+from tilediff import cli
 
-from conftest import smooth_means
+from conftest import smooth_means, write_image
 from test_denoise import write_prior
 
 MAX_SIDE = 48  # canvas pixels per side, at most
@@ -91,10 +91,9 @@ def _write_files(d: pathlib.Path, pp: int, dims):
     (d / "badprior" / "prior.txt").write_text("tau\ncomponent 1 mean_0.ppm\n")
     h, w = dims
     for name, channels in (("in.ppm", 3), ("gray.pgm", 1)):
-        imagecore.save_image(d / name, imagecore.Image(
-            rng.uniform(-1, 1, size=(h, w, channels))))
-    imagecore.save_image(d / "mask.pgm", imagecore.Image(
-        np.where(rng.random((h, w, 1)) < 0.5, 1.0, -1.0)))
+        write_image(d / name, rng.uniform(-1, 1, size=(h, w, channels)))
+    write_image(d / "mask.pgm",
+                np.where(rng.random((h, w, 1)) < 0.5, 1.0, -1.0))
 
 
 _PATHS = ("mask", "prior", "input", "output")

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tilediff import imagecore, linops
+from tilediff import linops
 
+from conftest import write_image
 from oracles import dense_matrix
 from test_sampler import small_operators
 
@@ -202,9 +203,8 @@ def test_dense_matrix_size_guard():
 
 def test_load_mask_roundtrip(tmp_path, rng):
     known = rng.random((6, 6)) < 0.5
-    img = imagecore.Image(np.where(known, 1.0, -1.0)[:, :, None])
     path = tmp_path / "mask.pgm"
-    imagecore.save_image(path, img)
+    write_image(path, np.where(known, 1.0, -1.0)[:, :, None])
     mask = linops.load_mask(path)
     # a reader: any window indexes to its known booleans, np.asarray
     # gives the whole (H, W) array
@@ -216,8 +216,7 @@ def test_load_mask_roundtrip(tmp_path, rng):
 
 
 def test_load_mask_rejects_gray(tmp_path):
-    img = imagecore.Image(np.full((2, 2, 1), 0.0))
     path = tmp_path / "gray.pgm"
-    imagecore.save_image(path, img)
+    write_image(path, np.full((2, 2, 1), 0.0))
     with pytest.raises(ValueError):
         linops.load_mask(path)
