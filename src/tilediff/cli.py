@@ -169,6 +169,16 @@ def parse_job(argv) -> tuple[str, JobSpec | argparse.Namespace]:
     if args.command in ("plan", "selftest"):
         return args.command, args
     values = _read_config(args.config) if args.config else {}
+    # a file value must be one the command's flag would accept
+    for field in dataclasses.fields(JobSpec):
+        choices = field.metadata.get("choices")
+        if (choices and field.name in values
+                and args.command in field.metadata["commands"]
+                and values[field.name] not in choices):
+            raise JobError(
+                f"{args.config}: {field.name} must be one of "
+                f"{', '.join(choices)} for {args.command}, got "
+                f"{values[field.name]!r}")
     for key in _TYPES:
         flag = getattr(args, key, None)
         if flag is not None:

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .linops import LinearOperator
-from .schedule import Schedule, build_schedule, renoise_jump, travel_blocks
+from .schedule import Schedule, build_schedule, renoise_jump, travel_steps
 
 
 class SamplerError(RuntimeError):
@@ -33,7 +33,7 @@ class SamplerError(RuntimeError):
 @dataclasses.dataclass(frozen=True)
 class SamplerConfig:
     """Sampler settings. Time travel cuts t = T..1 into blocks of length
-    travel_l and traverses each block travel_r times."""
+    travel_l and walks each travel_r times (schedule.travel_steps)."""
 
     T: int = 100
     eta: float = 0.85
@@ -185,11 +185,11 @@ def sample_prev(x0hat: np.ndarray, eps_t: np.ndarray, t: int,
 
 
 def noise_draws(cfg: SamplerConfig) -> int:
-    """Standard-normal draws one run_sampler call takes: x_T, one per step
-    but the last, one per re-noising jump. The last step's draw would be
-    scaled by sigma_0 = 0, so it is not drawn."""
-    r = cfg.travel_r
-    return r * cfg.T + (r - 1) * len(travel_blocks(cfg.T, cfg.travel_l))
+    """Draws one run_sampler call takes, one per step and per jump of its
+    walk: x_T, one per step but the last (scaled by sigma_0 = 0, so not
+    drawn) and one per jump."""
+    return sum(1 + (jump > 0) for _, jump in
+               travel_steps(cfg.T, cfg.travel_l, cfg.travel_r))
 
 
 class NoiseProducer:
@@ -368,15 +368,15 @@ def run_sampler(op: LinearOperator, y: np.ndarray, denoiser,
 
     Per step: predict eps, estimate x0|t, apply pre hooks, project onto
     the measurement subspace (relaxed by lambda when cfg.sigma_y > 0),
-    apply post hooks, sample x_{t-1}. Time-travel blocks re-noise the
-    block start and re-traverse it cfg.travel_r times. The last step
-    returns x0hat as x_0, which sample_prev would give up to the sign of
-    a zero (a_0 = 1, sigma_0 = 0), and takes no draw. The run takes the
-    next stream of `noise`, whose streams must hold noise_draws(cfg)
-    draws; without it, a producer of the single stream default_rng(cfg.seed)
-    is made and closed here. Either way the draws come in the order a
-    serial loop over the stream's Generator would make them, and the
-    denoiser and the hooks run on the calling thread.
+    apply post hooks, sample x_{t-1} and re-noise it by the step's jump,
+    along the walk of schedule.travel_steps. The last step (t = 1, no
+    jump) returns x0hat as x_0, which sample_prev would give up to the
+    sign of a zero (a_0 = 1, sigma_0 = 0), and takes no draw. The run
+    takes the next stream of `noise`, whose streams must hold
+    noise_draws(cfg) draws; without it, a producer of the single stream
+    default_rng(cfg.seed) is made and closed here. Either way the draws
+    come in the order a serial loop over the stream's Generator would make
+    them, and the denoiser and the hooks run on the calling thread.
 
     Buffers: the call allocates the state x, an x0 buffer and a boolean
     finiteness mask once, and every step writes into them. estimate_x0,
@@ -400,40 +400,32 @@ def run_sampler(op: LinearOperator, y: np.ndarray, denoiser,
         raise ValueError(
             f"noise streams of {noise.count} draws of shape {noise.shape} "
             f"!= the run's {draws} of {tuple(op.input_shape)}")
-    r = cfg.travel_r
     x0 = np.empty(op.input_shape)
     finite = np.empty(op.input_shape, dtype=bool)
     try:
         # a draw is used before the next take(), which may recycle it
         x = noise.take().copy()
-        for t_hi, t_lo in travel_blocks(cfg.T, cfg.travel_l):
-            for rep in range(r):
-                for t in range(t_hi, t_lo - 1, -1):
-                    eps_t = denoiser.predict_eps(x, t, sched)
-                    estimate_x0(x, eps_t, t, sched, out=x0)
-                    for h in hooks.pre:
-                        h(x0, t)
-                    _, gamma = ddnm_plus_project(op, y, x0, t, sched, cfg,
-                                                 out=x0)
-                    for h in hooks.post:
-                        h(x0, t)
-                    if t == 1 and rep == r - 1:
-                        # the last step: a_0 = 1 and sigma_0 = 0
-                        np.copyto(x, x0)
-                    else:
-                        x = sample_prev(x0, eps_t, t, sched, cfg,
-                                        noise.take(), op=op, gamma=gamma,
-                                        out=x)
-                    # spent as sample_prev's scratch; not kept alive while
-                    # predict_eps makes the next step's prediction
-                    del eps_t
-                    if not np.isfinite(x, out=finite).all():
-                        raise SamplerError(
-                            f"non-finite state at step t={t}")
-                if rep < r - 1:
-                    jump = t_hi - (t_lo - 1)
-                    x = renoise_jump(x, t_lo - 1, jump, noise.take(), sched,
-                                     out=x)
+        for t, jump in travel_steps(cfg.T, cfg.travel_l, cfg.travel_r):
+            eps_t = denoiser.predict_eps(x, t, sched)
+            estimate_x0(x, eps_t, t, sched, out=x0)
+            for h in hooks.pre:
+                h(x0, t)
+            _, gamma = ddnm_plus_project(op, y, x0, t, sched, cfg, out=x0)
+            for h in hooks.post:
+                h(x0, t)
+            if t == 1 and not jump:
+                # the last step: a_0 = 1 and sigma_0 = 0
+                np.copyto(x, x0)
+            else:
+                x = sample_prev(x0, eps_t, t, sched, cfg, noise.take(),
+                                op=op, gamma=gamma, out=x)
+            # spent as sample_prev's scratch; not kept alive while
+            # predict_eps makes the next step's prediction
+            del eps_t
+            if not np.isfinite(x, out=finite).all():
+                raise SamplerError(f"non-finite state at step t={t}")
+            if jump:
+                x = renoise_jump(x, t - 1, jump, noise.take(), sched, out=x)
     finally:
         if own:
             noise.close()

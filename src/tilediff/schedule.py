@@ -1,5 +1,5 @@
 """Diffusion time grid: scale factors a_t, noise levels sigma_t, and the
-re-noising jumps used by time-travel resampling.
+reverse walk with time travel (travel_steps) and its re-noising jumps.
 
 The numeric grid is a linear-beta schedule, beta from 1e-4 to 0.02 over 1000
 reference steps, rescaled by 1000/T so any T spans the same cumulative noise
@@ -60,13 +60,15 @@ def renoise_jump(x_t: np.ndarray, t: int, l: int, noise: np.ndarray,
     return out
 
 
-def travel_blocks(T: int, l: int):
-    """Partition t = T..1 into consecutive blocks of length l (last may be
-    shorter); each block is (t_hi, t_lo) with t_hi >= t_lo >= 1."""
-    blocks = []
-    t_hi = T
-    while t_hi >= 1:
+def travel_steps(T: int, l: int, r: int):
+    """(t, jump) for each step from t to t - 1 of the reverse walk: t = T..1
+    in blocks of l steps (the last may be shorter), each traversed r times.
+    jump is the block's length on the last step of each traversal but the
+    block's final one, after which the state is re-noised back to the
+    block's start, and 0 elsewhere; the walk ends with (1, 0)."""
+    for t_hi in range(T, 0, -l):
         t_lo = max(t_hi - l + 1, 1)
-        blocks.append((t_hi, t_lo))
-        t_hi = t_lo - 1
-    return blocks
+        for rep in range(r):
+            for t in range(t_hi, t_lo, -1):
+                yield t, 0
+            yield t_lo, t_hi - t_lo + 1 if rep < r - 1 else 0

@@ -19,7 +19,7 @@ from tilediff.denoise import Denoiser
 from tilediff.msr import tile_seed
 from tilediff.sampler import (ConstraintHooks, ddnm_plus_project,
                               estimate_x0, run_sampler, sample_prev)
-from tilediff.schedule import build_schedule, renoise_jump, travel_blocks
+from tilediff.schedule import build_schedule, renoise_jump
 
 
 def dense_matrix(op) -> np.ndarray:
@@ -137,13 +137,19 @@ def replay_sampler(op, y, denoiser, cfg, hooks=ConstraintHooks()):
     """run_sampler as one serial loop whose step functions return new
     arrays (no out=), taking every draw (x_T, one per step but the last,
     one per re-noising jump) from default_rng(cfg.seed) in order. The hooks
-    edit each step's new x0 in place. The last step's x_0 is its x0hat."""
+    edit each step's new x0 in place. The last step's x_0 is its x0hat.
+    Time travel is written out here, not taken from the package: the steps
+    T..1 in chunks of travel_l, each walked travel_r times, then re-noised
+    from below the chunk back to its top between walks."""
     sched = build_schedule(cfg.T)
     rng = np.random.default_rng(cfg.seed)
     x = rng.standard_normal(op.input_shape)
-    for t_hi, t_lo in travel_blocks(cfg.T, cfg.travel_l):
+    steps = list(range(cfg.T, 0, -1))
+    blocks = [steps[i:i + cfg.travel_l]
+              for i in range(0, cfg.T, cfg.travel_l)]
+    for block in blocks:
         for rep in range(cfg.travel_r):
-            for t in range(t_hi, t_lo - 1, -1):
+            for t in block:
                 eps_t = denoiser.predict_eps(x, t, sched)
                 x0t = estimate_x0(x, eps_t, t, sched)
                 for h in hooks.pre:
@@ -158,7 +164,7 @@ def replay_sampler(op, y, denoiser, cfg, hooks=ConstraintHooks()):
                                     rng.standard_normal(x.shape), op=op,
                                     gamma=gamma)
             if rep < cfg.travel_r - 1:
-                x = renoise_jump(x, t_lo - 1, t_hi - t_lo + 1,
+                x = renoise_jump(x, block[-1] - 1, len(block),
                                  rng.standard_normal(x.shape), sched)
     return x
 

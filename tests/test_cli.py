@@ -653,6 +653,32 @@ def test_config_file_negative_hir_factor_is_a_job_error(tmp_path, prior_dir):
                    "--height", "128", "--out", str(tmp_path / "g.ppm")])
 
 
+def test_config_file_task_outside_restores_choices_is_a_usage_error(
+        tmp_path, prior_dir, capsys):
+    # `restore --task generate` is an argparse usage error; the same value
+    # from a file must not turn a restore into a generation job
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    cfgfile = tmp_path / "job.cfg"
+    cfgfile.write_text(f"task = generate\nwidth = 64\nheight = 64\n"
+                       f"prior = {prior_dir}\noutput = {out_dir / 'g.ppm'}\n")
+    with pytest.raises(JobError, match="task must be one of sr, inpaint, "
+                       "colorize, denoise for restore, got 'generate'"):
+        parse_job(["restore", "--config", str(cfgfile)])
+    assert cli.main(["restore", "--config", str(cfgfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert str(cfgfile) in err[0]
+    assert list(out_dir.iterdir()) == []
+    # a task restore takes is still read from the file
+    cfgfile.write_text(f"task = colorize\ninput = x.ppm\n"
+                       f"prior = {prior_dir}\noutput = {out_dir / 'c.ppm'}\n")
+    assert parse_job(["restore", "--config", str(cfgfile)])[1].task == \
+        "colorize"
+
+
 @pytest.mark.parametrize("config", ["missing.cfg", "cfgdir"])
 def test_main_reports_an_unreadable_config_file(tmp_path, prior_dir, capsys,
                                                 config):

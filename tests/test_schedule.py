@@ -1,11 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tilediff.sampler import SamplerConfig
+from tilediff.sampler import SamplerConfig, noise_draws
 from tilediff.schedule import (Schedule, build_schedule, renoise_jump,
-                               travel_blocks)
+                               travel_steps)
 
 from oracles import forward_diffuse
 
@@ -126,10 +128,39 @@ def test_travel_plan_validation():
         SamplerConfig(travel_l=1, travel_r=0)
 
 
-def test_travel_blocks_partition():
-    blocks = travel_blocks(100, 10)
-    assert blocks[0] == (100, 91) and blocks[-1] == (10, 1)
-    covered = [t for hi, lo in blocks for t in range(hi, lo - 1, -1)]
-    assert covered == list(range(100, 0, -1))
-    # ragged case
-    assert travel_blocks(7, 3) == [(7, 5), (4, 2), (1, 1)]
+@st.composite
+def walks(draw):
+    T = draw(st.integers(1, 120))
+    return T, draw(st.integers(1, T + 2)), draw(st.integers(1, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(walks())
+@example((7, 3, 2))
+@example((1, 1, 1))
+@example((10, 10, 3))
+def test_travel_steps_walk(plan):
+    T, l, r = plan
+    walk = list(travel_steps(T, l, r))
+    # block k holds the steps t with (T - t) // l == k
+    blocks = [[t for t in range(T, 0, -1) if (T - t) // l == k]
+              for k in range(math.ceil(T / l))]
+    traversals = [(block, rep) for block in blocks for rep in range(r)]
+    assert [t for t, _ in walk] == [t for block, _ in traversals
+                                    for t in block]
+    # a jump closes every traversal of a block but its final one, and
+    # re-noises by the block's length
+    assert [jump for _, jump in walk] == [
+        len(block) if i == len(block) - 1 and rep < r - 1 else 0
+        for block, rep in traversals for i in range(len(block))]
+    assert walk[-1] == (1, 0) and walk.count((1, 0)) == 1
+    cfg = SamplerConfig(T=T, travel_l=l, travel_r=r)
+    assert noise_draws(cfg) == r * T + (r - 1) * math.ceil(T / l)
+
+
+def test_travel_steps_ragged_blocks():
+    # blocks (7, 6, 5), (4, 3, 2), (1,), each walked twice
+    assert list(travel_steps(7, 3, 2)) == [
+        (7, 0), (6, 0), (5, 3), (7, 0), (6, 0), (5, 0),
+        (4, 0), (3, 0), (2, 3), (4, 0), (3, 0), (2, 0),
+        (1, 1), (1, 0)]
