@@ -2,9 +2,11 @@
 
 Subcommands: generate, restore, plan (print the tile plan without running),
 selftest (quick invariant checks plus a determinism probe). Each job option
-is a JobSpec field, whose metadata gives its flag; options can also come
-from a `key = value` config file (# comments) keyed by field name, and
-command-line flags win.
+is a JobSpec field, whose metadata gives its flag and subcommands; options
+can also come from a `key = value` config file (# comments) keyed by field
+name, and command-line flags win. Each file line is checked as it is read,
+as its flag would be, and a bad one is a usage error naming the file and
+line. HiR's coarse-canvas rule is `hir.check_coarse_canvas`.
 Every run writes the output image and a metrics.txt with the consistency
 error, per-seam statistics, wall clock, and step count.
 
@@ -29,7 +31,7 @@ import typing
 import numpy as np
 
 from . import denoise, linops, tasks
-from .hir import hir_restore
+from .hir import check_coarse_canvas, hir_restore
 from .imagecore import CodeReader, load_image, pnm_writer, read_codes
 from .msr import TilePlan, check_geometry, msr_restore, plan_tiles
 from .sampler import SamplerConfig, SamplerError
@@ -38,8 +40,8 @@ from .tasks import consistency
 
 TASK_NAMES = ("sr", "inpaint", "colorize", "denoise", "generate")
 
-_TRUE = ("1", "true", "yes", "on")
-_FALSE = ("0", "false", "no", "off")
+_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+          **dict.fromkeys(("0", "false", "no", "off"), False)}
 
 
 class JobError(ValueError):
@@ -96,7 +98,11 @@ _TYPES = {name: _option_type(hint)
           for name, hint in typing.get_type_hints(JobSpec).items()}
 
 
-def _read_config(path: str) -> dict:
+def _read_config(path: str, command: str) -> dict:
+    """A config file's values: keys the command has flags for, values of
+    their fields' types and within their flags' choices."""
+    fields = {f.name: f.metadata for f in dataclasses.fields(JobSpec)
+              if command in f.metadata["commands"]}
     values = {}
     try:
         f = open(path, "r", encoding="utf-8")
@@ -112,20 +118,22 @@ def _read_config(path: str) -> dict:
             key, _, val = line.partition("=")
             key = key.strip().replace("-", "_")
             val = val.strip()
-            if key not in _TYPES:
-                raise JobError(f"{path}:{lineno}: unknown key {key!r}")
+            if key not in fields:
+                raise JobError(
+                    f"{path}:{lineno}: unknown key {key!r} for {command}")
             typ = _TYPES[key]
             try:
-                if typ is bool:
-                    if val.lower() not in _TRUE + _FALSE:
-                        raise ValueError(val)
-                    values[key] = val.lower() in _TRUE
-                else:
-                    values[key] = typ(val)
-            except ValueError:
+                value = _BOOLS[val.lower()] if typ is bool else typ(val)
+            except (KeyError, ValueError):
                 raise JobError(
                     f"{path}:{lineno}: bad {typ.__name__} value {val!r} "
                     f"for {key}") from None
+            choices = fields[key].get("choices")
+            if choices and value not in choices:
+                raise JobError(
+                    f"{path}:{lineno}: {key} must be one of "
+                    f"{', '.join(choices)} for {command}, got {value!r}")
+            values[key] = value
     return values
 
 
@@ -168,17 +176,7 @@ def parse_job(argv) -> tuple[str, JobSpec | argparse.Namespace]:
     args = _build_parser().parse_args(argv)
     if args.command in ("plan", "selftest"):
         return args.command, args
-    values = _read_config(args.config) if args.config else {}
-    # a file value must be one the command's flag would accept
-    for field in dataclasses.fields(JobSpec):
-        choices = field.metadata.get("choices")
-        if (choices and field.name in values
-                and args.command in field.metadata["commands"]
-                and values[field.name] not in choices):
-            raise JobError(
-                f"{args.config}: {field.name} must be one of "
-                f"{', '.join(choices)} for {args.command}, got "
-                f"{values[field.name]!r}")
+    values = _read_config(args.config, args.command) if args.config else {}
     for key in _TYPES:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -221,21 +219,11 @@ def validate_job(job: JobSpec):
         if job.task == "sr" and job.hir_factor >= 2:
             tasks.check_sr_hierarchy(job.scale, job.hir_factor)
         check_geometry(job.patch, job.overlap, _job_block(job))
+        if job.task == "generate" and job.hir_factor >= 2:
+            check_coarse_canvas(job.height, job.width, job.hir_factor,
+                                job.patch)
     except ValueError as e:
         raise JobError(str(e)) from None
-    if job.task == "generate":
-        _check_hir_canvas(job, job.height, job.width)
-
-
-def _check_hir_canvas(job: JobSpec, height: int, width: int):
-    """The coarse phase tiles a (height/f) x (width/f) canvas with the
-    full patch, so each side must still hold one patch."""
-    f = job.hir_factor
-    if f >= 2 and min(height // f, width // f) < job.patch:
-        raise JobError(
-            f"hir-factor {f} gives a {height // f}x{width // f} coarse "
-            f"canvas, smaller than patch {job.patch}; use a smaller factor "
-            f"or a canvas of at least {f * job.patch} pixels per side")
 
 
 def _job_block(job: JobSpec) -> int:
@@ -321,29 +309,24 @@ class SeamMeter:
         self._last = None  # the last code row given
 
     def add(self, codes: np.ndarray):
-        lines = np.empty((len(codes) + 1,) + codes.shape[1:], dtype=np.int16)
-        lines[1:] = codes
-        if self._last is None:
-            lines = lines[1:]
-        else:
-            lines[0] = self._last
-        kept = len(lines) - len(codes)  # 1 if lines starts with _last
-        axes = {"row": (lines, self._top - kept),
-                "col": (lines[kept:].swapaxes(0, 1), 0)}
+        band = codes.astype(np.int16)
+        rows = band if self._last is None else np.concatenate(
+            (self._last, band))
+        diffs = {"row": (np.abs(np.diff(rows, axis=0)),
+                         self._top - (len(rows) - len(band))),
+                 "col": (np.abs(np.diff(band, axis=1)).swapaxes(0, 1), 0)}
         for i, (axis, c, (lo, hi)) in enumerate(self._seams):
-            k, first = axes[axis]
-            # k[j] is line first + j; difference d reads lines d and d + 1
-            end = first + len(k) - 1  # differences [first, end) are here
+            d, first = diffs[axis]
+            # d[j] is difference first + j, across line first + j + 1
+            end = first + len(d)
             if first < c <= end:
-                self._max[i] = max(self._max[i], int(
-                    np.abs(k[c - first] - k[c - 1 - first]).max()))
+                self._max[i] = max(self._max[i], int(d[c - 1 - first].max()))
             lo, hi = max(lo, first), min(hi, end)
             if lo < hi:
-                self._counts[i] += np.bincount(np.abs(
-                    k[lo + 1 - first:hi + 1 - first]
-                    - k[lo - first:hi - first]).ravel(), minlength=256)
+                self._counts[i] += np.bincount(
+                    d[lo - first:hi - first].ravel(), minlength=256)
         self._top += len(codes)
-        self._last = lines[-1].copy()
+        self._last = band[-1:].copy()
 
     def results(self) -> list[tuple[str, int, float]]:
         """(axis, position, value) of every seam, columns then rows, each
@@ -392,7 +375,6 @@ def run_job(job: JobSpec) -> int:
             raise JobError(
                 f"prior images are {ph}x{pw} but patch is {job.patch}")
         task = _build_task(job)
-        _check_hir_canvas(job, task.shape[0], task.shape[1])
         block = _job_block(job)
         plan = plan_tiles(task.shape[0], task.shape[1], job.patch,
                           job.overlap, block=block)

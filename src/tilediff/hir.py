@@ -10,6 +10,8 @@ clean tile whose every pixel is measured by a Mask or frozen by the
 overlap constraint, the same step overwrites all of them, and `msr`
 leaves the pin out. The pin's block makes plan2's block a multiple of f.
 
+The coarse phase tiles the 1/f canvas with the full patch, so each of its
+sides must hold one patch: `check_coarse_canvas`, which `cli` also runs.
 The coarse canvas (1/f^2 of the full size) is held whole, since every
 phase-2 tile reads its part of it. Phase 2 streams like any tiling pass:
 its row bands go to a sink as its tile rows finish (see `msr`), and the
@@ -35,6 +37,15 @@ class HirResult:
     lowfreq_residual: float  # max |A_sr image - coarse|, logged, not bounded
 
 
+def check_coarse_canvas(height: int, width: int, f: int, patch: int):
+    """Each side of the coarse canvas at factor f >= 2 holds one patch."""
+    if min(height // f, width // f) < patch:
+        raise ValueError(
+            f"hir-factor {f} gives a {height // f}x{width // f} coarse "
+            f"canvas, smaller than patch {patch}; use a smaller factor "
+            f"or a canvas of at least {f * patch} pixels per side")
+
+
 def hir_restore(task: Task, factor: int, plan2: TilePlan, denoiser,
                 cfg: SamplerConfig, sink=None) -> HirResult:
     """Two-phase restoration with one sampler config for both phases;
@@ -45,7 +56,8 @@ def hir_restore(task: Task, factor: int, plan2: TilePlan, denoiser,
     and the result's image is then None.
     """
     f = factor
-    reduced = task.reduce(f)
+    reduced = task.reduce(f)  # checks f >= 2
+    check_coarse_canvas(*task.shape[:2], f, plan2.patch)
     coarse, fill = assemble(reduced.shape)
     pin = SuperResolutionTask(coarse, f)  # reads coarse as phase 1 fills it
     check_plan(pin, plan2)  # both before the coarse phase, not after it

@@ -86,14 +86,14 @@ def test_config_file_unknown_key(tmp_path):
     for key in ("etaa", "config", "block", "command"):
         cfgfile.write_text(f"{key} = 0.5\n")
         with pytest.raises(JobError, match=f"unknown key '{key}'"):
-            cli._read_config(str(cfgfile))
+            cli._read_config(str(cfgfile), "generate")
 
 
 def test_config_file_type_error(tmp_path):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text("steps = many\n")
     with pytest.raises(JobError, match="steps"):
-        cli._read_config(str(cfgfile))
+        cli._read_config(str(cfgfile), "restore")
 
 
 def test_config_file_sets_every_job_field_with_its_type(tmp_path):
@@ -108,12 +108,20 @@ def test_config_file_sets_every_job_field_with_its_type(tmp_path):
         "output": ("out.ppm", "out.ppm"), "naive": ("yes", True)}
     assert set(expected) == {f.name for f in
                              dataclasses.fields(cli.JobSpec)}
-    cfgfile = tmp_path / "job.cfg"
-    cfgfile.write_text("".join(f"{k.replace('_', '-')} = {text}\n"
-                               for k, (text, _) in expected.items()))
-    got = cli._read_config(str(cfgfile))
-    assert got == {k: v for k, (_, v) in expected.items()}
-    assert all(type(got[k]) is type(v) for k, (_, v) in expected.items())
+    # one file per subcommand, with every field the subcommand takes
+    covered = set()
+    for command in ("restore", "generate"):
+        mine = {f.name: expected[f.name]
+                for f in dataclasses.fields(cli.JobSpec)
+                if command in f.metadata["commands"]}
+        cfgfile = tmp_path / f"{command}.cfg"
+        cfgfile.write_text("".join(f"{k.replace('_', '-')} = {text}\n"
+                                   for k, (text, _) in mine.items()))
+        got = cli._read_config(str(cfgfile), command)
+        assert got == {k: v for k, (_, v) in mine.items()}
+        assert all(type(got[k]) is type(v) for k, (_, v) in mine.items())
+        covered |= set(got)
+    assert covered == set(expected)
 
 
 @pytest.mark.parametrize("text,value", [
@@ -122,7 +130,7 @@ def test_config_file_sets_every_job_field_with_its_type(tmp_path):
 def test_config_file_boolean_spellings(tmp_path, text, value):
     cfgfile = tmp_path / "job.cfg"
     cfgfile.write_text(f"naive = {text}\n")
-    assert cli._read_config(str(cfgfile)) == {"naive": value}
+    assert cli._read_config(str(cfgfile), "generate") == {"naive": value}
 
 
 @pytest.mark.parametrize("text", ["ture", "2", "", "y"])
@@ -130,7 +138,7 @@ def test_config_file_rejects_bad_boolean(tmp_path, text):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text(f"naive = {text}\n")
     with pytest.raises(JobError, match="bad bool value .* for naive"):
-        cli._read_config(str(cfgfile))
+        cli._read_config(str(cfgfile), "restore")
 
 
 def read_metrics(path):
@@ -671,12 +679,42 @@ def test_config_file_task_outside_restores_choices_is_a_usage_error(
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert str(cfgfile) in err[0]
+    assert f"{cfgfile}:1: task must be one of" in err[0]
     assert list(out_dir.iterdir()) == []
     # a task restore takes is still read from the file
     cfgfile.write_text(f"task = colorize\ninput = x.ppm\n"
                        f"prior = {prior_dir}\noutput = {out_dir / 'c.ppm'}\n")
     assert parse_job(["restore", "--config", str(cfgfile)])[1].task == \
         "colorize"
+
+
+@pytest.mark.parametrize("command,line", [
+    ("generate", "scale = 4"), ("generate", "mask = m.pgm"),
+    ("generate", "input = x.ppm"), ("generate", "task = sr"),
+    ("restore", "width = 64"), ("restore", "height = 64")])
+def test_config_file_key_outside_the_subcommand_is_a_usage_error(
+        tmp_path, prior_dir, capsys, command, line):
+    # the flag would be an argparse usage error; so is the key in a file,
+    # reported with the file and the line that holds it
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    key = line.split(" = ")[0]
+    job = {"generate": "width = 64\nheight = 64\n",
+           "restore": "task = denoise\ninput = x.ppm\n"}[command]
+    cfgfile = tmp_path / "job.cfg"
+    cfgfile.write_text(f"{job}prior = {prior_dir}\n{line}\n"
+                       f"output = {out_dir / 'o.ppm'}\n")
+    with pytest.raises(JobError, match=f"unknown key '{key}' for {command}"):
+        cli._read_config(str(cfgfile), command)
+    assert cli.main([command, "--config", str(cfgfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {cfgfile}:4: unknown key '{key}' for {command}"]
+    assert list(out_dir.iterdir()) == []
+    # without the misplaced line the same file is a job
+    cfgfile.write_text(cfgfile.read_text().replace(f"{line}\n", ""))
+    assert parse_job([command, "--config", str(cfgfile)])[0] == command
 
 
 @pytest.mark.parametrize("config", ["missing.cfg", "cfgdir"])

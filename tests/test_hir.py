@@ -36,6 +36,19 @@ def test_factor_validation():
             task.reduce(factor)
 
 
+def test_hir_rejects_a_coarse_canvas_below_the_patch():
+    # the job's rule, not the coarse plan's "canvas extent 32 smaller than
+    # patch 64", and raised before the coarse phase samples anything
+    task = GenerateTask(64, 96, 3)
+    plan2 = plan_tiles(64, 96, PATCH, OVERLAP, block=2)
+    den = make_denoiser()
+    with pytest.raises(ValueError, match="hir-factor 2 gives a 32x48 coarse "
+                       "canvas, smaller than patch 64; use a smaller factor "
+                       "or a canvas of at least 128 pixels per side"):
+        hir_restore(task, 2, plan2, den, SamplerConfig(T=2))
+    assert den.calls == 0
+
+
 @pytest.mark.parametrize("factor", [-2, 0, 1])
 def test_every_task_reduce_rejects_factors_below_2(rng, factor):
     obs = rng.uniform(-1, 1, size=(8, 8, 3))

@@ -5,7 +5,8 @@ from the fields of JobSpec in the subcommand's scope, with a valid or an
 invalid value (or none) for each, on a tiny prior at the drawn patch. A
 job either exits 2 at parse time, with one `error:` line and no
 metrics.txt, or runs and exits 0 or 1 with a metrics.txt. None raises.
-The same values in a --config file give the same JobSpec.
+The same values in a --config file give the same JobSpec; a field the
+subcommand has no flag for is a usage error in either form.
 """
 
 import contextlib
@@ -62,7 +63,8 @@ def test_every_job_field_has_values():
 @st.composite
 def jobs(draw):
     """(command, prior patch, input height and width, {field: text}), with
-    up to two of the subcommand's fields drawn from their invalid texts."""
+    up to two of the subcommand's fields drawn from their invalid texts,
+    and at times one valid text of a field the subcommand does not take."""
     command = draw(st.sampled_from(["restore", "generate"]))
     pp = draw(st.sampled_from([4, 6, 8]))
     dims = (draw(st.integers(1, MAX_SIDE // 3)),
@@ -77,6 +79,9 @@ def jobs(draw):
         text = draw(st.sampled_from(table[name][name in bad]))
         if text is not None:
             values[name] = text
+    if draw(st.integers(0, 3)) == 0:
+        other = draw(st.sampled_from([n for n in table if n not in names]))
+        values[other] = draw(st.sampled_from(table[other][0]))
     return command, pp, dims, values
 
 
