@@ -14,8 +14,9 @@ A job's finish streams: `run_job` hands the tiling pass a sink that takes
 each finished row band, has the output's writer check it finite, quantize
 it and append its codes to the file, then adds it to the consistency and
 seam statistics. The file is written under a part name and renamed into
-place only when the job succeeds. Canvas-size inputs stay 8-bit codes on disk
-(`imagecore.read_codes`), read one window at a time.
+place only when the job succeeds. Every restore input, SR's low-resolution
+image included, stays 8-bit codes on disk (`imagecore.read_codes`), read
+one window at a time through a `CodeReader`.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import numpy as np
 
 from . import denoise, linops, tasks
 from .hir import check_coarse_canvas, hir_restore
+# load_image is unused here: bench/tests checks that tracing restores it
 from .imagecore import CodeReader, load_image, pnm_writer, read_codes
 from .msr import TilePlan, check_geometry, msr_restore, plan_tiles
 from .sampler import SamplerConfig, SamplerError
@@ -191,7 +193,7 @@ def parse_job(argv) -> tuple[str, JobSpec | argparse.Namespace]:
 def validate_job(job: JobSpec):
     """Check what no library object checks for the job; the sampler
     settings and the tile geometry are checked by SamplerConfig and
-    check_geometry."""
+    check_geometry, and a generate canvas by plan_tiles."""
     if job.task not in TASK_NAMES:
         raise JobError(f"task must be one of {TASK_NAMES}, got {job.task!r}")
     if job.prior is None:
@@ -219,9 +221,12 @@ def validate_job(job: JobSpec):
         if job.task == "sr" and job.hir_factor >= 2:
             tasks.check_sr_hierarchy(job.scale, job.hir_factor)
         check_geometry(job.patch, job.overlap, _job_block(job))
-        if job.task == "generate" and job.hir_factor >= 2:
-            check_coarse_canvas(job.height, job.width, job.hir_factor,
-                                job.patch)
+        if job.task == "generate":
+            plan_tiles(job.height, job.width, job.patch, job.overlap,
+                       _job_block(job))
+            if job.hir_factor >= 2:
+                check_coarse_canvas(job.height, job.width, job.hir_factor,
+                                    job.patch)
     except ValueError as e:
         raise JobError(str(e)) from None
 
@@ -236,11 +241,10 @@ def _job_block(job: JobSpec) -> int:
 def _build_task(job: JobSpec) -> tasks.Task:
     if job.task == "generate":
         return tasks.GenerateTask(job.height, job.width, 3)
-    if job.task == "sr":
-        return tasks.SuperResolutionTask(load_image(job.input).data,
-                                         job.scale)
-    # a canvas-size input: its codes, converted one window at a time
+    # the input's codes, converted one window at a time
     img = CodeReader(read_codes(job.input))
+    if job.task == "sr":
+        return tasks.SuperResolutionTask(img, job.scale)
     if job.task == "inpaint":
         return tasks.InpaintTask(img, linops.load_mask(job.mask))
     if job.task == "colorize":

@@ -53,6 +53,8 @@ class SamplerConfig:
             raise ValueError(f"travel-r must be >= 1, got {self.travel_r}")
         if not self.sigma_y >= 0.0:  # NaN fails too
             raise ValueError(f"sigma-y must be >= 0, got {self.sigma_y}")
+        if self.sigma_y == math.inf:
+            raise ValueError(f"sigma-y must be finite, got {self.sigma_y}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

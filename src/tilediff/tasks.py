@@ -7,10 +7,11 @@ problem for any aligned window. Tile measurements are exact restrictions of
 the global measurement, so a tile-aligned assembly stays globally consistent,
 and `consistency` measures a finished row band through the same tile problem.
 
-A canvas-size input (the observed image and mask of inpainting, the image
-of denoising and colorization) may be an `imagecore.CodeReader` over a
-file's codes: a task then reads one window at a time, and `reduce` pools
-it one row band at a time, so the input is never held as floats whole.
+Every task's input (the low-resolution image of super-resolution, the
+observed image and mask of inpainting, the image of denoising and
+colorization) may be an `imagecore.CodeReader` over a file's codes: a task
+then reads one window at a time, and `reduce` pools it one row band at a
+time (SR's keeps the reader), so the input is never held as floats whole.
 """
 
 from __future__ import annotations
@@ -92,12 +93,13 @@ class Task:
 
 class SuperResolutionTask(Task):
     """Upscale a low-resolution image by an integer factor via average-pool
-    consistency. scale 1 degenerates to exact reproduction of the input."""
+    consistency. scale 1 degenerates to exact reproduction of the input.
+    y_lr may be a CodeReader; a tile problem converts only its window."""
 
     def __init__(self, y_lr: np.ndarray, scale: int):
         if scale < 1:
             raise ValueError(f"scale must be >= 1, got {scale}")
-        self.y = np.asarray(y_lr, dtype=np.float64)
+        self.y = _values(y_lr)
         _check_rank3(self.y, "SR input")
         h, w, c = self.y.shape
         self.scale = scale

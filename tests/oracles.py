@@ -203,9 +203,9 @@ def full_problem(task):
     """(operator, measurement) of the task at full size, or None for
     generation: the reference that tasks.consistency and the tiled
     assemblies are checked against."""
-    if isinstance(task, tasks.SuperResolutionTask):
-        return linops.AvgPool(task.shape, task.scale), task.y
     # [...] converts an input a task reads through a CodeReader whole
+    if isinstance(task, tasks.SuperResolutionTask):
+        return linops.AvgPool(task.shape, task.scale), task.y[...]
     if isinstance(task, tasks.InpaintTask):
         op = linops.Mask(task.known[...], channels=task.shape[2])
         return op, op.forward(task.observed[...])

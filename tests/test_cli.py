@@ -20,7 +20,7 @@ from tilediff.msr import msr_restore, plan_tiles
 from tilediff.sampler import SamplerError
 
 import oracles
-from conftest import seam_metric, smooth_means, write_image
+from conftest import same_bits, seam_metric, smooth_means, write_image
 from test_denoise import write_prior
 from test_msr import accepted_geometries
 
@@ -390,6 +390,19 @@ def _inpaint_argv(tmp_path, rng):
     return argv
 
 
+def _restore_argv(tmp_path, rng, task, channels=3, scale=1):
+    """A restore job of `task` whose input is a random image of the
+    canvas size over scale, with `channels` channels."""
+    def argv(h, w):
+        write_image(tmp_path / "in.ppm", rng.uniform(
+            -1, 1, size=(h // scale, w // scale, channels)))
+        flags = ["--scale", str(scale)] if task == "sr" else []
+        return ["restore", "--task", task, "--in", str(tmp_path / "in.ppm")
+                ] + flags
+
+    return argv
+
+
 def test_generate_job_heap_peak_is_below_one_and_a_half_canvases(
         tmp_path, prior_dir):
     # 100 tiles' area, and no full-size array: the tiling pass holds one
@@ -407,17 +420,42 @@ def test_inpaint_job_heap_peak_is_its_canvases_plus_a_half(
                                _inpaint_argv(tmp_path, rng), 640, 640) < 2.5
 
 
-@pytest.mark.parametrize("kind", ["generate", "inpaint"])
+@pytest.mark.parametrize("kind", ["generate", "inpaint", "sr-scale-2",
+                                  "sr-scale-4", "colorize", "denoise"])
 def test_job_heap_peak_does_not_grow_with_canvas_height(tmp_path, prior_dir,
                                                         rng, kind):
     # 4x the rows (53 tile rows against 13) at width 640: about 5 MB of
     # heap at either height (noise ring, tile-row buffer, one band). The
-    # tall job's 3.5% more is its per-seam statistics, one per seam row
-    argv = _generate_argv if kind == "generate" else _inpaint_argv(tmp_path,
-                                                                   rng)
+    # tall job's 3.5% more is its per-seam statistics, one per seam row.
+    # Every input stays codes in its file, SR's low-resolution image too
+    argv = {"generate": _generate_argv,
+            "inpaint": _inpaint_argv(tmp_path, rng),
+            "sr-scale-2": _restore_argv(tmp_path, rng, "sr", scale=2),
+            "sr-scale-4": _restore_argv(tmp_path, rng, "sr", scale=4),
+            "colorize": _restore_argv(tmp_path, rng, "colorize", channels=1),
+            "denoise": _restore_argv(tmp_path, rng, "denoise")}[kind]
     short = _heap_peak(tmp_path, prior_dir, argv, 640, 640)
     tall = _heap_peak(tmp_path, prior_dir, argv, 2560, 640)
     assert tall <= 1.05 * short
+
+
+@pytest.mark.parametrize("task, channels, field", [
+    ("sr", 3, "y"), ("inpaint", 3, "observed"), ("colorize", 1, "gray"),
+    ("denoise", 3, "observed")], ids=["sr", "inpaint", "colorize", "denoise"])
+def test_build_task_reads_every_restore_input_as_codes(tmp_path, prior_dir,
+                                                       rng, task, channels,
+                                                       field):
+    argv = _restore_argv(tmp_path, rng, task, channels=channels,
+                         scale=4 if task == "sr" else 1)(64, 64)
+    if task == "inpaint":
+        write_image(tmp_path / "mask.pgm", np.ones((64, 64, 1)))
+        argv += ["--mask", str(tmp_path / "mask.pgm")]
+    _, job = parse_job(argv + ["--prior", str(prior_dir),
+                               "--out", str(tmp_path / "o.ppm")])
+    reader = getattr(cli._build_task(job), field)
+    assert isinstance(reader, imagecore.CodeReader)
+    assert same_bits(reader[...],
+                     imagecore.load_image(tmp_path / "in.ppm").data)
 
 
 SMALL = 16  # patch of the finish tests' prior
@@ -630,11 +668,19 @@ def test_main_rejects_a_negative_factor(tmp_path, prior_dir, capsys, argv,
     (["--eta", "nan"], "error: eta must be in [0, 1], got nan"),
     (["--sigma-y", "-0.1"], "error: sigma-y must be >= 0, got -0.1"),
     (["--sigma-y", "nan"], "error: sigma-y must be >= 0, got nan"),
+    # lambda would be 0 at every step: an image that ignores the input
+    (["--sigma-y", "inf"], "error: sigma-y must be finite, got inf"),
     (["--travel-l", "0"], "error: travel-l must be >= 1, got 0"),
     (["--travel-r", "0"], "error: travel-r must be >= 1, got 0"),
-    (["--seed", "-1"], "error: seed must be >= 0, got -1")],
-    ids=["eta", "eta-nan", "sigma-y", "sigma-y-nan", "travel-l", "travel-r",
-         "seed"])
+    (["--seed", "-1"], "error: seed must be >= 0, got -1"),
+    # a generate canvas the tiles cannot cover: plan_tiles' rule, which
+    # the job would meet only after loading the prior
+    (["--width", "63"], "error: canvas extent 63 smaller than patch 64"),
+    (["--width", "0"], "error: canvas extent 0 smaller than patch 64"),
+    (["--width", "-5"], "error: canvas extent -5 smaller than patch 64")],
+    ids=["eta", "eta-nan", "sigma-y", "sigma-y-nan", "sigma-y-inf",
+         "travel-l", "travel-r", "seed", "width-63", "width-0",
+         "width-negative"])
 def test_main_rejects_out_of_range_sampler_options(tmp_path, prior_dir,
                                                    capsys, argv, message):
     # rejected before the prior loads: status 2 and no metrics.txt

@@ -396,6 +396,8 @@ def test_sampler_config_validation():
         SamplerConfig(sigma_y=-0.1)
     with pytest.raises(ValueError, match="sigma-y must be >= 0, got nan"):
         SamplerConfig(sigma_y=float("nan"))
+    with pytest.raises(ValueError, match="sigma-y must be finite, got inf"):
+        SamplerConfig(sigma_y=float("inf"))
     with pytest.raises(ValueError, match="steps T must be >= 1, got 0"):
         SamplerConfig(T=0)
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):

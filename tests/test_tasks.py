@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
-from tilediff.imagecore import Window
+from tilediff.denoise import GmmDenoiser
+from tilediff.hir import hir_restore
+from tilediff.imagecore import (CodeReader, Window, load_image, read_codes,
+                                row_bands)
+from tilediff.msr import msr_restore, plan_tiles
+from tilediff.sampler import SamplerConfig
 from tilediff.tasks import (ColorizeTask, DenoiseTask, GenerateTask,
                             InpaintTask, SuperResolutionTask, consistency)
+
+from conftest import same_bits, smooth_means, write_image
 
 
 RGB = r"must be \(H, W, C\), got shape "
@@ -53,3 +60,48 @@ def test_consistency_rejects_a_band_past_the_last_row():
     task = SuperResolutionTask(np.zeros((4, 4, 3)), 2)
     with pytest.raises(ValueError, match="leaves the 8x8 canvas"):
         consistency(task, np.zeros((4, 8, 3)), top=6)
+
+
+def _sr_from_codes_and_floats(tmp_path, rng):
+    """The same 4x SR task onto a 40 x 48 canvas twice: over a CodeReader
+    of a file's codes, as `cli` builds it, and over the file's values as a
+    float array."""
+    path = tmp_path / "lr.ppm"
+    write_image(path, rng.uniform(-1, 1, size=(10, 12, 3)))
+    return (SuperResolutionTask(CodeReader(read_codes(path)), 4),
+            SuperResolutionTask(load_image(path).data, 4))
+
+
+def test_sr_from_codes_has_the_tile_problems_and_residuals_of_floats(
+        tmp_path, rng):
+    coded, floats = _sr_from_codes_and_floats(tmp_path, rng)
+    # kept as codes, also by the coarse phase's task, so each window is
+    # converted as it is read
+    assert isinstance(coded.y, CodeReader)
+    assert coded.reduce(2).y is coded.y
+    plan = plan_tiles(40, 48, 16, 8, block=4)
+    for win in plan.windows:
+        (op_c, y_c), (op_f, y_f) = coded.tile_problem(win), \
+            floats.tile_problem(win)
+        assert op_c.input_shape == op_f.input_shape
+        assert same_bits(y_c, y_f)
+    x = rng.uniform(-1, 1, size=coded.shape)
+    for ys in row_bands(40, coded.block):
+        assert consistency(coded, x[ys], ys.start) == \
+            consistency(floats, x[ys], ys.start)
+
+
+@pytest.mark.parametrize("sigma_y", [0.0, 0.1])
+def test_sr_from_codes_restores_the_bits_of_floats(tmp_path, rng, sigma_y):
+    # tiled whole, and with HiR at factor 2
+    coded, floats = _sr_from_codes_and_floats(tmp_path, rng)
+    den = GmmDenoiser(smooth_means(2, 16, 16, seed=3, period=8), [0.5, 0.5],
+                      0.05)
+    cfg = SamplerConfig(T=4, seed=9, sigma_y=sigma_y)
+    plan = plan_tiles(40, 48, 16, 8, block=4)
+    assert same_bits(msr_restore(coded, plan, den, cfg),
+                     msr_restore(floats, plan, den, cfg))
+    got, want = (hir_restore(t, 2, plan, den, cfg) for t in (coded, floats))
+    assert same_bits(got.image, want.image)
+    assert same_bits(got.coarse, want.coarse)
+    assert got.lowfreq_residual == want.lowfreq_residual
