@@ -206,12 +206,14 @@ def validate_job(job: JobSpec):
     else:
         if job.input is None:
             raise JobError(f"task {job.task} requires an input image")
-    if job.task == "sr" and job.scale is None:
-        raise JobError("sr requires scale")
+    for key, owner in (("scale", "sr"), ("mask", "inpaint")):
+        given = getattr(job, key) not in (None, "")
+        if job.task == owner and not given:
+            raise JobError(f"{owner} requires {key}")
+        if given and job.task != owner:
+            raise JobError(f"{key} is for task {owner} only, not {job.task}")
     if job.task == "sr" and job.scale < 1:
         raise JobError(f"scale must be >= 1, got {job.scale}")
-    if job.task == "inpaint" and not job.mask:
-        raise JobError("inpaint requires mask")
     if job.hir_factor < 0 or job.hir_factor == 1:
         raise JobError("hir-factor must be 0 (off) or >= 2")
     if job.naive and job.hir_factor:

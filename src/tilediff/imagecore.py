@@ -13,10 +13,10 @@ last row is written. `read_codes` maps a file's payload as uint8 codes (a
 memmap, one byte per sample and off the heap; `load_image` is all of it
 dequantized), and `CodeReader` converts only the window a caller indexes,
 so a canvas-size input is dequantized (or thresholded) one tile at a time. Work
-over a whole in-memory image goes in row bands of at least BAND_ROWS rows
-(`row_bands`): the quantizer and the finiteness check here, and the block
-means of a task's coarse phase. Every conversion is elementwise, so each
-value is bitwise the one the whole-array form gives.
+over a whole in-memory image goes in row bands of BAND_ROWS rows
+(`row_bands`): the quantizer and the finiteness check here, and the scans
+of a mask's codes. Every conversion is elementwise, so each value is
+bitwise the one the whole-array form gives.
 """
 
 from __future__ import annotations
@@ -35,13 +35,10 @@ class CodecError(ValueError):
     """Malformed or unsupported PPM/PGM data."""
 
 
-def row_bands(height: int, block: int = 1):
-    """Slices of consecutive row bands covering range(height), each the
-    smallest multiple of block that holds BAND_ROWS rows (the last may be
-    shorter; it is still a multiple of block when height is)."""
-    step = block * -(-BAND_ROWS // block)
-    for top in range(0, height, step):
-        yield slice(top, min(top + step, height))
+def row_bands(height: int):
+    """Consecutive slices of BAND_ROWS rows (the last may have fewer)."""
+    for top in range(0, height, BAND_ROWS):
+        yield slice(top, min(top + BAND_ROWS, height))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -10,8 +10,9 @@ and `consistency` measures a finished row band through the same tile problem.
 Every task's input (the low-resolution image of super-resolution, the
 observed image and mask of inpainting, the image of denoising and
 colorization) may be an `imagecore.CodeReader` over a file's codes: a task
-then reads one window at a time, and `reduce` pools it one row band at a
-time (SR's keeps the reader), so the input is never held as floats whole.
+then reads one window at a time, and so does the task `reduce` makes (SR's
+reads the same input; the others pool only the window they read), so no
+input is held as floats whole, pooled or not.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from .imagecore import CodeReader, Window, row_bands
 
 
 def _values(a, dtype=np.float64):
-    """a itself if it converts window by window (a CodeReader), else
-    np.asarray(a, dtype)."""
-    return a if isinstance(a, CodeReader) else np.asarray(a, dtype=dtype)
+    """a itself if it converts window by window (a CodeReader or a
+    _Pooled), else np.asarray(a, dtype)."""
+    return a if isinstance(a, (CodeReader, _Pooled)) else np.asarray(a, dtype)
 
 
 def _check_rank3(a, what: str):
@@ -35,14 +36,24 @@ def _check_rank3(a, what: str):
         raise ValueError(f"{what} must be (H, W, C), got shape {a.shape}")
 
 
-def _pool(a, f: int, reduce) -> np.ndarray:
-    """reduce(., axis=(1, 3)) over the f x f blocks of a (H, W[, C]), one
-    row band of whole blocks at a time."""
-    w = a.shape[1]
-    return np.concatenate([
-        reduce(band.reshape(len(band) // f, f, w // f, f, *band.shape[2:]),
-               axis=(1, 3))
-        for band in (a[ys] for ys in row_bands(a.shape[0], f))])
+class _Pooled:
+    """reduce(., axis=(1, 3)) over the f x f blocks of src (H, W[, C]),
+    one window at a time: reader[ys, xs, ...] reads and reduces src's
+    f-times window only, and np.asarray(reader) pools src whole."""
+
+    def __init__(self, src, f: int, reduce):
+        self.src, self.f, self.reduce = src, f, reduce
+        self.shape = (src.shape[0] // f, src.shape[1] // f, *src.shape[2:])
+
+    def __getitem__(self, key):
+        f = self.f
+        ys, xs = (range(n)[k] for n, k in zip(self.shape, key[:2]))
+        band = self.src[ys.start * f:ys.stop * f, xs.start * f:xs.stop * f]
+        blocks = band.reshape(len(ys), f, len(xs), f, *band.shape[2:])
+        return self.reduce(blocks, axis=(1, 3))[(slice(None),) * 2 + key[2:]]
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self[:, :], dtype=dtype)
 
 
 def check_sr_hierarchy(scale: int, f: int):
@@ -142,12 +153,11 @@ class InpaintTask(Task):
     def reduce(self, f: int) -> Task:
         self._check_divisible(f)
         # a reduced pixel is known only if its whole f x f footprint is known
-        known_r = _pool(self.known, f, np.all)
-        obs_r = _pool(self.observed, f, np.mean)
-        if not known_r.any():
+        known_r = _Pooled(self.known, f, np.all)
+        if not any(known_r[ys, :].any() for ys in row_bands(known_r.shape[0])):
             warnings.warn("reduced inpainting mask has no known pixels; "
                           "coarse phase degenerates to generation")
-        return InpaintTask(obs_r, known_r)
+        return InpaintTask(_Pooled(self.observed, f, np.mean), known_r)
 
 
 class ColorizeTask(Task):
@@ -170,7 +180,7 @@ class ColorizeTask(Task):
 
     def reduce(self, f: int) -> Task:
         self._check_divisible(f)
-        return ColorizeTask(_pool(self.gray, f, np.mean))
+        return ColorizeTask(_Pooled(self.gray, f, np.mean))
 
 
 class DenoiseTask(Task):
@@ -188,7 +198,7 @@ class DenoiseTask(Task):
 
     def reduce(self, f: int) -> Task:
         self._check_divisible(f)
-        return DenoiseTask(_pool(self.observed, f, np.mean))
+        return DenoiseTask(_Pooled(self.observed, f, np.mean))
 
 
 class GenerateTask(Task):

@@ -4,9 +4,9 @@ No run of the package needs these: the textbook Gaussian and mixture
 posterior means, the forward process, an operator's dense matrix, a
 zero-noise denoiser, the constraint kernels in the form that builds every
 full-size operand, the sampler's step loop with every step's arrays made
-anew, a plain re-derivation of the mask-shift tiling loop, each task's
-full-size inverse problem, and the run's finish (seam metric, quantizer)
-over the whole image.
+anew, a plain re-derivation of the mask-shift tiling loop, a reduced
+task's input pooled whole, each task's full-size inverse problem, and the
+run's finish (seam metric, quantizer) over the whole image.
 """
 
 import dataclasses
@@ -16,6 +16,7 @@ import numpy as np
 
 from tilediff import linops, tasks
 from tilediff.denoise import Denoiser
+from tilediff.imagecore import BAND_ROWS
 from tilediff.msr import tile_seed
 from tilediff.sampler import (ConstraintHooks, ddnm_plus_project,
                               estimate_x0, run_sampler, sample_prev)
@@ -199,20 +200,34 @@ def replay_msr(task, plan, den, cfg, pre_hook_factory=None):
     return image
 
 
+def pool(a, f: int, reduce) -> np.ndarray:
+    """reduce(., axis=(1, 3)) over the f x f blocks of a (H, W[, C]), an
+    array or a reader, one row band of whole blocks at a time: the whole
+    pooled input a reduced task held before it pooled each window it
+    reads."""
+    h, w = a.shape[:2]
+    step = f * -(-BAND_ROWS // f)
+    return np.concatenate([
+        reduce(band.reshape(len(band) // f, f, w // f, f, *band.shape[2:]),
+               axis=(1, 3))
+        for band in (a[top:top + step] for top in range(0, h, step))])
+
+
 def full_problem(task):
     """(operator, measurement) of the task at full size, or None for
     generation: the reference that tasks.consistency and the tiled
     assemblies are checked against."""
-    # [...] converts an input a task reads through a CodeReader whole
+    # np.asarray reads an input a task keeps behind a reader (a CodeReader,
+    # or a reduced task's pooled one) whole
     if isinstance(task, tasks.SuperResolutionTask):
-        return linops.AvgPool(task.shape, task.scale), task.y[...]
+        return linops.AvgPool(task.shape, task.scale), np.asarray(task.y)
     if isinstance(task, tasks.InpaintTask):
-        op = linops.Mask(task.known[...], channels=task.shape[2])
-        return op, op.forward(task.observed[...])
+        op = linops.Mask(np.asarray(task.known), channels=task.shape[2])
+        return op, op.forward(np.asarray(task.observed))
     if isinstance(task, tasks.ColorizeTask):
-        return linops.Gray(task.shape), task.gray[...]
+        return linops.Gray(task.shape), np.asarray(task.gray)
     if isinstance(task, tasks.DenoiseTask):
-        return linops.Identity(task.shape), task.observed[...]
+        return linops.Identity(task.shape), np.asarray(task.observed)
     return None
 
 

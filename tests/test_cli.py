@@ -27,13 +27,16 @@ from test_msr import accepted_geometries
 PATCH, OVERLAP = 64, 32
 
 
-@pytest.fixture
-def prior_dir(tmp_path):
-    d = tmp_path / "prior"
+def _write_test_prior(d):
     d.mkdir()
     means = smooth_means(2, PATCH, PATCH, seed=11)
     write_prior(d, means, [0.5, 0.5], 0.05)
     return d
+
+
+@pytest.fixture
+def prior_dir(tmp_path):
+    return _write_test_prior(tmp_path / "prior")
 
 
 def test_parse_sr_happy_path(tmp_path, prior_dir):
@@ -354,10 +357,11 @@ def test_consistency_equals_the_full_size_residual(rng, height):
 def _heap_peak(tmp_path, prior_dir, argv, height, width):
     """tracemalloc's heap peak, in bytes, during the job
     `argv(height, width)`; one small job of the same kind runs first, so
-    that numpy's lazily imported modules are not counted."""
+    that numpy's lazily imported modules are not counted. Its 128 x 128
+    canvas is the smallest a job at --hir-factor 2 takes."""
     common = ["--prior", str(prior_dir), "--overlap", "16", "--steps", "1",
               "--travel-r", "1", "--out", str(tmp_path / "o.ppm")]
-    assert run_job(parse_job(argv(64, 128) + common)[1]) == 0
+    assert run_job(parse_job(argv(128, 128) + common)[1]) == 0
     _, job = parse_job(argv(height, width) + common)
     tracemalloc.start()
     try:
@@ -437,6 +441,39 @@ def test_job_heap_peak_does_not_grow_with_canvas_height(tmp_path, prior_dir,
     short = _heap_peak(tmp_path, prior_dir, argv, 640, 640)
     tall = _heap_peak(tmp_path, prior_dir, argv, 2560, 640)
     assert tall <= 1.05 * short
+
+
+def _hir_heap_growth(tmp_path, prior_dir, argv):
+    """How much the heap peak of the job `argv` at --hir-factor 2 grows
+    from 640 to 2560 rows, at width 640, in bytes."""
+    def hir(h, w):
+        return argv(h, w) + ["--hir-factor", "2"]
+
+    return _heap_peak(tmp_path, prior_dir, hir, 2560, 640) - \
+        _heap_peak(tmp_path, prior_dir, hir, 640, 640)
+
+
+@pytest.fixture(scope="module")
+def hir_generate_heap_growth(tmp_path_factory):
+    """_hir_heap_growth of a generate job: its coarse canvas, held whole
+    because every phase-2 tile reads its part of it."""
+    tmp = tmp_path_factory.mktemp("hir-generate")
+    return _hir_heap_growth(tmp, _write_test_prior(tmp / "prior"),
+                            _generate_argv)
+
+
+@pytest.mark.parametrize("kind", ["inpaint", "colorize", "denoise", "sr"])
+def test_hir_job_heap_grows_only_by_its_coarse_canvas(
+        tmp_path, prior_dir, rng, hir_generate_heap_growth, kind):
+    # 2560 rows hold a coarse canvas 7.4 MB larger than 640 rows do; a
+    # restore job holds no more than that, because its reduced task pools
+    # only the window of its input that a coarse tile problem reads
+    argv = {"inpaint": _inpaint_argv(tmp_path, rng),
+            "colorize": _restore_argv(tmp_path, rng, "colorize", channels=1),
+            "denoise": _restore_argv(tmp_path, rng, "denoise"),
+            "sr": _restore_argv(tmp_path, rng, "sr", scale=2)}[kind]
+    growth = _hir_heap_growth(tmp_path, prior_dir, argv)
+    assert growth <= 1.05 * hir_generate_heap_growth
 
 
 @pytest.mark.parametrize("task, channels, field", [
@@ -652,9 +689,16 @@ def test_main_reports_job_errors(capsys):
     # so a scale equal to the patch leaves no overlap that can tile
     (["restore", "--task", "sr", "--scale", "8", "--patch", "8",
       "--overlap", "4", "--in", "x.ppm"],
-     "error: patch 8 and overlap 4 must be multiples of block 8")],
+     "error: patch 8 and overlap 4 must be multiples of block 8"),
+    # an option the job's task does not read would be ignored
+    (["restore", "--task", "denoise", "--in", "x.ppm", "--mask", "m.pgm"],
+     "error: mask is for task inpaint only, not denoise"),
+    (["restore", "--task", "inpaint", "--scale", "4", "--in", "x.ppm",
+      "--mask", "m.pgm"],
+     "error: scale is for task sr only, not inpaint")],
     ids=["hir-factor", "scale", "scale-0", "hir-factor-not-dividing-scale",
-         "naive-hir", "scale-equal-to-patch"])
+         "naive-hir", "scale-equal-to-patch", "mask-for-denoise",
+         "scale-for-inpaint"])
 def test_main_rejects_a_negative_factor(tmp_path, prior_dir, capsys, argv,
                                         message):
     assert cli.main(argv + ["--prior", str(prior_dir),
@@ -732,6 +776,28 @@ def test_config_file_task_outside_restores_choices_is_a_usage_error(
                        f"prior = {prior_dir}\noutput = {out_dir / 'c.ppm'}\n")
     assert parse_job(["restore", "--config", str(cfgfile)])[1].task == \
         "colorize"
+
+
+@pytest.mark.parametrize("task, line, message", [
+    ("denoise", "mask = m.pgm", "mask is for task inpaint only, not denoise"),
+    ("colorize", "scale = 2", "scale is for task sr only, not colorize"),
+    ("inpaint", "scale = 4", "scale is for task sr only, not inpaint")])
+def test_config_file_option_of_another_task_is_a_usage_error(
+        tmp_path, prior_dir, capsys, task, line, message):
+    # read from a file as from a flag, the value would be ignored
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    cfgfile = tmp_path / "job.cfg"
+    mask = "mask = m.pgm\n" if task == "inpaint" else ""
+    cfgfile.write_text(f"task = {task}\ninput = x.ppm\n{mask}{line}\n"
+                       f"prior = {prior_dir}\noutput = {out_dir / 'o.ppm'}\n")
+    with pytest.raises(JobError, match=message):
+        parse_job(["restore", "--config", str(cfgfile)])
+    assert cli.main(["restore", "--config", str(cfgfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert list(out_dir.iterdir()) == []
 
 
 @pytest.mark.parametrize("command,line", [

@@ -30,8 +30,9 @@ MAX_SIDE = 48  # canvas pixels per side, at most
 def _values(pp: int) -> dict:
     """field -> (valid, invalid): lists of its flag's text at prior patch
     pp. None leaves the flag out and True gives a bare flag. A valid text
-    does not fail the job on its own; `steps` is never left out, because
-    its default of 100 steps would make a job slow."""
+    does not fail the job on its own, but `jobs` gives a valid scale or
+    mask only to the task that reads it; `steps` is never left out,
+    because its default of 100 steps would make a job slow."""
     side = [None, "0", "-8", "x"] + [str(n) for n in range(1, pp)]
     return {
         "task": (["sr", "inpaint", "colorize", "denoise"], [None, "blur"]),
@@ -60,6 +61,10 @@ def test_every_job_field_has_values():
     assert set(_values(4)) == {f.name for f in dataclasses.fields(cli.JobSpec)}
 
 
+# the one task that reads each of these options
+_READER = {"scale": "sr", "mask": "inpaint"}
+
+
 @st.composite
 def jobs(draw):
     """(command, prior patch, input height and width, {field: text}), with
@@ -77,6 +82,9 @@ def jobs(draw):
     values = {}
     for name in names:
         text = draw(st.sampled_from(table[name][name in bad]))
+        reader = _READER.get(name)
+        if reader and name not in bad and values.get("task") != reader:
+            text = None  # an option of another task is a usage error
         if text is not None:
             values[name] = text
     if draw(st.integers(0, 3)) == 0:

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tilediff.denoise import GmmDenoiser
 from tilediff.hir import hir_restore
-from tilediff.imagecore import (CodeReader, Window, load_image, read_codes,
-                                row_bands)
+from tilediff.imagecore import (CodeReader, Window, load_image, model_values,
+                                read_codes, row_bands)
+from tilediff.linops import Mask
 from tilediff.msr import msr_restore, plan_tiles
 from tilediff.sampler import SamplerConfig
 from tilediff.tasks import (ColorizeTask, DenoiseTask, GenerateTask,
                             InpaintTask, SuperResolutionTask, consistency)
 
+import oracles
 from conftest import same_bits, smooth_means, write_image
 
 
@@ -86,7 +90,7 @@ def test_sr_from_codes_has_the_tile_problems_and_residuals_of_floats(
         assert op_c.input_shape == op_f.input_shape
         assert same_bits(y_c, y_f)
     x = rng.uniform(-1, 1, size=coded.shape)
-    for ys in row_bands(40, coded.block):
+    for ys in row_bands(40):
         assert consistency(coded, x[ys], ys.start) == \
             consistency(floats, x[ys], ys.start)
 
@@ -105,3 +109,72 @@ def test_sr_from_codes_restores_the_bits_of_floats(tmp_path, rng, sigma_y):
     assert same_bits(got.image, want.image)
     assert same_bits(got.coarse, want.coarse)
     assert got.lowfreq_residual == want.lowfreq_residual
+
+
+def _inputs(rng, height, width, channels, readers):
+    """A random image and mask of the given size, as arrays of model
+    values and booleans, or as CodeReaders over their codes, as `cli`
+    builds them."""
+    codes = rng.integers(0, 256, size=(height, width, channels),
+                         dtype=np.uint8)
+    mask = np.where(rng.random((height, width)) < 0.9, 255, 0).astype(
+        np.uint8)
+    if readers:
+        return CodeReader(codes), CodeReader(mask, lambda b: b == 255)
+    return model_values(codes), mask == 255
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=st.sampled_from([2, 3, 4]), channels=st.sampled_from([1, 3]),
+       readers=st.booleans(), patch=st.sampled_from([4, 6, 8]),
+       overlap=st.integers(1, 7), height=st.integers(0, 12),
+       width=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+@pytest.mark.filterwarnings("ignore:reduced inpainting mask")
+def test_a_reduced_task_pools_each_window_as_the_whole_pooled_input(
+        f, channels, readers, patch, overlap, height, width, seed):
+    # every window of a coarse plan whose last tiles are clamped to the
+    # canvas edge, read from the reduced task, is bitwise the same window
+    # of the whole pooled input
+    overlap = min(overlap, patch - 1)
+    h, w = patch + height, patch + width
+    obs, known = _inputs(np.random.default_rng(seed), h * f, w * f,
+                         channels, readers)
+    red = InpaintTask(obs, known).reduce(f)
+    want_obs = oracles.pool(obs, f, np.mean)
+    want_known = oracles.pool(known, f, np.all)
+    assert red.shape == want_obs.shape == (h, w, channels)
+    for win in plan_tiles(h, w, patch, overlap).windows:
+        ys, xs = win.slices()
+        assert same_bits(red.observed[ys, xs, :], want_obs[ys, xs, :])
+        assert same_bits(red.known[ys, xs], want_known[ys, xs])
+    assert same_bits(np.asarray(red.observed), want_obs)
+    assert same_bits(np.asarray(red.known), want_known)
+
+
+@pytest.mark.parametrize("f", [2, 4])
+@pytest.mark.parametrize("readers", [False, True], ids=["arrays", "codes"])
+def test_reduced_tasks_have_the_tile_problems_of_whole_pooled_inputs(
+        rng, f, readers):
+    # the reduced task against the same task built on its input pooled
+    # whole, as reduce built it before it pooled one window at a time
+    obs, known = _inputs(rng, 48 * f, 40 * f, 3, readers)
+    gray, _ = _inputs(rng, 48 * f, 40 * f, 1, readers)
+    pairs = [
+        (InpaintTask(obs, known).reduce(f),
+         InpaintTask(oracles.pool(obs, f, np.mean),
+                     oracles.pool(known, f, np.all))),
+        (ColorizeTask(gray).reduce(f),
+         ColorizeTask(oracles.pool(gray, f, np.mean))),
+        (DenoiseTask(obs).reduce(f),
+         DenoiseTask(oracles.pool(obs, f, np.mean)))]
+    plan = plan_tiles(48, 40, 16, 6)
+    for red, whole in pairs:
+        assert red.shape == whole.shape
+        for win in plan.windows:
+            (op_r, y_r), (op_w, y_w) = red.tile_problem(win), \
+                whole.tile_problem(win)
+            assert type(op_r) is type(op_w)
+            assert op_r.input_shape == op_w.input_shape
+            if isinstance(op_w, Mask):
+                assert same_bits(op_r.known, op_w.known)
+            assert same_bits(y_r, y_w)
