@@ -343,8 +343,9 @@ class SeamMeter:
 
 
 class _Finish:
-    """run_job's sink: each finished row band is written (the writer
-    checks it finite) and measured (consistency, seams)."""
+    """run_job's sink: each finished row band (`imagecore.row_bands`) is
+    written (the writer checks it finite) and measured (consistency,
+    seams), so each of its temporaries is one band's size."""
 
     def __init__(self, task: tasks.Task, plan: TilePlan, write):
         self.task = task

@@ -14,9 +14,9 @@ The coarse phase tiles the 1/f canvas with the full patch, so each of its
 sides must hold one patch: `check_coarse_canvas`, which `cli` also runs.
 The coarse canvas (1/f^2 of the full size) is held whole, since every
 phase-2 tile reads its part of it. Phase 2 streams like any tiling pass:
-its row bands go to a sink as its tile rows finish (see `msr`), and the
-final low-frequency residual, the pin's `tasks.consistency`, is taken on
-each band as it passes.
+its rows go to a sink in row bands as its tile rows finish (see `msr`),
+and the final low-frequency residual, the pin's `tasks.consistency`, is
+taken on each band as it passes.
 """
 
 from __future__ import annotations

@@ -12,10 +12,10 @@ appended after the header, into a part file renamed into place once the
 last row is written. `read_codes` maps a file's payload as uint8 codes (a
 memmap, one byte per sample and off the heap; `load_image` is all of it
 dequantized), and `CodeReader` converts only the window a caller indexes,
-so a canvas-size input is dequantized (or thresholded) one tile at a time. Work
-over a whole in-memory image goes in row bands of BAND_ROWS rows
-(`row_bands`): the quantizer and the finiteness check here, and the scans
-of a mask's codes. Every conversion is elementwise, so each value is
+so a canvas-size input is dequantized (or thresholded) one tile at a time.
+Every pass over a canvas-size image goes in row bands (`row_bands`): the
+quantizer and the finiteness check here, the scans of a mask, and a tiling
+pass's finished rows. Every conversion is elementwise, so each value is
 bitwise the one the whole-array form gives.
 """
 
@@ -35,10 +35,12 @@ class CodecError(ValueError):
     """Malformed or unsupported PPM/PGM data."""
 
 
-def row_bands(height: int):
-    """Consecutive slices of BAND_ROWS rows (the last may have fewer)."""
-    for top in range(0, height, BAND_ROWS):
-        yield slice(top, min(top + BAND_ROWS, height))
+def row_bands(height: int, block: int = 1):
+    """Consecutive slices of range(height) of BAND_ROWS rows rounded up to
+    a multiple of block (the last may have fewer)."""
+    rows = -(-BAND_ROWS // block) * block
+    for top in range(0, height, rows):
+        yield slice(top, min(top + rows, height))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -116,16 +116,21 @@ class AvgPool(LinearOperator):
         return out
 
 
+def binary_mask(known) -> np.ndarray:
+    """known as booleans: a bool array, or 0/1 values checked by row band."""
+    known = np.atleast_1d(known)
+    if known.dtype != bool and not all(
+            np.logical_or(known[ys] == 0, known[ys] == 1).all()
+            for ys in imagecore.row_bands(len(known))):
+        raise ValueError("mask must be binary (0 or 1)")
+    return known.astype(bool, copy=False)
+
+
 class Mask(LinearOperator):
     """Selects known pixels; pseudo-inverse scatters, zeros elsewhere."""
 
     def __init__(self, known: np.ndarray, channels: int | None = None):
-        known = np.asarray(known)
-        if known.dtype != bool:
-            uniq = np.unique(known)
-            if not np.all(np.isin(uniq, (0, 1))):
-                raise ValueError("mask must be binary (0 or 1)")
-            known = known.astype(bool)
+        known = binary_mask(known)
         if known.ndim == 2:
             if channels is None:
                 raise ValueError("2-D mask needs an explicit channel count")

@@ -12,10 +12,11 @@ furthest into it.
 
 Rows flow through one tile row at a time. The tiles are written into a
 buffer one tile row high (patch x width); once a tile row is done, no
-later tile touches the rows above the next tile row's top, so that band
-goes to a sink and the rest of the buffer moves up to become the top of
-the next tile row. A pass holds O(patch x width) floats, whatever the
-canvas height. The default sink copies the bands into a full-size image.
+later tile touches the rows above the next tile row's top, so those rows
+go to a sink in row bands (`imagecore.row_bands`) and the rest of the
+buffer moves up to become the top of the next tile row. A pass holds
+O(patch x width) floats, and a sink one band's, whatever the canvas height
+or stride. The default sink copies the bands into a full-size image.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import dataclasses
 
 import numpy as np
 
-from .imagecore import Window
+from .imagecore import Window, row_bands
 from .sampler import (ConstraintHooks, NoiseProducer, SamplerConfig,
                       noise_draws, run_sampler)
 from .tasks import Task
@@ -176,11 +177,11 @@ def msr_restore(task: Task, plan: TilePlan, denoiser, cfg: SamplerConfig,
     overlap freeze, is not pinned: the output is the same, bit for bit.
 
     sink(top, rows) gets the finished canvas rows [top, top + len(rows)),
-    one band per tile row, in order: the bands cover the canvas once, and
-    each band's top and height are multiples of plan.block. rows is a view
-    of the tile-row buffer, valid until the call returns. Without a sink
-    the bands are copied into a new full-size image, which is returned;
-    with one, None is returned.
+    each tile row's as its row_bands(height, plan.block), in order: the
+    bands cover the canvas once, and each band's top and height are
+    multiples of plan.block. rows is a view of the tile-row buffer, valid
+    until the call returns. Without a sink the bands are copied into a new
+    full-size image, which is returned; with one, None is returned.
     """
     check_plan(task, plan)
     image = None
@@ -214,7 +215,8 @@ def msr_restore(task: Task, plan: TilePlan, denoiser, cfg: SamplerConfig,
                     hooks=ConstraintHooks(pre=pre, post=post), noise=noise)
             # rows above the next tile row are final; the rest, which the
             # next tile row overlaps, move to the buffer's top
-            sink(top, strip[:end - top])
+            for ys in row_bands(end - top, plan.block):
+                sink(top + ys.start, strip[ys])
             strip[:patch - (end - top)] = strip[end - top:]
     finally:
         noise.close()

@@ -25,10 +25,10 @@ from . import linops
 from .imagecore import CodeReader, Window, row_bands
 
 
-def _values(a, dtype=np.float64):
+def _values(a):
     """a itself if it converts window by window (a CodeReader or a
-    _Pooled), else np.asarray(a, dtype)."""
-    return a if isinstance(a, (CodeReader, _Pooled)) else np.asarray(a, dtype)
+    _Pooled), else np.asarray(a, float), of float64 values."""
+    return a if isinstance(a, (CodeReader, _Pooled)) else np.asarray(a, float)
 
 
 def _check_rank3(a, what: str):
@@ -72,7 +72,8 @@ def consistency(task: Task, rows: np.ndarray, top: int = 0) -> float:
     residual element is the one the full-size operator gives.
     """
     op, y = task.tile_problem(Window(top, 0, len(rows), task.shape[1]))
-    return float(np.abs(op.forward(rows) - y).max(initial=0.0))
+    residual = op.forward(rows) - y  # the first array this call owns
+    return float(np.abs(residual, out=residual).max(initial=0.0))
 
 
 class Task:
@@ -138,7 +139,8 @@ class InpaintTask(Task):
     def __init__(self, observed: np.ndarray, known: np.ndarray):
         self.observed = _values(observed)
         _check_rank3(self.observed, "inpainting input")
-        known = _values(known, dtype=bool)
+        known = (known if isinstance(known, (CodeReader, _Pooled))
+                 else linops.binary_mask(known))
         if known.shape != self.observed.shape[:2]:
             raise ValueError("mask dims must match image dims")
         self.known = known

@@ -424,23 +424,41 @@ def test_inpaint_job_heap_peak_is_its_canvases_plus_a_half(
                                _inpaint_argv(tmp_path, rng), 640, 640) < 2.5
 
 
-@pytest.mark.parametrize("kind", ["generate", "inpaint", "sr-scale-2",
-                                  "sr-scale-4", "colorize", "denoise"])
-def test_job_heap_peak_does_not_grow_with_canvas_height(tmp_path, prior_dir,
-                                                        rng, kind):
-    # 4x the rows (53 tile rows against 13) at width 640: about 5 MB of
-    # heap at either height (noise ring, tile-row buffer, one band). The
-    # tall job's 3.5% more is its per-seam statistics, one per seam row.
-    # Every input stays codes in its file, SR's low-resolution image too
-    argv = {"generate": _generate_argv,
+def _job_argv(kind, tmp_path, rng):
+    """The argv builder of a job of `kind`, its inputs under tmp_path."""
+    return {"generate": _generate_argv,
             "inpaint": _inpaint_argv(tmp_path, rng),
             "sr-scale-2": _restore_argv(tmp_path, rng, "sr", scale=2),
             "sr-scale-4": _restore_argv(tmp_path, rng, "sr", scale=4),
             "colorize": _restore_argv(tmp_path, rng, "colorize", channels=1),
             "denoise": _restore_argv(tmp_path, rng, "denoise")}[kind]
+
+
+@pytest.mark.parametrize("kind", ["generate", "inpaint", "sr-scale-2",
+                                  "sr-scale-4", "colorize", "denoise"])
+def test_job_heap_peak_does_not_grow_with_canvas_height(tmp_path, prior_dir,
+                                                        rng, kind):
+    # 4x the rows (53 tile rows against 13) at width 640: about 4 MB of
+    # heap at either height (noise ring, tile-row buffer, one band). The
+    # tall job's 4-4.5% more is its per-seam statistics, one per seam row.
+    # Every input stays codes in its file, SR's low-resolution image too
+    argv = _job_argv(kind, tmp_path, rng)
     short = _heap_peak(tmp_path, prior_dir, argv, 640, 640)
     tall = _heap_peak(tmp_path, prior_dir, argv, 2560, 640)
     assert tall <= 1.05 * short
+
+
+@pytest.mark.parametrize("kind, base", [("denoise", "colorize"),
+                                        ("inpaint", "generate")])
+def test_finish_temporaries_are_one_row_band_not_one_tile_row(
+        tmp_path, prior_dir, rng, kind, base):
+    # the finish (writer, residual, seams) gets BAND_ROWS-row bands, not
+    # the 48-row stride of a tile row: a denoise job's residual over three
+    # channels, or an inpaint job's over its mask, adds one band's worth
+    heap = _heap_peak(tmp_path, prior_dir, _job_argv(kind, tmp_path, rng),
+                      640, 640)
+    assert heap <= 1.05 * _heap_peak(tmp_path, prior_dir,
+                                     _job_argv(base, tmp_path, rng), 640, 640)
 
 
 def _hir_heap_growth(tmp_path, prior_dir, argv):

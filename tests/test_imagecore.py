@@ -73,6 +73,20 @@ def test_banded_codes_equal_the_whole_image_quantizer(height, width,
     assert codes.tobytes() == oracles.quantize(values).tobytes()
 
 
+@given(st.integers(0, 5 * imagecore.BAND_ROWS), st.integers(1, 40))
+def test_row_bands_cover_the_rows_in_block_multiples(height, block):
+    # blocks below, at and past BAND_ROWS, which then is one band of block
+    bands = list(imagecore.row_bands(height, block))
+    assert [i for ys in bands for i in range(height)[ys]] == \
+        list(range(height))
+    assert all(ys.stop > ys.start for ys in bands)
+    most = block * -(-imagecore.BAND_ROWS // block)
+    assert all(ys.stop - ys.start <= most for ys in bands)
+    # every band but the last is the fewest block multiple past BAND_ROWS
+    assert all(ys.stop - ys.start == most for ys in bands[:-1])
+    assert most % block == 0 and most - block < imagecore.BAND_ROWS <= most
+
+
 def test_dequantize_is_the_scale_and_shift_of_the_codes(tmp_path):
     codes = np.arange(256, dtype=np.uint8).reshape(16, 16, 1)
     p = tmp_path / "ramp.pgm"

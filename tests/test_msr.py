@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tilediff.denoise import GmmDenoiser
-from tilediff.imagecore import Window
+from tilediff.imagecore import BAND_ROWS, Window, row_bands
 from tilediff.msr import msr_restore, plan_tiles, tile_seed
 from tilediff.sampler import (ConstraintHooks, NoiseProducer, SamplerConfig,
                               SamplerError, noise_draws, run_sampler)
@@ -198,6 +198,10 @@ def test_msr_equals_the_replay_bitwise_on_random_plans(geometry, kind, seed):
 @example((8, 8, 8, 4, 2), "generate", 0)     # canvas equal to the patch
 @example((14, 14, 8, 4, 2), "sr", 1)         # clamped last row and column
 @example((18, 10, 8, 4, 2), "inpaint", 2)    # clamped row overlaps two back
+# strides past BAND_ROWS: a tile row's span goes as two or more bands
+@example((40, 20, 20, 2, 1), "generate", 3)  # 16 + 2 rows per span
+@example((80, 40, 32, 8, 2), "inpaint", 4)   # 16 + 8
+@example((72, 36, 36, 6, 3), "sr", 5)        # 18-row bands: 18 + 12
 def test_msr_sink_gets_each_band_once_in_order_block_aligned(geometry, kind,
                                                              seed):
     height, width, patch, overlap, block = geometry
@@ -224,7 +228,13 @@ def test_msr_sink_gets_each_band_once_in_order_block_aligned(geometry, kind,
     assert [top for top, _ in bands] == ends[:-1] and ends[-1] == height
     assert all(len(rows) and top % block == 0 and len(rows) % block == 0
                for top, rows in bands)
-    assert len(bands) == plan.rows
+    # each tile row's finished span, as the row bands of its height
+    spans = zip(plan.tops, plan.tops[1:] + (height,))
+    assert [(top, len(rows)) for top, rows in bands] == [
+        (top + ys.start, ys.stop - ys.start) for top, end in spans
+        for ys in row_bands(end - top, block)]
+    assert max(len(rows) for _, rows in bands) <= \
+        block * -(-BAND_ROWS // block)
     want = replay_msr(task, plan, den, cfg)
     assert same_bits(np.concatenate([rows for _, rows in bands]), want)
     assert same_bits(msr_restore(task, plan, den, cfg), want)

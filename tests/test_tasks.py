@@ -66,6 +66,32 @@ def test_consistency_rejects_a_band_past_the_last_row():
         consistency(task, np.zeros((4, 8, 3)), top=6)
 
 
+def _soft_masks():
+    """Masks with values other than 0 and 1: 0.5 over 2 on an 8 x 8 map,
+    and a 40-row 0/1 map, past two row bands, with one 2 in its last
+    row."""
+    soft = np.ones((8, 8))
+    soft[:4], soft[4:] = 0.5, 2.0
+    late = np.tile(np.arange(8) % 2, (40, 1))
+    late[39, 5] = 2
+    return [soft, late]
+
+
+@pytest.mark.parametrize("build", [
+    lambda m: Mask(m, channels=3),
+    lambda m: InpaintTask(np.zeros(m.shape + (3,)), m)],
+    ids=["Mask", "InpaintTask"])
+@pytest.mark.parametrize("known", _soft_masks(), ids=["soft", "late"])
+def test_a_mask_array_holds_booleans_or_zeros_and_ones(build, known):
+    # nonzero is not "known": a value other than 0 or 1 is an input error
+    with pytest.raises(ValueError, match=r"mask must be binary \(0 or 1\)"):
+        build(known)
+    # 0/1 values of any dtype are the booleans they stand for
+    ones = known == 1
+    for values in (ones.astype(np.uint8), ones.astype(np.float64)):
+        assert same_bits(build(values).known, build(ones).known)
+
+
 def _sr_from_codes_and_floats(tmp_path, rng):
     """The same 4x SR task onto a 40 x 48 canvas twice: over a CodeReader
     of a file's codes, as `cli` builds it, and over the file's values as a
